@@ -52,6 +52,7 @@ from .rearrange import (
 from .isoperim import (
     CrokeProfile,
     LevelSetCurve,
+    LevelSweep,
     check_battery,
     croke_profile,
     domain_bump_battery,

@@ -551,7 +551,7 @@ def _cmd_sweep(cfg, outdir):
         prof = croke_profile(
             mesh,
             measure_ratio(mesh),
-            mesh_diameter(mesh),
+            next(r.diameter for r in records if r.aspect == float(a)),
             count=cfg.battery_count,
             thresholds=cfg.battery_thresholds,
             seed=cfg.seed,

@@ -12,13 +12,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .isoperim import (
-    _fractions_from_sorted,
-    _sorted_cell_values,
-    level_boundary_measure,
-    level_integral,
-    superlevel_measures,
-)
+from .isoperim import LevelSweep
 from .manifold import (
     beta as measure_ratio,
     build_ellipsoid,
@@ -190,16 +184,11 @@ def chain_audit(domain, p, opts=None, grid=64):
     inv_g = np.zeros_like(g)
     np.divide(1.0, g, out=inv_g, where=g > 0)
 
-    mu = superlevel_measures(field, ext[:-1])
-    srt = _sorted_cell_values(field)
-    energy = np.array(
-        [
-            float(fem.cellw @ (gp * _fractions_from_sorted(srt, t, n)))
-            for t in levels
-        ]
-    )
-    bnd = np.array([level_boundary_measure(field, t) for t in levels])
-    coarea_int = np.array([level_integral(field, t, inv_g) for t in levels])
+    sweep = LevelSweep(field)
+    mu = sweep.superlevel(ext[:-1])
+    energy = sweep.superlevel(levels, fem.cellw * gp)
+    bnd = sweep.level(levels)
+    coarea_int = sweep.level(levels, inv_g)
 
     radii = np.concatenate([cap_radius(mu / bet, n), [0.0]])
     vol = cap_volume(radii, n)
@@ -228,12 +217,8 @@ def chain_audit(domain, p, opts=None, grid=64):
     dist = distribution(field)
     prof = symmetrize(field, bet)
     lhs_mass = mass_tail[np.searchsorted(u[asc], levels, side="right")]
-    rhs_mass = np.array(
-        [
-            bet * prof.lp_mass_within(p, cap_radius(dist.measure_above(t) / bet, n))
-            for t in levels
-        ]
-    )
+    cap_r = cap_radius(dist.measure_above(levels) / bet, n)
+    rhs_mass = bet * np.array([prof.lp_mass_within(p, r) for r in cap_r])
     rel = (lhs_mass - rhs_mass) / lhs_mass
     steps.append(AuditStep("mass_transport", _signed_worst(rel), rel))
 

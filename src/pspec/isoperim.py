@@ -1,8 +1,9 @@
 """Level sets of vertex fields and isoperimetric ratio checks.
 
-Level curves are extracted by linear interpolation along cell edges and
-superlevel measures integrate the same piecewise-linear interpolant exactly,
-so boundary and bulk stay mutually consistent: the two sides of the
+Every level-set quantity goes through :class:`LevelSweep`, built once per
+field: level curves are extracted by linear interpolation along cell edges,
+and superlevel measures integrate the same piecewise-linear interpolant
+exactly, so boundary and bulk stay mutually consistent: the two sides of the
 isoperimetric comparison see the same discrete geometry.
 """
 
@@ -32,6 +33,94 @@ class LevelSetCurve:
     closed: bool
 
 
+class LevelSweep:
+    """Exact level-set sums of one vertex field over any batch of thresholds.
+
+    A cell is crossed by the level t when min <= t < max over its vertices;
+    only those (cell, threshold) pairs are evaluated, and cells wholly above
+    t contribute their full weight through suffix sums over the sorted cell
+    minima. Pairs are reduced in cell-index order, so a batch returns
+    bitwise the same numbers as one threshold at a time.
+    """
+
+    def __init__(self, field):
+        self.mesh = field.mesh
+        self._uc = field.values[self.mesh.cells]
+        self._srt = np.sort(self._uc, axis=1)
+        self._by_min = np.argsort(self._srt[:, 0], kind="stable")
+        self._min_sorted = self._srt[self._by_min, 0]
+
+    def _pairs(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        order = np.argsort(ts, kind="stable")
+        srt = ts[order]
+        first = np.searchsorted(srt, self._srt[:, 0], side="left")
+        count = np.searchsorted(srt, self._srt[:, -1], side="left") - first
+        cell = np.repeat(np.arange(len(count)), count)
+        k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
+        return cell, order[first[cell] + k], ts
+
+    def _crossings(self, cell, t):
+        # interpolated level points of each crossed cell: the d edges from
+        # the lone vertex (alone on its side of t; vertex 0 in 1-D) to the
+        # others. Returns (k, d, 3) points and the (k, d, 2) crossed edges.
+        d = self.mesh.dimension
+        cc, uc = self.mesh.cells[cell], self._uc[cell]
+        rows = np.arange(len(cell))
+        lone = np.zeros(len(cell), dtype=np.int64)
+        if d == 2:
+            above = uc > t[:, None]
+            lone = np.where(above.sum(1) == 1, np.argmax(above, 1), np.argmax(~above, 1))
+        V = self.mesh.vertices
+        base = cc[rows, lone]
+        pts, edges = [], []
+        for k in range(1, d + 1):
+            oth = (lone + k) % (d + 1)
+            w = (t - uc[rows, lone]) / (uc[rows, oth] - uc[rows, lone])
+            pts.append(V[base] + w[:, None] * (V[cc[rows, oth]] - V[base]))
+            edges.append(np.stack([base, cc[rows, oth]], 1))
+        return np.stack(pts, 1), np.stack(edges, 1)
+
+    def level(self, ts, weights=None):
+        """Sum over cells of weight times level-set measure in the cell.
+
+        The measure is the segment length for n=2 and the crossing count
+        for n=1; the default weight is 1.
+        """
+        cell, tid, ts = self._pairs(ts)
+        if self.mesh.dimension == 2:
+            pts, _ = self._crossings(cell, ts[tid])
+            size = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
+        else:
+            size = np.ones(len(cell))
+        if weights is not None:
+            size = size * np.asarray(weights, dtype=float)[cell]
+        return np.bincount(tid, weights=size, minlength=len(ts))
+
+    def superlevel(self, ts, weights=None):
+        """Sum over cells of weight times the area fraction of {u > t}.
+
+        The default weight is ``mesh.cell_measure``, giving H^n{u > t}.
+        """
+        w = self.mesh.cell_measure if weights is None else np.asarray(weights, dtype=float)
+        cell, tid, ts = self._pairs(ts)
+        t = ts[tid]
+        srt = self._srt[cell]
+        if self.mesh.dimension == 2:
+            c_, b_, a_ = srt[:, 0], srt[:, 1], srt[:, 2]
+            frac = np.empty(len(cell))
+            m = t >= b_
+            frac[m] = (a_[m] - t[m]) ** 2 / ((a_[m] - b_[m]) * (a_[m] - c_[m]))
+            m = ~m
+            frac[m] = 1.0 - (t[m] - c_[m]) ** 2 / ((a_[m] - c_[m]) * (b_[m] - c_[m]))
+        else:
+            b_, a_ = srt[:, 0], srt[:, 1]
+            frac = (a_ - t) / (a_ - b_)
+        whole = np.concatenate([np.cumsum(w[self._by_min][::-1])[::-1], [0.0]])
+        above = whole[np.searchsorted(self._min_sorted, ts, side="right")]
+        return above + np.bincount(tid, weights=frac * w[cell], minlength=len(ts))
+
+
 def _field_range(field):
     u = field.values
     return float(u.min()), float(u.max())
@@ -45,52 +134,23 @@ def _require_interior_level(field, t):
         )
 
 
-def _crossing_data(field, t):
-    mesh = field.mesh
-    uc = field.values[mesh.cells]
-    above = uc > t
-    s = above.sum(axis=1)
-    cross = np.flatnonzero((s == 1) | (s == 2))
-    cc = mesh.cells[cross]
-    ua = uc[cross]
-    lone = np.where(s[cross] == 1, np.argmax(above[cross], 1), np.argmax(~above[cross], 1))
-    idx = np.arange(len(cross))
-    o1, o2 = (lone + 1) % 3, (lone + 2) % 3
-    V = mesh.vertices
-    pts = []
-    for oth in (o1, o2):
-        va, vb = ua[idx, lone], ua[idx, oth]
-        w = (t - va) / (vb - va)
-        pts.append(V[cc[idx, lone]] + w[:, None] * (V[cc[idx, oth]] - V[cc[idx, lone]]))
-    segs = np.stack(pts, axis=1)
-    edge1 = np.sort(np.stack([cc[idx, lone], cc[idx, o1]], 1), axis=1)
-    edge2 = np.sort(np.stack([cc[idx, lone], cc[idx, o2]], 1), axis=1)
-    return cross, segs, np.concatenate([edge1, edge2])
-
-
 def level_curve(field, t):
     """Extract the level set {u = t} by linear edge interpolation."""
     _require_interior_level(field, t)
-    mesh = field.mesh
-    if mesh.dimension == 2:
-        _, segs, edges = _crossing_data(field, t)
-        lengths = np.linalg.norm(segs[:, 1] - segs[:, 0], axis=1)
-        _, counts = np.unique(edges, axis=0, return_counts=True)
-        closed = bool(len(segs)) and bool((counts == 2).all())
-        return LevelSetCurve(float(t), segs, float(lengths.sum()), closed)
-    uc = field.values[mesh.cells]
-    above = uc > t
-    cross = np.flatnonzero(above[:, 0] != above[:, 1])
-    cc = mesh.cells[cross]
-    va, vb = field.values[cc[:, 0]], field.values[cc[:, 1]]
-    w = ((t - va) / (vb - va))[:, None]
-    pts = mesh.vertices[cc[:, 0]] + w * (mesh.vertices[cc[:, 1]] - mesh.vertices[cc[:, 0]])
-    return LevelSetCurve(float(t), pts, float(len(pts)), len(pts) % 2 == 0)
+    sweep = LevelSweep(field)
+    cell, tid, ts = sweep._pairs([t])
+    pts, edges = sweep._crossings(cell, ts[tid])
+    measure = float(sweep.level([t])[0])
+    if field.mesh.dimension == 1:
+        return LevelSetCurve(float(t), pts[:, 0], measure, len(pts) % 2 == 0)
+    _, counts = np.unique(np.sort(edges.reshape(-1, 2), axis=1), axis=0, return_counts=True)
+    return LevelSetCurve(float(t), pts, measure, bool(len(pts)) and bool((counts == 2).all()))
 
 
 def level_boundary_measure(field, t):
     """H^{n-1} measure of the interpolated level set {u = t}."""
-    return level_curve(field, t).measure
+    _require_interior_level(field, t)
+    return float(LevelSweep(field).level([t])[0])
 
 
 def level_integral(field, t, cell_values):
@@ -101,43 +161,7 @@ def level_integral(field, t, cell_values):
     local level-segment measure.
     """
     _require_interior_level(field, t)
-    mesh = field.mesh
-    cell_values = np.asarray(cell_values, dtype=float)
-    if mesh.dimension == 2:
-        cross, segs, _ = _crossing_data(field, t)
-        lengths = np.linalg.norm(segs[:, 1] - segs[:, 0], axis=1)
-        return float(lengths @ cell_values[cross])
-    uc = field.values[mesh.cells]
-    above = uc > t
-    cross = np.flatnonzero(above[:, 0] != above[:, 1])
-    return float(cell_values[cross].sum())
-
-
-def _sorted_cell_values(field):
-    return np.sort(field.values[field.mesh.cells], axis=1)
-
-
-def _fractions_from_sorted(srt, t, dimension):
-    if dimension == 2:
-        c_, b_, a_ = srt[:, 0], srt[:, 1], srt[:, 2]
-        frac = np.ones(len(srt))
-        frac[t >= a_] = 0.0
-        m = (t >= b_) & (t < a_)
-        frac[m] = (a_[m] - t) ** 2 / ((a_[m] - b_[m]) * (a_[m] - c_[m]))
-        m = (t >= c_) & (t < b_)
-        frac[m] = 1.0 - (t - c_[m]) ** 2 / ((a_[m] - c_[m]) * (b_[m] - c_[m]))
-    else:
-        b_, a_ = srt[:, 0], srt[:, 1]
-        frac = np.ones(len(srt))
-        frac[t >= a_] = 0.0
-        m = (t >= b_) & (t < a_)
-        frac[m] = (a_[m] - t) / (a_[m] - b_[m])
-    return frac
-
-
-def superlevel_fractions(field, t):
-    """Per-cell area fraction of {u > t} for the linear interpolant."""
-    return _fractions_from_sorted(_sorted_cell_values(field), t, field.mesh.dimension)
+    return float(LevelSweep(field).level([t], cell_values)[0])
 
 
 def superlevel_measure(field, t):
@@ -147,15 +171,12 @@ def superlevel_measure(field, t):
     in t matches the coarea integrand of the same interpolant, which keeps
     volume and boundary comparisons noise free.
     """
-    return float(field.mesh.cell_measure @ superlevel_fractions(field, t))
+    return float(LevelSweep(field).superlevel([t])[0])
 
 
 def superlevel_measures(field, ts):
-    """superlevel_measure over many thresholds with one shared cell sort."""
-    srt = _sorted_cell_values(field)
-    cw = field.mesh.cell_measure
-    dim = field.mesh.dimension
-    return np.array([cw @ _fractions_from_sorted(srt, t, dim) for t in ts])
+    """superlevel_measure over many thresholds in one sweep."""
+    return LevelSweep(field).superlevel(ts)
 
 
 def gromov_ratio(field, t, beta):
@@ -168,7 +189,8 @@ def gromov_ratio(field, t, beta):
     _require_interior_level(field, t)
     mesh = field.mesh
     n = mesh.dimension
-    mu = superlevel_measure(field, t)
+    sweep = LevelSweep(field)
+    mu = float(sweep.superlevel([t])[0])
     total = total_measure(mesh)
     if not 0.0 < mu < total:
         raise ValueError("superlevel set must be proper and nonempty")
@@ -176,7 +198,7 @@ def gromov_ratio(field, t, beta):
     if v > SPHERE_MEASURE[n] * (1.0 + 1e-9):
         raise ValueError("scaled superlevel volume exceeds the model sphere")
     denom = beta * cap_boundary(cap_radius(v, n), n)
-    return level_boundary_measure(field, t) / denom
+    return float(sweep.level([t])[0]) / denom
 
 
 # ---------------------------------------------------------------------------

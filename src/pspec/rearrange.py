@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .manifold import SPHERE_MEASURE, cap_boundary, cap_radius, cap_volume
-from .isoperim import level_boundary_measure, superlevel_measures
+from .isoperim import LevelSweep
 
 _TIE_SCALE = 1e-13
 _CHECK_GRID = 256
@@ -88,9 +88,9 @@ class RadialProfile:
     """Non-increasing radial function on model-sphere caps.
 
     Piecewise linear in the cap radius: ``knots`` ascend from 0, ``values``
-    never increase. value_at and radius_at_value are the two monotone
-    interpolants; the integral helpers weight by the cap boundary measure,
-    i.e. they integrate over the model sphere in polar coordinates.
+    never increase. value_at is the monotone interpolant; the integral
+    helpers weight by the cap boundary measure, i.e. they integrate over the
+    model sphere in polar coordinates.
     """
 
     dimension: int
@@ -104,9 +104,6 @@ class RadialProfile:
     def value_at(self, r):
         r = np.minimum(r, self.knots[-1])
         return np.interp(r, self.knots, self.values)
-
-    def radius_at_value(self, t):
-        return np.interp(t, self.values[::-1], self.knots[::-1])
 
     def _interval_quadrature(self, integrand):
         a, b = self.knots[:-1], self.knots[1:]
@@ -214,7 +211,7 @@ def _interp_cap_radii(field, levels, beta):
     """
     n = field.mesh.dimension
     full = SPHERE_MEASURE[n]
-    v = np.minimum(superlevel_measures(field, levels) / beta, full)
+    v = np.minimum(LevelSweep(field).superlevel(levels) / beta, full)
     return cap_radius(v, n)
 
 
@@ -279,7 +276,7 @@ def coarea_check(field, grid=_CHECK_GRID):
     if hi <= lo:
         raise ValueError("constant field has no level structure")
     inner = np.linspace(lo, hi, grid + 2)[1:-1]
-    lens = np.array([level_boundary_measure(field, t) for t in inner])
+    lens = LevelSweep(field).level(inner)
     step = inner[1] - inner[0]
     rhs = float(np.trapezoid(lens, inner) + 0.5 * step * (lens[0] + lens[-1]))
     return CoareaCheck(lhs, rhs, abs(lhs - rhs) / lhs)

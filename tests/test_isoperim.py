@@ -3,6 +3,7 @@ import pytest
 
 from pspec.manifold import beta, build_circle, build_icosphere, diameter
 from pspec.isoperim import (
+    LevelSweep,
     check_battery,
     croke_profile,
     domain_bump_battery,
@@ -119,6 +120,114 @@ def test_superlevel_batch_matches_scalar(ico3, rng):
     single = np.array([superlevel_measure(f, t) for t in ts])
     np.testing.assert_array_equal(batch, single)
     assert (np.diff(batch) <= 0).all()
+
+
+# ---------------------------------------------------------------------------
+# LevelSweep against a dense reference
+
+
+def _dense_reference(field, ts):
+    """Level length and superlevel area at each t, from every cell.
+
+    Each triangle is cut at every threshold on its own: the level segment
+    joins the points where an edge changes side of t, and the superlevel
+    part is the clipped polygon in the triangle's parameter plane, whose
+    shoelace area over 1/2 is the cell fraction.
+    """
+    mesh = field.mesh
+    X = mesh.vertices[mesh.cells]
+    u = field.values[mesh.cells]
+    P = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    rows = np.arange(len(u))
+    lengths, areas = [], []
+    for t in ts:
+        inside = u > t
+        cross = np.zeros((len(u), 3), dtype=bool)
+        xpts = np.zeros((len(u), 3, 3))
+        slots, valid = [], []
+        for i in range(3):
+            j = (i + 1) % 3
+            cross[:, i] = inside[:, i] != inside[:, j]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = np.where(cross[:, i], (t - u[:, i]) / (u[:, j] - u[:, i]), 0.0)
+            xpts[:, i] = X[:, i] + w[:, None] * (X[:, j] - X[:, i])
+            slots += [np.broadcast_to(P[i], (len(u), 2)), P[i] + w[:, None] * (P[j] - P[i])]
+            valid += [inside[:, i], cross[:, i]]
+        # level segment: the two crossed edges of each cut cell
+        pick = np.argsort(~cross, axis=1, kind="stable")[:, :2]
+        seg = xpts[rows, pick[:, 0]] - xpts[rows, pick[:, 1]]
+        lengths.append((np.linalg.norm(seg, axis=1) * (cross.sum(1) == 2)).sum())
+        # superlevel polygon: skipped slots repeat the last kept point, which
+        # leaves the shoelace sum unchanged
+        poly = np.stack(slots, 1)
+        keep = np.stack(valid, 1)
+        last = poly[:, 0].copy()
+        for k in list(range(6)) * 2:
+            last = np.where(keep[:, k, None], poly[:, k], last)
+            poly[:, k] = last
+        x, y = poly[..., 0], poly[..., 1]
+        twice = (x * np.roll(y, -1, 1) - np.roll(x, -1, 1) * y).sum(1)
+        areas.append(mesh.cell_measure @ np.where(keep.any(1), np.abs(twice), 0.0))
+    return np.array(lengths), np.array(areas)
+
+
+def test_sweep_matches_dense_reference(ico3, rng):
+    # every interior vertex value of z, the exact equator ring t = 0
+    # included, and a uniform grid on a random field
+    z = coordinate_field(ico3)
+    f = random_smooth_field(ico3, rng)
+    cases = [
+        (z, np.unique(z.values)[1:-1]),
+        (f, np.linspace(f.values.min(), f.values.max(), 41)[1:-1]),
+    ]
+    assert 0.0 in cases[0][1]
+    for field, ts in cases:
+        ref_len, ref_area = _dense_reference(field, ts)
+        sweep = LevelSweep(field)
+        np.testing.assert_allclose(sweep.level(ts), ref_len, rtol=1e-12)
+        np.testing.assert_allclose(sweep.superlevel(ts), ref_area, rtol=1e-12)
+
+
+def test_sweep_keeps_input_order_and_duplicates(ico3, rng):
+    f = random_smooth_field(ico3, rng)
+    ts = np.array([0.3, -0.2, 0.3, 0.0, -0.5, 0.1, -0.2])
+    sweep = LevelSweep(f)
+    for method in (sweep.level, sweep.superlevel):
+        batch = method(ts)
+        single = np.array([method([t])[0] for t in ts])
+        np.testing.assert_array_equal(batch, single)
+        assert batch[0] == batch[2] and batch[1] == batch[6]
+
+
+def test_sweep_on_circle_counts_crossings_and_arc_length():
+    m = build_circle(60)
+    x, y = m.vertices[:, 0], m.vertices[:, 1]
+    f = ScalarField(m, np.cos(3.0 * np.arctan2(y, x)) + 0.1 * x)
+    ts = np.linspace(f.values.min(), f.values.max(), 23)[1:-1]
+    u = f.values[m.cells]
+    p0, p1 = m.vertices[m.cells[:, 0]], m.vertices[m.cells[:, 1]]
+    counts, lengths = [], []
+    for t in ts:
+        above = u > t
+        cut = above[:, 0] != above[:, 1]
+        counts.append(cut.sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.where(cut, (t - u[:, 0]) / (u[:, 1] - u[:, 0]), 0.0)
+        hit = p0 + w[:, None] * (p1 - p0)
+        part = np.linalg.norm(np.where(above[:, :1], p0, p1) - hit, axis=1)
+        lengths.append(np.where(above.all(1), m.cell_measure, cut * part).sum())
+    sweep = LevelSweep(f)
+    np.testing.assert_array_equal(sweep.level(ts), counts)
+    assert max(counts) == 6
+    np.testing.assert_allclose(sweep.superlevel(ts), lengths, rtol=1e-12)
+
+
+def test_sweep_default_weights_are_explicit_weights(ico3, rng):
+    f = random_smooth_field(ico3, rng)
+    ts = np.linspace(f.values.min() + 0.01, f.values.max() - 0.01, 33)
+    sweep = LevelSweep(f)
+    np.testing.assert_array_equal(sweep.level(ts, np.ones(len(ico3.cells))), sweep.level(ts))
+    np.testing.assert_array_equal(sweep.superlevel(ts, ico3.cell_measure), sweep.superlevel(ts))
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,18 @@ def test_ellipsoid_diameter_matches_meridian_quadrature():
     assert abs(diameter(m) - half_meridian) <= 0.02 * half_meridian
 
 
+@pytest.mark.parametrize("level, tol", [(3, 5e-3), (4, 1.5e-3)])
+def test_ellipsoid_diameter_matches_pole_to_pole_geodesic(level, tol):
+    # prolate spheroid: the diameter is the half meridian, 2c E(1 - s^2/c^2)
+    from scipy.special import ellipe
+
+    for aspect in (1.0, 1.1, 1.2):
+        m = build_ellipsoid(aspect, level)
+        s, _, c = m.meta["semi_axes"]
+        exact = 2.0 * c * ellipe(1.0 - s**2 / c**2)
+        assert abs(diameter(m) - exact) <= tol * exact
+
+
 # ---------------------------------------------------------------------------
 # caps
 
@@ -193,6 +205,14 @@ def test_cap_radius_roundtrip():
     for r in (0.3, 1.0, 2.5):
         for n in (1, 2):
             assert cap_radius(cap_volume(r, n), n) == pytest.approx(r, abs=1e-10)
+
+
+@pytest.mark.parametrize("r", [1e-6, 1e-4])
+def test_small_caps_keep_relative_precision(r):
+    # series of 2 pi (1 - cos r); the next term is below 1e-20 relative
+    series = np.pi * r**2 * (1.0 - r**2 / 12.0 + r**4 / 360.0)
+    assert abs(cap_volume(r, 2) - series) <= 1e-12 * series
+    assert abs(cap_radius(series, 2) - r) <= 1e-12 * r
 
 
 def test_cap_volume_strictly_increasing():
