@@ -225,6 +225,38 @@ def _block(name, inputs, lhs=None, rhs=None, margin=None, tolerance=None, ok=Tru
     }
 
 
+# Pass rule of every margin-checked block: (sense, tolerance) on the block's
+# margin m, with sense "abs" (|m| <= tol), "max" (m <= tol) or "min"
+# (m >= tol). Block families numbered by p share the entry of their stem.
+CHECKS = {
+    "coarea_z": ("max", 0.02),
+    "equimeasurability_constant": ("abs", 1e-10),
+    "equimeasurability_z": ("max", 0.01),
+    "equimeasurability_random": ("max", 0.01),
+    "polya_szego_battery": ("min", -0.01),
+    "gromov_battery": ("min", -0.02),
+    "gromov_caps": ("max", 0.01),
+    "croke_min_ratio": ("min", -0.02),
+    "audit_distribution_derivative": ("abs", 0.03),
+    "audit_mass_transport": ("abs", 0.03),
+    "audit_energy_slope_bound": ("max", 0.03),
+    "audit_radial_equality": ("abs", 1e-10),
+    "audit_energy_comparison": ("max", 0.03),
+    "equimeasurability_p": ("abs", 0.01),
+    "radial_oracle_p": ("max", 1e-6),
+}
+
+# relative slack allowed between consecutive eigenvalue ratios of a sweep
+_MONOTONE_SLACK = 0.01
+
+
+def _check(name, inputs, margin, lhs=None, rhs=None):
+    # a numbered block takes its stem's entry: equimeasurability_p1.5 -> equimeasurability_p
+    sense, tol = CHECKS[name.rstrip("0123456789.")]
+    ok = {"abs": abs(margin) <= tol, "max": margin <= tol, "min": margin >= tol}[sense]
+    return _block(name, inputs, lhs=lhs, rhs=rhs, margin=margin, tolerance=tol, ok=ok)
+
+
 def _meta_block(cfg):
     return _block(
         "meta",
@@ -351,14 +383,8 @@ def _cmd_symmetrize(cfg, outdir):
     for p in cfg.ps:
         chk = lp_equimeasurability(fld, prof, bet, p)
         blocks.append(
-            _block(
-                f"equimeasurability_p{p:g}",
-                {"p": p, "beta": bet},
-                lhs=chk.lhs,
-                rhs=chk.rhs,
-                margin=chk.rel_gap,
-                tolerance=0.01,
-                ok=abs(chk.rel_gap) <= 0.01,
+            _check(
+                f"equimeasurability_p{p:g}", {"p": p, "beta": bet}, chk.rel_gap, chk.lhs, chk.rhs
             )
         )
     _write_json(outdir / "symmetrize.json", blocks)
@@ -375,31 +401,11 @@ def _cmd_verify(cfg, outdir):
     blocks = [_meta_block(cfg)]
 
     cc = coarea_check(z)
-    blocks.append(
-        _block(
-            "coarea_z",
-            {},
-            lhs=cc.lhs,
-            rhs=cc.rhs,
-            margin=cc.rel_err,
-            tolerance=0.02,
-            ok=cc.rel_err <= 0.02,
-        )
-    )
+    blocks.append(_check("coarea_z", {}, cc.rel_err, cc.lhs, cc.rhs))
 
     const = ScalarField(mesh, np.full(len(mesh.vertices), 0.7))
     chk = lp_equimeasurability(const, symmetrize(const, bet), bet, 2.0)
-    blocks.append(
-        _block(
-            "equimeasurability_constant",
-            {"p": 2.0},
-            lhs=chk.lhs,
-            rhs=chk.rhs,
-            margin=chk.rel_gap,
-            tolerance=1e-10,
-            ok=abs(chk.rel_gap) <= 1e-10,
-        )
-    )
+    blocks.append(_check("equimeasurability_constant", {"p": 2.0}, chk.rel_gap, chk.lhs, chk.rhs))
 
     prof_z = symmetrize(z, bet)
     worst = 0.0
@@ -413,22 +419,12 @@ def _cmd_verify(cfg, outdir):
         pr = symmetrize(g, bet)
         for p in cfg.ps:
             worst_rand = max(worst_rand, abs(lp_equimeasurability(g, pr, bet, p).rel_gap))
+    blocks.append(_check("equimeasurability_z", {"ps": list(cfg.ps)}, worst))
     blocks.append(
-        _block(
-            "equimeasurability_z",
-            {"ps": list(cfg.ps)},
-            margin=worst,
-            tolerance=0.01,
-            ok=worst <= 0.01,
-        )
-    )
-    blocks.append(
-        _block(
+        _check(
             "equimeasurability_random",
             {"ps": list(cfg.ps), "count": cfg.battery_count},
-            margin=worst_rand,
-            tolerance=0.01,
-            ok=worst_rand <= 0.01,
+            worst_rand,
         )
     )
 
@@ -438,44 +434,20 @@ def _cmd_verify(cfg, outdir):
         for f in domain_bump_battery(hemi, rng, cfg.battery_count)
     ]
     blocks.append(
-        _block(
-            "polya_szego_battery",
-            {"p": 2.0, "count": cfg.battery_count},
-            margin=min(margins),
-            tolerance=-0.01,
-            ok=min(margins) >= -0.01,
-        )
+        _check("polya_szego_battery", {"p": 2.0, "count": cfg.battery_count}, min(margins))
     )
 
     ratios = []
     for f in fields:
         lo, hi = float(f.values.min()), float(f.values.max())
-        for _ in range(cfg.battery_thresholds):
-            t = lo + (hi - lo) * rng.uniform(0.15, 0.85)
-            ratios.append(gromov_ratio(f, t, bet))
-    blocks.append(
-        _block(
-            "gromov_battery",
-            {"count": len(ratios)},
-            margin=min(ratios) - 1.0,
-            tolerance=-0.02,
-            ok=min(ratios) >= 0.98,
-        )
-    )
+        ts = lo + (hi - lo) * rng.uniform(0.15, 0.85, cfg.battery_thresholds)
+        ratios.extend(gromov_ratio(f, ts, bet))
+    blocks.append(_check("gromov_battery", {"count": len(ratios)}, min(ratios) - 1.0))
 
-    zspan = z.values.max() - z.values.min()
-    cap_ratios = [
-        gromov_ratio(z, z.values.min() + q * zspan, bet) for q in (0.25, 0.5, 0.75)
-    ]
-    worst_cap = max(abs(r - 1.0) for r in cap_ratios)
+    zlo, zhi = z.values.min(), z.values.max()
+    cap_ratios = gromov_ratio(z, zlo + np.array([0.25, 0.5, 0.75]) * (zhi - zlo), bet)
     blocks.append(
-        _block(
-            "gromov_caps",
-            {"ratios": cap_ratios},
-            margin=worst_cap,
-            tolerance=0.01,
-            ok=worst_cap <= 0.01,
-        )
+        _check("gromov_caps", {"ratios": cap_ratios}, float(np.abs(cap_ratios - 1.0).max()))
     )
 
     prof = croke_profile(
@@ -487,31 +459,18 @@ def _cmd_verify(cfg, outdir):
         seed=cfg.seed,
     )
     blocks.append(
-        _block(
+        _check(
             "croke_min_ratio",
             {"diameter": prof.diameter, "count": prof.count},
+            prof.min_ratio - 1.0,
             lhs=prof.min_ratio,
             rhs=1.0,
-            margin=prof.min_ratio - 1.0,
-            tolerance=-0.02,
-            ok=prof.min_ratio >= 0.98,
         )
     )
 
     report = chain_audit(hemi, cfg.ps[0], cfg.solver_options())
     for step in report.steps:
-        tol = 1e-10 if step.name == "radial_equality" else 0.03
-        blocks.append(
-            _block(
-                f"audit_{step.name}",
-                {"p": cfg.ps[0]},
-                margin=step.worst,
-                tolerance=tol,
-                ok=abs(step.worst) <= tol
-                if step.name in ("distribution_derivative", "mass_transport", "radial_equality")
-                else step.worst <= tol,
-            )
-        )
+        blocks.append(_check(f"audit_{step.name}", {"p": cfg.ps[0]}, step.worst))
 
     _write_json(outdir / "verify.json", blocks)
     return blocks
@@ -533,14 +492,15 @@ def _cmd_sweep(cfg, outdir):
     for p in cfg.ps:
         seq = [r for r in records if r.p == p and not r.failed]
         monotone = all(
-            seq[i + 1].ratio <= seq[i].ratio * 1.01 for i in range(len(seq) - 1)
+            seq[i + 1].ratio <= seq[i].ratio * (1.0 + _MONOTONE_SLACK)
+            for i in range(len(seq) - 1)
         )
         blocks.append(
             _block(
                 f"ratio_monotone_p{p:g}",
                 {"p": p, "rows": len(seq)},
                 margin=None,
-                tolerance=0.01,
+                tolerance=_MONOTONE_SLACK,
                 ok=monotone and len(seq) == len([r for r in records if r.p == p]),
             )
         )
@@ -579,16 +539,12 @@ def _cmd_oracle(cfg, outdir):
         if p == 2.0:
             ref = float(cfg.oracle_n) if cfg.oracle_problem == "hemisphere" else np.pi**2
         print(f"radial eigenvalue p={p:g} n={cfg.oracle_n} {cfg.oracle_problem}: {lam:.10g}")
+        name = f"radial_oracle_p{p:g}"
+        inputs = {"p": p, "n": cfg.oracle_n, "problem": cfg.oracle_problem}
         blocks.append(
-            _block(
-                f"radial_oracle_p{p:g}",
-                {"p": p, "n": cfg.oracle_n, "problem": cfg.oracle_problem},
-                lhs=lam,
-                rhs=ref,
-                margin=None if ref is None else abs(lam - ref) / ref,
-                tolerance=None if ref is None else 1e-6,
-                ok=ref is None or abs(lam - ref) / ref <= 1e-6,
-            )
+            _block(name, inputs, lhs=lam)
+            if ref is None
+            else _check(name, inputs, abs(lam - ref) / ref, lhs=lam, rhs=ref)
         )
     _write_json(outdir / "oracle.json", blocks)
     return blocks

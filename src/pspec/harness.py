@@ -8,7 +8,7 @@ ellipsoid family that records the (diameter, eigenvalue ratio) curve.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -16,13 +16,13 @@ from .isoperim import LevelSweep
 from .manifold import (
     beta as measure_ratio,
     build_ellipsoid,
+    cap_boundary,
     cap_radius,
     cap_volume,
     diameter as mesh_diameter,
 )
 from .pspectral import check_p, closed_eigen, dirichlet_eigen, solve_radial_1d, _fem
 from .rearrange import _GAUSS_NODES, _GAUSS_WEIGHTS, distribution, symmetrize
-from .manifold import cap_boundary
 
 _CURVATURE_FLOOR = 0.99
 
@@ -68,6 +68,42 @@ def _is_round_unit(mesh):
     return False
 
 
+def _sweep_record(mesh, p, opts, lam_model, diam, bet, min_curv, keep_going=False):
+    """Solve the closed eigenvalue of one family point into its record.
+
+    With ``keep_going`` a solver exception becomes a failed row carrying the
+    exception type and message; otherwise it propagates.
+    """
+    row = SweepRecord(
+        aspect=float(mesh.meta.get("aspect", 1.0)),
+        p=float(p),
+        lam_mesh=float("nan"),
+        lam_model=lam_model,
+        ratio=float("nan"),
+        diameter=diam,
+        beta=bet,
+        level=int(mesh.meta.get("level", -1)),
+        min_curvature=min_curv,
+        equality_case=False,
+        iterations=0,
+        converged=False,
+    )
+    try:
+        res = closed_eigen(mesh, p, opts)
+    except Exception as exc:  # noqa: BLE001 - a sweep must survive rows
+        if not keep_going:
+            raise
+        return replace(row, failed=True, error=f"{type(exc).__name__}: {exc}")
+    return replace(
+        row,
+        lam_mesh=res.lam,
+        ratio=res.lam / lam_model,
+        equality_case=_is_round_unit(mesh),
+        iterations=res.iterations,
+        converged=res.converged,
+    )
+
+
 def sphere_comparison(mesh, p, opts=None, lam_model=None):
     """Closed first eigenvalue of the mesh against the round-sphere value.
 
@@ -84,20 +120,8 @@ def sphere_comparison(mesh, p, opts=None, lam_model=None):
         )
     if lam_model is None:
         lam_model = solve_radial_1d(p, mesh.dimension, "hemisphere")
-    res = closed_eigen(mesh, p, opts)
-    return SweepRecord(
-        aspect=float(mesh.meta.get("aspect", 1.0)),
-        p=float(p),
-        lam_mesh=res.lam,
-        lam_model=lam_model,
-        ratio=res.lam / lam_model,
-        diameter=mesh_diameter(mesh),
-        beta=measure_ratio(mesh),
-        level=int(mesh.meta.get("level", -1)),
-        min_curvature=min_curv,
-        equality_case=_is_round_unit(mesh),
-        iterations=res.iterations,
-        converged=res.converged,
+    return _sweep_record(
+        mesh, p, opts, lam_model, mesh_diameter(mesh), measure_ratio(mesh), min_curv
     )
 
 
@@ -261,43 +285,11 @@ def pinching_sweep(aspects, ps, level=4, opts=None):
         diam = mesh_diameter(mesh)
         bet = measure_ratio(mesh)
         min_curv = float(mesh.meta["min_curvature"])
-        for p in ps:
-            try:
-                res = closed_eigen(mesh, p, opts)
-                records.append(
-                    SweepRecord(
-                        aspect=float(a),
-                        p=float(p),
-                        lam_mesh=res.lam,
-                        lam_model=lam_model[float(p)],
-                        ratio=res.lam / lam_model[float(p)],
-                        diameter=diam,
-                        beta=bet,
-                        level=level,
-                        min_curvature=min_curv,
-                        equality_case=_is_round_unit(mesh),
-                        iterations=res.iterations,
-                        converged=res.converged,
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 - sweep must survive rows
-                records.append(
-                    SweepRecord(
-                        aspect=float(a),
-                        p=float(p),
-                        lam_mesh=float("nan"),
-                        lam_model=lam_model[float(p)],
-                        ratio=float("nan"),
-                        diameter=diam,
-                        beta=bet,
-                        level=level,
-                        min_curvature=min_curv,
-                        equality_case=False,
-                        iterations=0,
-                        converged=False,
-                        failed=True,
-                        error=str(exc),
-                    )
-                )
+        records.extend(
+            _sweep_record(
+                mesh, p, opts, lam_model[float(p)], diam, bet, min_curv, keep_going=True
+            )
+            for p in ps
+        )
     records.sort(key=lambda r: (r.diameter, r.p))
     return records

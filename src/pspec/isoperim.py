@@ -128,9 +128,11 @@ def _field_range(field):
 
 def _require_interior_level(field, t):
     lo, hi = _field_range(field)
-    if not lo < t < hi:
+    t = np.asarray(t, dtype=float)
+    bad = t[~((lo < t) & (t < hi))]
+    if bad.size:
         raise ValueError(
-            f"level {t} is not strictly inside the field range [{lo}, {hi}]"
+            f"level {bad[0]} is not strictly inside the field range [{lo}, {hi}]"
         )
 
 
@@ -184,21 +186,21 @@ def gromov_ratio(field, t, beta):
 
     The denominator is beta times the boundary of the model-sphere cap
     whose beta-scaled volume matches the superlevel measure. Ratios below 1
-    violate the comparison at mesh resolution.
+    violate the comparison at mesh resolution. An array of thresholds gives
+    an array of ratios from one sweep of the field; a scalar gives a float.
     """
     _require_interior_level(field, t)
-    mesh = field.mesh
-    n = mesh.dimension
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    n = field.mesh.dimension
     sweep = LevelSweep(field)
-    mu = float(sweep.superlevel([t])[0])
-    total = total_measure(mesh)
-    if not 0.0 < mu < total:
+    mu = sweep.superlevel(ts)
+    if not np.all((mu > 0.0) & (mu < total_measure(field.mesh))):
         raise ValueError("superlevel set must be proper and nonempty")
     v = mu / beta
-    if v > SPHERE_MEASURE[n] * (1.0 + 1e-9):
+    if np.any(v > SPHERE_MEASURE[n] * (1.0 + 1e-9)):
         raise ValueError("scaled superlevel volume exceeds the model sphere")
-    denom = beta * cap_boundary(cap_radius(v, n), n)
-    return float(sweep.level([t])[0]) / denom
+    ratios = sweep.level(ts) / (beta * cap_boundary(cap_radius(v, n), n))
+    return float(ratios[0]) if np.ndim(t) == 0 else ratios
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +272,8 @@ def croke_profile(mesh, beta, diameter, count=50, thresholds=3, seed=0):
     ratios = []
     for fld in check_battery(mesh, rng, count):
         lo, hi = _field_range(fld)
-        for _ in range(thresholds):
-            t = lo + (hi - lo) * rng.uniform(0.15, 0.85)
-            ratios.append(gromov_ratio(fld, t, beta))
-    ratios = np.array(ratios)
+        ts = lo + (hi - lo) * rng.uniform(0.15, 0.85, thresholds)
+        ratios.append(gromov_ratio(fld, ts, beta))
+    ratios = np.concatenate(ratios)
     hist = np.histogram(np.clip(ratios, _HIST_BINS[0], _HIST_BINS[-1] - 1e-9), _HIST_BINS)
     return CrokeProfile(diameter, float(ratios.min()), ratios, hist, len(ratios))

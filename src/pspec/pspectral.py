@@ -197,9 +197,11 @@ def _region_values(field, region):
 def project_constraint(field, p):
     """Subtract the scalar c with integral of |u-c|^{p-2}(u-c) equal zero.
 
-    The defect is strictly decreasing in c, so bisection over the value
-    range converges unconditionally. Constant fields have no root and are
-    rejected.
+    The defect is strictly decreasing in c and changes sign over the value
+    range [min u, max u], so Brent's method on that bracket converges
+    unconditionally; its absolute tolerance is 4 eps times the range, so
+    the shift is resolved to the field's own precision wherever c lies.
+    Constant fields have no root and are rejected.
     """
     p = check_p(p)
     u = field.values
@@ -212,13 +214,8 @@ def project_constraint(field, p):
         d = u - c
         return float(m @ (np.sign(d) * np.abs(d) ** (p - 1.0)))
 
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if defect(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return ScalarField(field.mesh, u - 0.5 * (lo + hi))
+    c = brentq(defect, lo, hi, xtol=4.0 * np.finfo(float).eps * (hi - lo))
+    return ScalarField(field.mesh, u - c)
 
 
 def constraint_residual(field, p):

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import pspec
-from pspec.cli import ConfigError, RunConfig, main, parse_config, run
+from pspec.cli import CHECKS, ConfigError, RunConfig, main, parse_config, run
 from pspec.manifold import read_off
 
 
@@ -177,6 +178,47 @@ def test_verify_command_schema_and_pass(tmp_path):
         assert set(b) == {"name", "inputs", "lhs", "rhs", "margin", "tolerance", "pass"}
 
 
+CHECK_CONFIGS = {
+    "verify": "command = verify\nmesh.level = 4\np = 2\nbattery.count = 6\nseed = 7",
+    "symmetrize": "command = symmetrize\nmesh.level = 3\np = 1.5,2",
+    "oracle": "command = oracle\np = 2\noracle.n = 2",
+}
+
+
+@pytest.fixture(scope="module")
+def checked_blocks(tmp_path_factory):
+    blocks = []
+    for command, text in CHECK_CONFIGS.items():
+        out = tmp_path_factory.mktemp(command)
+        assert run(parse_config(f"{text}\nout = {out}")) == 0
+        blocks += json.loads((out / f"{command}.json").read_text())
+    return blocks
+
+
+def check_entry(name):
+    # blocks numbered by p share one table entry: radial_oracle_p2 -> radial_oracle_p
+    return CHECKS[re.sub(r"[0-9.]+$", "", name)]
+
+
+def test_checked_blocks_follow_the_table(checked_blocks):
+    rules = {
+        "abs": lambda m, tol: abs(m) <= tol,
+        "max": lambda m, tol: m <= tol,
+        "min": lambda m, tol: m >= tol,
+    }
+    checked = [b for b in checked_blocks if b["tolerance"] is not None]
+    assert len(checked) == 16
+    for b in checked:
+        sense, tol = check_entry(b["name"])
+        assert b["tolerance"] == tol, b["name"]
+        assert b["pass"] == rules[sense](b["margin"], tol), b["name"]
+
+
+def test_every_table_entry_is_emitted(checked_blocks):
+    emitted = {re.sub(r"[0-9.]+$", "", b["name"]) for b in checked_blocks}
+    assert set(CHECKS) <= emitted
+
+
 def test_sweep_command_rows(tmp_path):
     cfg = parse_config(
         "command = sweep\nsweep.aspects = 1.0, 1.2\nsweep.level = 2\np = 2\n"
@@ -282,10 +324,10 @@ def write_console_script(bin_dir, name, spec):
     script.chmod(0o755)
 
 
-def run_oracle_via_script(tmp_path, executable, env=None):
+def run_oracle_via_script(tmp_path, executable, env=None, prefix=()):
     path = write_config(tmp_path, "command = oracle\np = 2")
     return subprocess.run(
-        [executable, "oracle", "--config", path, "--out", str(tmp_path / "cli")],
+        [executable, *prefix, "oracle", "--config", path, "--out", str(tmp_path / "cli")],
         capture_output=True,
         text=True,
         check=False,
@@ -315,6 +357,17 @@ def test_console_script_entry_point(tmp_path):
 )
 def test_installed_console_script(tmp_path):
     proc = run_oracle_via_script(tmp_path, shutil.which("pspec"))
+    assert proc.returncode == 0, proc.stderr
+    assert "radial eigenvalue" in proc.stdout
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    package_root = str(Path(pspec.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = run_oracle_via_script(tmp_path, sys.executable, env=env, prefix=["-m", "pspec"])
     assert proc.returncode == 0, proc.stderr
     assert "radial eigenvalue" in proc.stdout
 

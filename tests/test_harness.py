@@ -145,6 +145,7 @@ def test_pinching_sweep_records_failures(monkeypatch):
     failed = [r for r in recs if r.failed]
     assert len(failed) == 1
     assert "blowup" in failed[0].error
+    assert failed[0].error == "RuntimeError: synthetic solver blowup"
     assert np.isnan(failed[0].lam_mesh)
     ok = [r for r in recs if not r.failed]
     assert len(ok) == 1 and ok[0].converged

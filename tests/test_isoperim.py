@@ -249,6 +249,30 @@ def test_gromov_degenerate_rejected(ico3):
         gromov_ratio(z, 0.0, 0.01)  # scaled volume overflows the model sphere
 
 
+def test_gromov_ratio_batch_equals_scalar_calls(ico3):
+    b = beta(ico3)
+    for f in check_battery(ico3, np.random.default_rng(5), 4):
+        lo, hi = float(f.values.min()), float(f.values.max())
+        ts = lo + (hi - lo) * np.array([0.15, 0.4, 0.4, 0.85, 0.6])
+        batch = gromov_ratio(f, ts, b)
+        assert isinstance(batch, np.ndarray) and batch.shape == ts.shape
+        assert batch.tolist() == [gromov_ratio(f, t, b) for t in ts]
+
+
+def test_gromov_ratio_batch_checks_every_threshold(ico3):
+    z = coordinate_field(ico3)
+    lo, hi = float(z.values.min()), float(z.values.max())
+    for bad in (lo, hi, hi + 0.1, np.nan):
+        with pytest.raises(ValueError, match="strictly inside"):
+            gromov_ratio(z, np.array([-0.5, bad, 0.5]), beta(ico3))
+
+
+def test_gromov_ratio_scalar_returns_float(ico3):
+    z = coordinate_field(ico3)
+    assert type(gromov_ratio(z, 0.25, beta(ico3))) is float
+    assert type(gromov_ratio(z, np.float64(0.25), beta(ico3))) is float
+
+
 def test_gromov_battery_on_ellipsoid():
     m = build_ellipsoid_cached()
     b = beta(m)

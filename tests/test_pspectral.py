@@ -124,6 +124,30 @@ def test_project_constraint_residual_random_p3(ico3, rng):
     assert constraint_residual(proj, 3.0) <= 1e-10
 
 
+def bisection_shift(field, p, steps=200):
+    # reference root of the constraint defect by plain bisection
+    u, m = field.values, field.mesh.vertex_measure
+    lo, hi = float(u.min()), float(u.max())
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        d = u - mid
+        if m @ (np.sign(d) * np.abs(d) ** (p - 1.0)) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 10.0])
+def test_project_constraint_matches_bisection_reference(ico3, p):
+    f = ScalarField(ico3, np.random.default_rng(11).uniform(-1.0, 1.0, len(ico3.vertices)))
+    span = float(f.values.max() - f.values.min())
+    proj = project_constraint(f, p)
+    shift = f.values - proj.values
+    assert np.abs(shift - bisection_shift(f, p)).max() <= 1e-14 * span
+    assert constraint_residual(proj, p) <= 1e-12 * ico3.vertex_measure.sum()
+
+
 def test_project_constraint_rejects_constant(ico3):
     with pytest.raises(ValueError):
         project_constraint(ScalarField(ico3, np.ones(len(ico3.vertices))), 2.0)
