@@ -66,9 +66,12 @@ class SolverOptions:
     stall: int = 10             # consecutive quiet iterations to declare done
     max_iters: int = 50000      # total accepted descent steps per solve
     step: float = 0.25          # geometric continuation step in p
-    eps_factor: float = 1e-9    # gradient smoothing, times mean edge length
-    max_backtracks: int = 40
-    lipschitz_budget: float = 4.0  # allowed |d log lambda / d log p| in continuation
+
+
+_EPS_FACTOR = 1e-9          # gradient smoothing, times mean edge length
+_MAX_BACKTRACKS = 40
+_LIPSCHITZ_BUDGET = 4.0     # allowed |d log lambda / d log p| in continuation
+_P2_MAX_ITERS = 500         # inverse power iterations of the p = 2 start
 
 
 @dataclass
@@ -154,10 +157,6 @@ def _fem(mesh):
     if not hasattr(mesh, "_fem_ops"):
         mesh._fem_ops = _FemOps(mesh)
     return mesh._fem_ops
-
-
-def _mean_edge_length(mesh):
-    return float(mesh.edge_lengths.mean())
 
 
 def rayleigh_quotient(field, region, p):
@@ -248,50 +247,42 @@ def nodal_domains(field):
 # eigensolvers
 
 
-def _p2_init(fem, free_idx, deflate_constants):
+def _p2_init(fem, free, closed):
     """Inverse power iteration on (stiffness + mass, mass), smallest mode.
 
-    The unit shift keeps the closed-manifold operator nonsingular; constants
-    are deflated in the mass inner product when requested. Returns the
-    factorization for reuse as the descent preconditioner.
+    The unit shift keeps the closed-manifold operator nonsingular; on a
+    closed mesh constants are deflated in the mass inner product. Also
+    returns whether the 1e-13 change test was met within _P2_MAX_ITERS,
+    and the factorization for reuse as the descent preconditioner.
     """
-    K = fem.stiffness
-    A = (K + diags(fem.mass)).tocsc()
-    if free_idx is not None:
-        A = A[free_idx][:, free_idx]
-        m = fem.mass[free_idx]
-        Ksub = K[free_idx][:, free_idx]
-    else:
-        m = fem.mass
-        Ksub = K
+    K = fem.stiffness[free][:, free]
+    A = (fem.stiffness + diags(fem.mass)).tocsc()[free][:, free]
+    m = fem.mass[free]
     lu = splu(A)
     v = np.cos(np.arange(len(m)))
 
     def deflate(w):
-        if deflate_constants:
+        if closed:
             w = w - (m @ w) / m.sum()
         return w
 
     v = deflate(v)
     v /= np.sqrt(m @ v**2)
     lam_old = np.inf
-    iters = 0
-    for iters in range(1, 501):
+    converged = False
+    for iters in range(1, _P2_MAX_ITERS + 1):
         w = lu.solve(m * v)
         w = deflate(w)
         w /= np.sqrt(m @ w**2)
-        lam = float(w @ (Ksub @ w)) / float(m @ w**2)
+        lam = float(w @ (K @ w)) / float(m @ w**2)
         v = w
-        if abs(lam - lam_old) <= 1e-13 * max(lam, 1.0):
-            lam_old = lam
-            break
+        converged = abs(lam - lam_old) <= 1e-13 * max(lam, 1.0)
         lam_old = lam
+        if converged:
+            break
     full = np.zeros(fem.nv)
-    if free_idx is not None:
-        full[free_idx] = v
-    else:
-        full = v
-    return full, lam_old, iters, lu
+    full[free] = v
+    return full, lam_old, iters, converged, lu
 
 
 def _continuation_path(p_target, step):
@@ -310,17 +301,18 @@ def _lp_normalize(u, mass, p):
     return u / norm
 
 
-def _descent_stage(fem, u, p, eps, opts, lu, free_idx, project, budget):
+def _descent_stage(fem, u, p, eps, opts, lu, free, closed, budget):
     """Armijo descent on log energy - log mass at fixed (p, eps).
 
-    Accepted iterates have non-increasing Rayleigh quotient by construction;
-    the stage stops after `opts.stall` consecutive accepted steps with
-    relative change below `opts.tol`, on line-search stall, or on budget.
+    Only ``free`` vertices move; closed iterates are re-projected. Accepted
+    iterates have non-increasing Rayleigh quotient by construction; the
+    stage stops after `opts.stall` consecutive accepted steps with relative
+    change below `opts.tol`, on line-search stall, or on budget.
     """
 
     def feasible(w):
-        if project:
-            w = _project_values(fem, w, p)
+        if closed:
+            w = project_constraint(ScalarField(fem.mesh, w), p).values
         return _lp_normalize(w, fem.mass, p)
 
     u = feasible(u)
@@ -335,20 +327,16 @@ def _descent_stage(fem, u, p, eps, opts, lu, free_idx, project, budget):
     converged = False
     while iters < budget:
         d = np.zeros_like(u)
-        if free_idx is not None:
-            d[free_idx] = -lu.solve(grad[free_idx])
-            slope = float(grad[free_idx] @ d[free_idx])
-        else:
-            d = -lu.solve(grad)
-            slope = float(grad @ d)
+        d[free] = -lu.solve(grad[free])
+        slope = float(grad[free] @ d[free])
         if slope >= 0.0:
-            d = -np.where(_free_mask(fem, free_idx), grad, 0.0)
-            slope = float(grad @ d)
+            d[free] = -grad[free]
+            slope = float(grad[free] @ d[free])
             if slope >= 0.0:
                 break
         t = min(2.0 * t, 4.0)
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             unew = feasible(u + t * d)
             e_new, m_new, g_new, g2_new = fem.energy_mass(unew, p, eps)
             f_new = np.log(e_new) - np.log(m_new)
@@ -375,44 +363,40 @@ def _descent_stage(fem, u, p, eps, opts, lu, free_idx, project, budget):
     return u, {"iters": iters, "converged": converged, "residual": rel, "trace": trace}
 
 
-def _free_mask(fem, free_idx):
-    if free_idx is None:
-        return np.ones(fem.nv, dtype=bool)
-    mask = np.zeros(fem.nv, dtype=bool)
-    mask[free_idx] = True
-    return mask
+def _eigen_solve(region, p, opts):
+    """The one solver behind closed_eigen (a Mesh) and dirichlet_eigen (a Domain).
 
-
-def _project_values(fem, u, p):
-    return project_constraint(ScalarField(fem.mesh, u), p).values
-
-
-def _eigen_solve(mesh, p, opts, free_idx, project):
+    A closed mesh frees every vertex and keeps iterates on the constraint; a
+    Domain frees its interior and holds the rest at zero. ``converged`` is
+    the p = 2 start's flag for p = 2 and the last stage's flag otherwise.
+    """
     p = check_p(p)
     opts = opts or SolverOptions()
+    closed = isinstance(region, Mesh)
+    mesh = region if closed else region.mesh
+    free = slice(None) if closed else region.interior_indices
     fem = _fem(mesh)
-    u, lam2, p2_iters, lu = _p2_init(fem, free_idx, deflate_constants=project)
-    diagnostics = {"p2_lambda": lam2, "p2_iterations": p2_iters, "stages": []}
+    u, lam2, p2_iters, converged, lu = _p2_init(fem, free, closed)
+    diag = {"p2_lambda": lam2, "p2_iterations": p2_iters, "p2_converged": converged}
+    diag["stages"] = []
     total_iters = p2_iters
-    converged = True
     residual = 0.0
     if abs(p - 2.0) > 1e-12:
-        eps0 = opts.eps_factor * _mean_edge_length(mesh)
-        path = _continuation_path(p, opts.step)
-        stages = [(pk, eps0) for pk in path] + [(p, 0.0)]
+        eps0 = _EPS_FACTOR * float(mesh.edge_lengths.mean())
+        stages = [(pk, eps0) for pk in _continuation_path(p, opts.step)] + [(p, 0.0)]
         budget = opts.max_iters
         lam_prev, p_prev = lam2, 2.0
         for pk, eps in stages:
-            u, info = _descent_stage(
-                fem, u, pk, eps, opts, lu, free_idx, project, budget
-            )
+            u, info = _descent_stage(fem, u, pk, eps, opts, lu, free, closed, budget)
             budget -= info["iters"]
             total_iters += info["iters"]
             converged = info["converged"] and budget > 0
             residual = info["residual"]
             lam_k = info["trace"][-1]
-            drift = abs(np.log(lam_k / lam_prev)) / max(abs(np.log(pk / p_prev)), 1e-12)
-            diagnostics["stages"].append(
+            # the final eps = 0 stage makes no p step and gets no drift
+            dlogp = abs(np.log(pk / p_prev))
+            drift = abs(np.log(lam_k / lam_prev)) / dlogp if dlogp > 1e-12 else None
+            diag["stages"].append(
                 {
                     "p": pk,
                     "eps": eps,
@@ -421,13 +405,23 @@ def _eigen_solve(mesh, p, opts, free_idx, project):
                     "log_lipschitz": drift,
                 }
             )
-            if eps == 0.0 or abs(np.log(pk / p_prev)) > 1e-12:
-                if drift > opts.lipschitz_budget and abs(np.log(pk / p_prev)) > 1e-12:
-                    diagnostics["lipschitz_warning"] = True
-                lam_prev, p_prev = lam_k, pk
+            if drift is not None and drift > _LIPSCHITZ_BUDGET:
+                diag["lipschitz_warning"] = True
+            lam_prev, p_prev = lam_k, pk
             if not converged:
                 break
-    return fem, u, residual, total_iters, converged, diagnostics
+    if closed:
+        u = project_constraint(ScalarField(mesh, u), p).values
+    if u[np.argmax(np.abs(u))] < 0.0:
+        u = -u
+    neg = u < 0.0
+    if not closed and neg.any() and abs(u[neg].min()) <= 1e-8 * u.max():
+        u = np.where(neg, 0.0, u)  # trim sign noise from the constrained ring
+    u = _lp_normalize(u, fem.mass, p)
+    fld = ScalarField(mesh, u)
+    lam = rayleigh_quotient(fld, region, p)
+    cres = constraint_residual(fld, p) if closed else None
+    return EigenResult(lam, fld, residual, cres, total_iters, converged, p, diag)
 
 
 def dirichlet_eigen(domain, p, opts=None):
@@ -437,19 +431,9 @@ def dirichlet_eigen(domain, p, opts=None):
     the domain interior. The returned field is sign fixed to be nonnegative
     and has unit L^p norm; ``result.lam`` equals its Rayleigh quotient.
     """
-    free_idx = domain.interior_indices
-    fem, u, residual, iters, converged, diag = _eigen_solve(
-        domain.mesh, p, opts, free_idx, project=False
-    )
-    if u[np.argmax(np.abs(u))] < 0.0:
-        u = -u
-    neg = u < 0.0
-    if neg.any() and abs(u[neg].min()) <= 1e-8 * u.max():
-        u = np.where(neg, 0.0, u)  # trim sign noise from the constrained ring
-    u = _lp_normalize(u, fem.mass, float(p))
-    fld = ScalarField(domain.mesh, u)
-    lam = rayleigh_quotient(fld, domain, p)
-    return EigenResult(lam, fld, residual, None, iters, converged, float(p), diag)
+    if not isinstance(domain, Domain):
+        raise TypeError("dirichlet_eigen requires a Domain")
+    return _eigen_solve(domain, p, opts)
 
 
 def closed_eigen(mesh, p, opts=None):
@@ -461,17 +445,7 @@ def closed_eigen(mesh, p, opts=None):
     """
     if not mesh.closed:
         raise ValueError("closed_eigen requires a closed mesh")
-    fem, u, residual, iters, converged, diag = _eigen_solve(
-        mesh, p, opts, free_idx=None, project=True
-    )
-    u = _project_values(fem, u, float(p))
-    if u[np.argmax(np.abs(u))] < 0.0:
-        u = -u
-    u = _lp_normalize(u, fem.mass, float(p))
-    fld = ScalarField(mesh, u)
-    lam = rayleigh_quotient(fld, mesh, p)
-    cres = constraint_residual(fld, float(p))
-    return EigenResult(lam, fld, residual, cres, iters, converged, float(p), diag)
+    return _eigen_solve(mesh, p, opts)
 
 
 # ---------------------------------------------------------------------------

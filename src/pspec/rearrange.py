@@ -105,19 +105,9 @@ class RadialProfile:
         r = np.minimum(r, self.knots[-1])
         return np.interp(r, self.knots, self.values)
 
-    def _interval_quadrature(self, integrand):
-        a, b = self.knots[:-1], self.knots[1:]
-        half = 0.5 * (b - a)
-        r = 0.5 * (a + b)[:, None] + half[:, None] * _GAUSS_NODES[None, :]
-        vals = integrand(r.ravel()).reshape(r.shape)
-        return float((half * (vals @ _GAUSS_WEIGHTS)).sum())
-
     def lp_mass(self, p):
         """Integral of value^p over the model sphere (polar coordinates)."""
-        n = self.dimension
-        return self._interval_quadrature(
-            lambda r: self.value_at(r) ** p * cap_boundary(r, n)
-        )
+        return self.lp_mass_within(p, self.support_radius)
 
     def lp_mass_within(self, p, r_upper):
         """Same integral restricted to the cap of radius r_upper."""

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 import pspec
 from pspec.cli import CHECKS, ConfigError, RunConfig, main, parse_config, run
 from pspec.manifold import read_off
+from pspec.pspectral import SolverOptions
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -34,6 +36,18 @@ def test_parse_minimal_config_fills_defaults():
     assert cfg.solver_max_iters == RunConfig().solver_max_iters
     assert cfg.out == "out"
     assert cfg.seed == 0
+
+
+def test_every_solver_option_is_a_config_key():
+    # a SolverOptions field that no solver_* config field sets is dead
+    options = {f.name for f in dataclasses.fields(SolverOptions)}
+    prefix = "solver_"
+    keys = {
+        f.name[len(prefix):]
+        for f in dataclasses.fields(RunConfig)
+        if f.name.startswith(prefix)
+    }
+    assert options == keys
 
 
 def test_parse_comments_and_blank_lines():

@@ -4,6 +4,7 @@ import scipy.linalg as sla
 
 from pspec.manifold import (
     build_circle,
+    build_ellipsoid,
     build_icosphere,
     build_interval,
     hemisphere_domain,
@@ -257,6 +258,11 @@ def test_domain_monotonicity(ico3):
     assert lam_small >= lam_big - 1e-9
 
 
+def test_dirichlet_eigen_rejects_a_mesh(ico2):
+    with pytest.raises(TypeError, match="Domain"):
+        dirichlet_eigen(ico2, 2.0)
+
+
 def test_non_convergence_is_flagged(ico2):
     res = dirichlet_eigen(hemisphere_domain(ico2), 3.0, SolverOptions(max_iters=1))
     assert not res.converged
@@ -314,3 +320,20 @@ def test_continuation_diagnostics_present(ico2):
     assert res.p == 3.0
     assert res.iterations > 0
     assert isinstance(res.diagnostics, dict) and res.diagnostics
+
+
+def test_p2_start_at_its_cap_is_not_converged():
+    # the (K + M) inverse power iteration crawls on the near-round ellipsoid
+    res = closed_eigen(build_ellipsoid(1.005, 4), 2.0)
+    assert res.diagnostics["p2_iterations"] == 500
+    assert res.converged is False
+    assert res.diagnostics["p2_converged"] is False
+
+
+def test_only_stages_with_a_p_step_report_log_lipschitz(ico2):
+    stages = closed_eigen(ico2, 3.0).diagnostics["stages"]
+    assert len(stages) >= 2
+    for stage in stages[:-1]:
+        assert np.isfinite(stage["log_lipschitz"])
+    assert stages[-1]["eps"] == 0.0 and stages[-1]["p"] == stages[-2]["p"]
+    assert stages[-1]["log_lipschitz"] is None
