@@ -200,6 +200,8 @@ def parse_config(text, command=None):
 
 
 def _jsonable(v):
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
     if isinstance(v, (np.floating, float)):
         return float(v)
     if isinstance(v, (np.integer, int)):
@@ -340,24 +342,25 @@ def _cmd_mesh(cfg, outdir):
 def _cmd_eigen(cfg, outdir):
     mesh = _build_mesh(cfg)
     opts = cfg.solver_options()
+    mode = cfg.eigen_domain
+    if mode == "auto":
+        mode = "closed" if mesh.closed else "interior"
+    if mode == "closed":
+        region, solve = mesh, closed_eigen
+    else:
+        domain = hemisphere_domain if mode == "hemisphere" else interior_domain
+        region, solve = domain(mesh), dirichlet_eigen
     blocks = [_meta_block(cfg)]
     rows = []
     for p in cfg.ps:
-        mode = cfg.eigen_domain
-        if mode == "auto":
-            mode = "closed" if mesh.closed else "interior"
-        if mode == "hemisphere":
-            res = dirichlet_eigen(hemisphere_domain(mesh), p, opts)
-        elif mode == "closed":
-            res = closed_eigen(mesh, p, opts)
-        else:
-            res = dirichlet_eigen(interior_domain(mesh), p, opts)
+        res = solve(region, p, opts)
+        inputs = {"p": p, "domain": mode, "iterations": res.iterations}
+        inputs["p2_converged"] = res.diagnostics["p2_converged"]
         blocks.append(
             _block(
                 f"eigen_p{p:g}",
-                {"p": p, "domain": mode, "iterations": res.iterations},
+                inputs,
                 lhs=res.lam,
-                rhs=None,
                 margin=res.residual,
                 tolerance=opts.tol,
                 ok=res.converged,

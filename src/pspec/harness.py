@@ -107,7 +107,7 @@ def _sweep_record(mesh, p, opts, lam_model, diam, bet, min_curv, keep_going=Fals
 def sphere_comparison(mesh, p, opts=None, lam_model=None):
     """Closed first eigenvalue of the mesh against the round-sphere value.
 
-    Requires a curvature certificate with sampled minimum >= 0.99; the
+    Requires a curvature certificate with minimum >= 0.99; the
     reference value comes from the radial shooting solver. Ratios at or
     above 1 (minus mesh tolerance) confirm the comparison; the equality
     flag marks the round unit sphere.
@@ -116,7 +116,7 @@ def sphere_comparison(mesh, p, opts=None, lam_model=None):
     min_curv = _curvature_certificate(mesh)
     if min_curv < _CURVATURE_FLOOR:
         raise ValueError(
-            f"sampled curvature minimum {min_curv:.4f} is below {_CURVATURE_FLOOR}"
+            f"curvature minimum {min_curv:.4f} is below {_CURVATURE_FLOOR}"
         )
     if lam_model is None:
         lam_model = solve_radial_1d(p, mesh.dimension, "hemisphere")

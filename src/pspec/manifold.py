@@ -363,46 +363,32 @@ def build_icosphere(level, radius=1.0):
     return Mesh(2, verts, faces, meta)
 
 
-def ellipsoid_gauss_curvature(points, semi_axes):
-    """Gaussian curvature of x^2/A^2 + y^2/B^2 + z^2/C^2 = 1 at on-surface points."""
-    a, b, c = semi_axes
-    p = np.asarray(points, dtype=float)
-    s = p[:, 0] ** 2 / a**4 + p[:, 1] ** 2 / b**4 + p[:, 2] ** 2 / c**4
-    return 1.0 / ((a * b * c) ** 2 * s**2)
-
-
 def build_ellipsoid(aspect, level, normalize=True):
     """Prolate ellipsoid of revolution x^2 + y^2 + z^2/aspect^2 = scale^2.
 
     Starts from the unit icosphere and stretches the z axis by ``aspect``
-    (1 <= aspect <= 2). With ``normalize`` the mesh is rescaled by the square
-    root of the minimum vertex-sampled Gaussian curvature, which pins that
-    minimum to 1 and keeps curvature >= 1 up to sampling resolution.
-    Curvature statistics and the applied scale land in ``mesh.meta``.
+    (1 <= aspect <= 2). Gaussian curvature runs from 1/aspect^2 on the
+    equator to aspect^2 at the poles; with ``normalize`` the mesh is scaled
+    by 1/aspect, which makes the minimum exactly 1 and the maximum
+    aspect^4. The curvature bounds and the applied scale land in
+    ``mesh.meta``.
     """
     _check_level(level)
     if not 1.0 <= aspect <= MAX_ASPECT:
         raise ValueError(f"aspect must be in [1, {MAX_ASPECT}]")
+    aspect = float(aspect)
+    scale = 1.0 / aspect if normalize else 1.0
     base = build_icosphere(level)
-    verts = base.vertices.copy()
-    verts[:, 2] *= aspect
-    semi = (1.0, 1.0, float(aspect))
-    curv = ellipsoid_gauss_curvature(verts, semi)
-    scale = 1.0
-    if normalize:
-        scale = float(np.sqrt(curv.min()))
-        verts = verts * scale
-        semi = tuple(s * scale for s in semi)
-        curv = curv / scale**2
+    verts = base.vertices * [scale, scale, scale * aspect]
     meta = {
         "kind": "ellipsoid",
         "level": int(level),
-        "aspect": float(aspect),
+        "aspect": aspect,
         "normalized": bool(normalize),
         "scale": scale,
-        "semi_axes": semi,
-        "min_curvature": float(curv.min()),
-        "max_curvature": float(curv.max()),
+        "semi_axes": (scale, scale, scale * aspect),
+        "min_curvature": 1.0 if normalize else aspect**-2,
+        "max_curvature": aspect**4 if normalize else aspect**2,
     }
     return Mesh(2, verts, base.cells, meta)
 

@@ -140,6 +140,7 @@ def test_eigen_command_interval(tmp_path):
     blocks = json.loads((tmp_path / "e" / "eigen.json").read_text())
     eig = next(b for b in blocks if b["name"] == "eigen_p2")
     assert eig["pass"]
+    assert eig["inputs"]["p2_converged"] is True
     assert eig["lhs"] == pytest.approx(np.pi**2, rel=0.01)
     field_csv = (tmp_path / "e" / "eigen_field.csv").read_text().splitlines()
     assert field_csv[0] == "# seed = 0"
@@ -267,7 +268,7 @@ def test_main_exit_2_on_runtime_error(tmp_path, capsys):
 
 
 def test_verify_fails_when_curvature_hypothesis_broken(tmp_path, capsys):
-    # stretched, unnormalized ellipsoid: min curvature 1/aspect^4 < 1, so the
+    # stretched, unnormalized ellipsoid: min curvature 1/aspect^2 < 1, so the
     # cap comparisons legitimately fail and the process reports it
     path = write_config(
         tmp_path,

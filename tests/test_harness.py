@@ -149,3 +149,12 @@ def test_pinching_sweep_records_failures(monkeypatch):
     assert np.isnan(failed[0].lam_mesh)
     ok = [r for r in recs if not r.failed]
     assert len(ok) == 1 and ok[0].converged
+
+
+def test_pinching_sweep_iteration_budget():
+    # the near-round aspect 1.005 once needed 3,468 iterations at p = 1.5
+    recs = pinching_sweep((1.0, 1.005, 1.2), (1.5, 2.0, 3.0), level=4)
+    assert len(recs) == 9
+    for r in recs:
+        assert not r.failed and r.converged, (r.aspect, r.p)
+        assert r.iterations <= 1000, (r.aspect, r.p, r.iterations)

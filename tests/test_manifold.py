@@ -327,3 +327,18 @@ def test_off_rejects_garbage(tmp_path):
     arity.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n2 0 1\n")
     with pytest.raises(ValueError):
         read_off(arity)
+
+
+@pytest.mark.parametrize("aspect", [1.0, 1.005, 1.2, 2.0])
+def test_ellipsoid_curvature_bounds_are_closed_form(aspect):
+    # Gaussian curvature of x^2/a^2 + y^2/b^2 + z^2/c^2 = 1 at every vertex;
+    # the icosphere has equator and pole vertices, so the extremes are sampled
+    for normalize in (True, False):
+        m = build_ellipsoid(aspect, 3, normalize=normalize)
+        a, b, c = m.meta["semi_axes"]
+        x, y, z = m.vertices.T
+        s = x**2 / a**4 + y**2 / b**4 + z**2 / c**4
+        curv = 1.0 / ((a * b * c) ** 2 * s**2)
+        assert m.meta["min_curvature"] == pytest.approx(curv.min(), rel=1e-12)
+        assert m.meta["max_curvature"] == pytest.approx(curv.max(), rel=1e-12)
+    assert build_ellipsoid(aspect, 3).meta["min_curvature"] == 1.0

@@ -24,7 +24,9 @@ from pspec.pspectral import (
     project_constraint,
     rayleigh_quotient,
     solve_radial_1d,
+    _eigen_solve,
     _fem,
+    _p2_init,
 )
 
 
@@ -322,12 +324,94 @@ def test_continuation_diagnostics_present(ico2):
     assert isinstance(res.diagnostics, dict) and res.diagnostics
 
 
-def test_p2_start_at_its_cap_is_not_converged():
-    # the (K + M) inverse power iteration crawls on the near-round ellipsoid
-    res = closed_eigen(build_ellipsoid(1.005, 4), 2.0)
-    assert res.diagnostics["p2_iterations"] == 500
-    assert res.converged is False
-    assert res.diagnostics["p2_converged"] is False
+def test_near_round_p2_start_matches_dense_oracle():
+    # lambda_1 and lambda_2 differ by 0.4%, where inverse power iteration crawls
+    mesh = build_ellipsoid(1.005, 4)
+    res = closed_eigen(mesh, 2.0)
+    assert res.lam == pytest.approx(dense_p2_eigenvalue(mesh), rel=1e-10)
+    assert res.lam == pytest.approx(2.0079666, rel=1e-7)
+    assert res.converged is True
+    assert res.diagnostics["p2_converged"] is True
+
+
+def test_hemisphere_p2_start_matches_dense_oracle(ico3):
+    hemi = hemisphere_domain(ico3)
+    res = dirichlet_eigen(hemi, 2.0)
+    dense = dense_p2_eigenvalue(ico3, free=hemi.interior_indices)
+    assert res.lam == pytest.approx(dense, rel=1e-10)
+    assert res.converged and res.diagnostics["p2_converged"]
+
+
+@pytest.mark.parametrize(
+    "mesh, region, exact",
+    [
+        # lumped P1 Dirichlet interval of n segments: 4 n^2 sin^2(pi / 2n)
+        *[
+            (build_interval(n), "interior", 4.0 * n * n * np.sin(np.pi / (2 * n)) ** 2)
+            for n in range(2, 7)
+        ],
+        # inscribed n-gon of the unit circle: exactly 1 for every n
+        *[(build_circle(n), "closed", 1.0) for n in range(3, 6)],
+    ],
+    ids=[f"interval{n}" for n in range(2, 7)] + [f"circle{n}" for n in range(3, 6)],
+)
+def test_tiny_free_sets_use_the_dense_start(mesh, region, exact):
+    # fewer free vertices than ARPACK's 2k + 1 Lanczos vectors
+    region = interior_domain(mesh) if region == "interior" else mesh
+    res = _eigen_solve(region, 2.0, None)
+    assert res.lam == pytest.approx(exact, rel=1e-12)
+    assert res.converged
+    assert res.diagnostics["p2_iterations"] == 0
+
+
+def test_degenerate_start_is_pinned_to_the_cos_projection(ico3):
+    # the first p = 2 eigenspace of the round mesh is threefold
+    res = closed_eigen(ico3, 2.0)
+    diag = res.diagnostics
+    assert diag["p2_cluster"] == 3 and diag["p2_iterations"] > 0
+    assert diag["p2_residual"] <= 1e-8 and diag["p2_converged"] is True
+    fem = _fem(ico3)
+    m = fem.mass
+    _, vecs = sla.eigh(fem.stiffness.toarray(), np.diag(m))
+    q, _ = np.linalg.qr(np.sqrt(m)[:, None] * vecs[:, 1:4])
+    c = np.cos(np.arange(len(m)))
+    c -= (m @ c) / m.sum()
+    ref = (q @ (q.T @ (np.sqrt(m) * c))) / np.sqrt(m)
+    ref /= np.sqrt(m @ ref**2) * np.sign(ref[np.argmax(np.abs(ref))])
+    assert np.abs(res.field.values - ref).max() <= 1e-10
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_solves_on_fresh_meshes_are_bitwise_equal(p):
+    a = closed_eigen(build_icosphere(3), p)
+    b = closed_eigen(build_icosphere(3), p)
+    assert a.lam == b.lam
+    assert a.field.values.tobytes() == b.field.values.tobytes()
+
+
+def test_cached_start_is_shared_and_never_mutated():
+    mesh = build_icosphere(3)
+    closed_eigen(mesh, 3.0)
+    warm = closed_eigen(mesh, 2.0)
+    cold = closed_eigen(build_icosphere(3), 2.0)
+    assert warm.lam == cold.lam
+    assert warm.field.values.tobytes() == cold.field.values.tobytes()
+    assert warm.diagnostics == cold.diagnostics
+    # fresh Domain objects over the same interior share one start
+    for p in (2.0, 3.0):
+        dirichlet_eigen(hemisphere_domain(mesh), p)
+    fem = _fem(mesh)
+    assert len(fem.p2_starts) == 2
+    free = hemisphere_domain(mesh).interior_indices
+    assert _p2_init(fem, free, False, None) is _p2_init(fem, free.copy(), False, None)
+    assert _p2_init(fem, slice(None), True, None) is _p2_init(fem, slice(None), True, None)
+    assert not _p2_init(fem, slice(None), True, None)[0].flags.writeable
+
+
+def test_round_level4_values():
+    mesh = build_icosphere(4)
+    assert closed_eigen(mesh, 1.5).lam == pytest.approx(1.7235351634044753, rel=1e-9)
+    assert closed_eigen(mesh, 3.0).lam == pytest.approx(2.1724364994634, rel=1e-9)
 
 
 def test_only_stages_with_a_p_step_report_log_lipschitz(ico2):
