@@ -510,11 +510,11 @@ def _cmd_sweep(cfg, outdir):
     # empirical sharpening estimate next to each eigenvalue ratio; reported
     # side by side, not asserted against each other
     for a in cfg.sweep_aspects:
-        mesh = build_ellipsoid(a, cfg.sweep_level)
+        first = next(r for r in records if r.aspect == float(a))
         prof = croke_profile(
-            mesh,
-            measure_ratio(mesh),
-            next(r.diameter for r in records if r.aspect == float(a)),
+            first.mesh,
+            first.beta,
+            first.diameter,
             count=cfg.battery_count,
             thresholds=cfg.battery_thresholds,
             seed=cfg.seed,

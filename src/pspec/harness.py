@@ -8,12 +8,13 @@ ellipsoid family that records the (diameter, eigenvalue ratio) curve.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, fields, replace
 
 import numpy as np
 
 from .isoperim import LevelSweep
 from .manifold import (
+    Mesh,
     beta as measure_ratio,
     build_ellipsoid,
     cap_boundary,
@@ -45,9 +46,10 @@ class SweepRecord:
     converged: bool
     failed: bool = False
     error: str = ""
+    mesh: Mesh | None = dc_field(default=None, repr=False, compare=False)  # solved on
 
     def as_dict(self):
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "mesh"}
 
 
 def _curvature_certificate(mesh):
@@ -87,6 +89,7 @@ def _sweep_record(mesh, p, opts, lam_model, diam, bet, min_curv, keep_going=Fals
         equality_case=False,
         iterations=0,
         converged=False,
+        mesh=mesh,
     )
     try:
         res = closed_eigen(mesh, p, opts)
@@ -274,7 +277,8 @@ def chain_audit(domain, p, opts=None, grid=64):
 def pinching_sweep(aspects, ps, level=4, opts=None):
     """Eigenvalue ratio against diameter across the ellipsoid family.
 
-    One record per (aspect, p), sorted by diameter then p. Solver failures
+    One record per (aspect, p), sorted by diameter then p, each carrying
+    the ellipsoid it was solved on (built once per aspect). Solver failures
     are recorded on the row and do not stop the sweep. The reference
     eigenvalue is solved once per p.
     """

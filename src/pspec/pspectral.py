@@ -1,26 +1,28 @@
 """First eigenvalues of the p-Laplacian on meshes and radial model problems.
 
 Fields are piecewise linear over mesh cells; the p-Dirichlet energy uses the
-constant per-cell gradient and masses are vertex lumped, so the Rayleigh
-quotient is a ratio of plain weighted sums. Shift-invert Lanczos on the
-linear p = 2 pencil gives, once per mesh and free vertex set, a start pinned
-inside the first eigenvalue cluster; other exponents are reached from it by
-geometric continuation in p, running a preconditioned descent on
-log(energy) - log(mass) with Armijo backtracking. The closed-manifold
-problem projects onto the zero mean constraint of the p-Laplacian
-(integral of |u|^{p-2} u vanishes) after every step.
+constant per-cell gradient (one sparse operator G) and masses are vertex
+lumped, so the Rayleigh quotient is a ratio of plain weighted sums.
+Shift-invert Lanczos on the linear p = 2 pencil gives, once per mesh and
+free vertex set, a start pinned inside the first eigenvalue cluster; other
+exponents are reached from it by geometric continuation in p, running
+(K + M)^-1-preconditioned nonlinear conjugate gradients on log(energy) -
+log(mass) with Armijo backtracking. The closed-manifold problem projects
+onto the zero mean constraint of the p-Laplacian (integral of
+|u|^{p-2} u vanishes) after every step.
 
 solve_radial_1d provides the independent 1-D reference values by shooting.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.sparse import coo_matrix, diags
+from scipy.sparse import csr_matrix, diags
 from scipy.sparse.csgraph import connected_components
 from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
@@ -100,6 +102,9 @@ class EigenResult:
 
 
 class _FemOps:
+    """P1 operators of one mesh; ``grad_op`` G (3 n_cells x n_vertices, CSR)
+    maps vertex values to the ambient gradient of each cell, row 3c + i."""
+
     def __init__(self, mesh):
         V, C = mesh.vertices, mesh.cells
         x = V[C]
@@ -111,29 +116,26 @@ class _FemOps:
             a2 = np.linalg.norm(nrm, axis=1)
             nhat = nrm / a2[:, None]
             gp = np.stack(
-                [np.cross(nhat, e0), np.cross(nhat, e1), np.cross(nhat, e2)], axis=1
+                [np.cross(nhat, e0), np.cross(nhat, e1), np.cross(nhat, e2)], axis=2
             )
             gp /= a2[:, None, None]
         else:
             t = x[:, 1] - x[:, 0]
             L2 = (t * t).sum(axis=1)
-            gp = np.stack([-t / L2[:, None], t / L2[:, None]], axis=1)
-        self.cells = C
+            gp = np.stack([-t / L2[:, None], t / L2[:, None]], axis=2)
+        nc, k = C.shape                         # gp: (cell, component, local vertex)
         self.nv = len(V)
-        self.grad_phi = gp                      # (nc, k, 3)
+        self.grad_op = G = csr_matrix(
+            (gp.ravel(), np.repeat(C, 3, axis=0).ravel(), np.arange(0, 3 * nc * k + 1, k)),
+            shape=(3 * nc, self.nv),
+        )
         self.cellw = mesh.cell_measure
         self.mass = mesh.vertex_measure
-        local = np.einsum("cki,cli->ckl", gp, gp) * self.cellw[:, None, None]
-        k = C.shape[1]
-        rows = np.repeat(C, k, axis=1).ravel()
-        cols = np.tile(C, (1, k)).ravel()
-        self.stiffness = coo_matrix(
-            (local.ravel(), (rows, cols)), shape=(self.nv, self.nv)
-        ).tocsr()
+        self.stiffness = (G.T @ diags(np.repeat(self.cellw, 3)) @ G).tocsr()
         self.p2_starts = {}                     # free vertex set -> start, info
 
     def gradients(self, u):
-        return np.einsum("cki,ck->ci", self.grad_phi, u[self.cells])
+        return (self.grad_op @ u).reshape(-1, 3)
 
     def energy_mass(self, u, p, eps):
         g = self.gradients(u)
@@ -147,9 +149,7 @@ class _FemOps:
         base = g2 + eps * eps if eps else g2
         with np.errstate(divide="ignore"):
             gamma = np.where(base > 0.0, base ** ((p - 2.0) / 2.0), 0.0)
-        dots = np.einsum("cki,ci->ck", self.grad_phi, g)
-        s = (self.cellw * gamma)[:, None] * dots
-        dE = p * np.bincount(self.cells.ravel(), weights=s.ravel(), minlength=self.nv)
+        dE = p * (self.grad_op.T @ ((self.cellw * gamma)[:, None] * g).ravel())
         dM = p * self.mass * np.sign(u) * np.abs(u) ** (p - 1.0)
         return dE / energy - dM / mass
 
@@ -248,17 +248,22 @@ def nodal_domains(field):
 # eigensolvers
 
 
+def _shifted_lu(fem, free):
+    # factored per solve, not cached: a cached LU lives as long as its mesh
+    return splu((fem.stiffness + diags(fem.mass)).tocsc()[free][:, free])
+
+
 def _p2_init(fem, free, closed, lu):
     """The p = 2 start and its diagnostics, cached per free vertex set.
 
     The k smallest eigenpairs of (K, M), k = 5 closed and 3 Dirichlet, come
-    from shift-invert Lanczos about sigma = -1 (``eigsh``, ``lu`` of K + M as
-    the inverse, a fixed cos(0), cos(1), ... start) or, below ARPACK's
-    2k + 1 Lanczos vectors, from dense ``eigh``; a closed mesh drops its
-    constant mode. The start is the M-projection of the cos vector onto
-    eigenvalues within a relative 1e-8 of the smallest (the limit of inverse
-    iteration from it), read-only and shared by all exponents and Domains of
-    one interior. ``p2_converged``: |Kx - lam Mx| <= 1e-8 lam |Mx|.
+    from shift-invert Lanczos about sigma = -1 (``eigsh``, ``lu`` of K + M,
+    or None to factor it here, as the inverse, a fixed cos(0), cos(1), ...
+    start) or, below ARPACK's 2k + 1 Lanczos vectors, from dense ``eigh``; a
+    closed mesh drops its constant mode. The start is the M-projection of the
+    cos vector onto eigenvalues within a relative 1e-8 of the smallest (the
+    limit of inverse iteration from it), read-only and shared by all exponents
+    and Domains of one interior. ``p2_converged``: |Kx - lam Mx| <= 1e-8 lam |Mx|.
     """
     key = None if closed else free.tobytes()
     if key in fem.p2_starts:
@@ -277,6 +282,7 @@ def _p2_init(fem, free, closed, lu):
     if len(m) < 2 * k + 1:
         lam, vecs = eigh(K.toarray(), np.diag(m))
     else:                                   # eigsh sorts eigenpairs ascending
+        lu = _shifted_lu(fem, free) if lu is None else lu
         op = LinearOperator(K.shape, matvec=apply_inverse, dtype=float)
         lam, vecs = eigsh(K, k, M=diags(m), sigma=-1.0, OPinv=op, v0=c)
     lam, vecs = lam[int(closed):], vecs[:, int(closed):]
@@ -317,13 +323,16 @@ def _lp_normalize(u, mass, p):
 
 
 def _descent_stage(fem, u, p, eps, opts, lu, free, region, budget):
-    """Armijo descent on log energy - log mass at fixed (p, eps).
+    """Minimize log energy - log mass at fixed (p, eps) by nonlinear CG.
 
-    Only ``free`` vertices move; iterates on a closed Mesh ``region`` are
-    re-projected. Accepted iterates have non-increasing Rayleigh quotient by
-    construction; the stage stops after `opts.stall` consecutive accepted
-    steps with relative change below `opts.tol`, on line-search stall, or on
-    budget.
+    d = -P g + beta d_prev, P = ``lu`` = (K + M)^-1, with Gilbert and
+    Nocedal's beta = max(0, min(beta_PR, beta_FR)) in the P inner product;
+    -P g, then -g, replace a d that does not descend. Armijo backtracking
+    picks the step. Only ``free`` vertices move; iterates on a closed Mesh
+    ``region`` are re-projected. Accepted iterates have non-increasing
+    Rayleigh quotient by construction; the stage stops after `opts.stall`
+    consecutive accepted steps with relative change below `opts.tol`, on
+    line-search stall, or on budget.
     """
 
     def feasible(w):
@@ -337,15 +346,23 @@ def _descent_stage(fem, u, p, eps, opts, lu, free, region, budget):
     trace = [rq]
     grad = fem.grad_log_quotient(u, p, eps, energy, mass, g, g2)
     t, streak, iters, rel, converged = 1.0, 0, 0, np.inf, False
+    d = np.zeros_like(u)
+    gpg_prev = None                         # no previous direction: beta = 0
     while iters < budget:
-        d = np.zeros_like(u)
-        d[free] = -lu.solve(grad[free])
-        slope = float(grad[free] @ d[free])
-        if slope >= 0.0:
-            d[free] = -grad[free]
-            slope = float(grad[free] @ d[free])
-            if slope >= 0.0:
+        gf = grad[free]
+        pg = lu.solve(gf)
+        gpg = float(gf @ pg)
+        beta = 0.0
+        if gpg_prev is not None:            # Gilbert-Nocedal PR/FR hybrid
+            beta = max(0.0, min(gpg, gpg - float(gf @ pg_prev))) / gpg_prev
+        for direction in (beta * d[free] - pg, -pg, -gf):    # first that descends
+            slope = float(gf @ direction)
+            if slope < 0.0:
                 break
+        else:
+            break
+        d[free] = direction
+        pg_prev, gpg_prev = pg, gpg
         t = min(2.0 * t, 4.0)
         for _ in range(_MAX_BACKTRACKS):
             unew = feasible(u + t * d)
@@ -386,13 +403,13 @@ def _eigen_solve(region, p, opts):
     mesh = region if closed else region.mesh
     free = slice(None) if closed else region.interior_indices
     fem = _fem(mesh)
-    # factored per solve, not cached: a cached LU lives as long as its mesh
-    lu = splu((fem.stiffness + diags(fem.mass)).tocsc()[free][:, free])
+    descend = abs(p - 2.0) > 1e-12
+    lu = _shifted_lu(fem, free) if descend else None
     u, start = _p2_init(fem, free, closed, lu)
     diag = dict(start, stages=[])
     converged, iterations = start["p2_converged"], start["p2_iterations"]
     residual = 0.0
-    if abs(p - 2.0) > 1e-12:
+    if descend:
         eps0 = _EPS_FACTOR * float(mesh.edge_lengths.mean())
         stages = [(pk, eps0) for pk in _continuation_path(p, opts.step)] + [(p, 0.0)]
         budget = opts.max_iters
@@ -489,7 +506,7 @@ def solve_radial_1d(p, n, problem="hemisphere"):
         r0, rend = 1e-6, 0.5 * np.pi
 
         def weight(r):
-            return np.sin(r) ** (n - 1)
+            return math.sin(r) ** (n - 1)
 
         def y0(lam):
             return [1.0, -lam * r0**n / n]
@@ -505,17 +522,16 @@ def solve_radial_1d(p, n, problem="hemisphere"):
 
     def endpoint(lam):
         def rhs(r, y):
-            u, q = y
-            qw = q / weight(r)
-            du = np.sign(qw) * np.abs(qw) ** pim1
-            dq = -lam * weight(r) * np.sign(u) * np.abs(u) ** (p - 1.0)
+            u, q = y.tolist()
+            du = math.copysign(abs(q / weight(r)) ** pim1, q)
+            dq = -lam * weight(r) * math.copysign(abs(u) ** (p - 1.0), u)
             return (du, dq)
 
         sol = solve_ivp(
             rhs,
             (r0, rend),
             y0(lam),
-            method="RK45",
+            method="DOP853",
             rtol=1e-11,
             atol=1e-13,
             dense_output=False,

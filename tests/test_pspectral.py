@@ -103,6 +103,70 @@ def test_rayleigh_rejects_zero_field_and_bad_region(ico3, ico2):
 
 
 # ---------------------------------------------------------------------------
+# element operators
+
+
+def cell_frames(mesh):
+    """Unit normals of triangles, or unit tangents of segments."""
+    x = mesh.vertices[mesh.cells]
+    if mesh.dimension == 2:
+        n = np.cross(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
+    else:
+        n = x[:, 1] - x[:, 0]
+    return n / np.linalg.norm(n, axis=1)[:, None]
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [build_icosphere(3), build_ellipsoid(1.2, 3), build_interval(7), build_circle(9, 2.0)],
+    ids=["icosphere3", "ellipsoid3", "interval7", "circle9"],
+)
+def test_gradient_operator_of_linear_functions(mesh):
+    # a.x has gradient a - (a.n)n on a triangle and (a.t)t on a segment
+    frames = cell_frames(mesh)
+    fem = _fem(mesh)
+    for a in (*np.eye(3), np.array([0.3, -1.7, 2.9])):
+        if mesh.dimension == 2:
+            ref = a - (frames @ a)[:, None] * frames
+        else:
+            ref = (frames @ a)[:, None] * frames
+        got = fem.gradients(mesh.vertices @ a)
+        assert np.abs(got - ref).max() <= 1e-12 * np.linalg.norm(a)
+
+
+def reference_stiffness(mesh):
+    """Cotangent weights on triangles, 1 / length on segments."""
+    V, C = mesh.vertices, mesh.cells
+    rows, cols, vals = [], [], []
+    if mesh.dimension == 2:
+        for k in range(3):
+            i, j, o = C[:, (k + 1) % 3], C[:, (k + 2) % 3], C[:, k]
+            a, b = V[i] - V[o], V[j] - V[o]
+            w = 0.5 * (a * b).sum(axis=1) / np.linalg.norm(np.cross(a, b), axis=1)
+            rows += [i, j, i, j]
+            cols += [j, i, i, j]
+            vals += [-w, -w, w, w]
+    else:
+        i, j = C[:, 0], C[:, 1]
+        w = 1.0 / np.linalg.norm(V[j] - V[i], axis=1)
+        rows, cols, vals = [i, j, i, j], [j, i, i, j], [-w, -w, w, w]
+    K = np.zeros((len(V), len(V)))
+    np.add.at(K, (np.concatenate(rows), np.concatenate(cols)), np.concatenate(vals))
+    return K
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [build_icosphere(3), build_ellipsoid(1.2, 3), build_interval(7), build_circle(9, 2.0)],
+    ids=["icosphere3", "ellipsoid3", "interval7", "circle9"],
+)
+def test_stiffness_matches_cotangent_assembly(mesh):
+    ref = reference_stiffness(mesh)
+    got = _fem(mesh).stiffness.toarray()
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------------------
 # constraint projection and nodal domains
 
 
@@ -180,7 +244,7 @@ def test_closed_eigenfunction_has_two_nodal_domains(ico3, p):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_radial_hemisphere_p2_equals_dimension(n):
-    assert solve_radial_1d(2.0, n, "hemisphere") == pytest.approx(n, abs=1e-6)
+    assert solve_radial_1d(2.0, n, "hemisphere") == pytest.approx(n, rel=1e-10)
 
 
 def test_radial_interval_p2_is_pi_squared():
@@ -408,10 +472,32 @@ def test_cached_start_is_shared_and_never_mutated():
     assert not _p2_init(fem, slice(None), True, None)[0].flags.writeable
 
 
+def test_cached_p2_start_skips_the_factorization(monkeypatch):
+    import pspec.pspectral as pspectral
+
+    real_splu, calls = pspectral.splu, []
+
+    def counting_splu(A):
+        calls.append(A.shape)
+        return real_splu(A)
+
+    monkeypatch.setattr(pspectral, "splu", counting_splu)
+    mesh = build_icosphere(3)
+    closed_eigen(mesh, 3.0)
+    warm = closed_eigen(mesh, 2.0)
+    assert len(calls) == 1
+    cold = closed_eigen(build_icosphere(3), 2.0)
+    assert warm.lam == cold.lam
+    assert warm.field.values.tobytes() == cold.field.values.tobytes()
+
+
 def test_round_level4_values():
+    # the steepest-descent stall stop left 1.7235351634044753 and 2.1724364994634
     mesh = build_icosphere(4)
-    assert closed_eigen(mesh, 1.5).lam == pytest.approx(1.7235351634044753, rel=1e-9)
-    assert closed_eigen(mesh, 3.0).lam == pytest.approx(2.1724364994634, rel=1e-9)
+    lam15, lam3 = closed_eigen(mesh, 1.5).lam, closed_eigen(mesh, 3.0).lam
+    assert lam15 == pytest.approx(1.7235351340045681, rel=1e-9)
+    assert lam3 == pytest.approx(2.1724362752429136, rel=1e-9)
+    assert lam15 < 1.7235351634044753 and lam3 < 2.1724364994634
 
 
 def test_only_stages_with_a_p_step_report_log_lipschitz(ico2):
