@@ -356,6 +356,8 @@ def _cmd_eigen(cfg, outdir):
         res = solve(region, p, opts)
         inputs = {"p": p, "domain": mode, "iterations": res.iterations}
         inputs["p2_converged"] = res.diagnostics["p2_converged"]
+        if "grad_norm" in res.diagnostics:
+            inputs["grad_norm"] = res.diagnostics["grad_norm"]
         blocks.append(
             _block(
                 f"eigen_p{p:g}",

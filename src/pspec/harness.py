@@ -156,6 +156,7 @@ class AuditReport:
         raise KeyError(name)
 
     def worst_by_step(self):
+        """Step name -> signed worst value, kept as the acceptance tests' summary API."""
         return {s.name: s.worst for s in self.steps}
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import SPHERE_MEASURE, cap_boundary, cap_radius, total_measure
+from .manifold import SPHERE_MEASURE, _unique_edges, cap_boundary, cap_radius, total_measure
 from .pspectral import ScalarField, coordinate_field
 
 
@@ -145,7 +145,7 @@ def level_curve(field, t):
     measure = float(sweep.level([t])[0])
     if field.mesh.dimension == 1:
         return LevelSetCurve(float(t), pts[:, 0], measure, len(pts) % 2 == 0)
-    _, counts = np.unique(np.sort(edges.reshape(-1, 2), axis=1), axis=0, return_counts=True)
+    _, counts = _unique_edges(edges.reshape(-1, 2), len(field.mesh.vertices))
     return LevelSetCurve(float(t), pts, measure, bool(len(pts)) and bool((counts == 2).all()))
 
 
@@ -174,11 +174,6 @@ def superlevel_measure(field, t):
     volume and boundary comparisons noise free.
     """
     return float(LevelSweep(field).superlevel([t])[0])
-
-
-def superlevel_measures(field, ts):
-    """superlevel_measure over many thresholds in one sweep."""
-    return LevelSweep(field).superlevel(ts)
 
 
 def gromov_ratio(field, t, beta):

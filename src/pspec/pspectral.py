@@ -85,6 +85,9 @@ class EigenResult:
     termination and ``constraint_residual`` the closed-manifold constraint
     defect (None for Dirichlet problems). ``iterations`` counts descent
     steps, or at p = 2 the LU solves of the start (shared by all exponents).
+    For p != 2, ``diagnostics["grad_norm"]`` is sqrt(g^T (K + M)^-1 g), g the
+    gradient of log energy - log mass at ``field`` over the free vertices: it
+    vanishes at a critical point, which a zero ``residual`` does not show.
     """
 
     lam: float
@@ -446,6 +449,10 @@ def _eigen_solve(region, p, opts):
     if not closed and neg.any() and abs(u[neg].min()) <= 1e-8 * u.max():
         u = np.where(neg, 0.0, u)  # trim sign noise from the constrained ring
     u = _lp_normalize(u, fem.mass, p)
+    if descend:
+        energy, mass, g, g2 = fem.energy_mass(u, p, 0.0)
+        gf = fem.grad_log_quotient(u, p, 0.0, energy, mass, g, g2)[free]
+        diag["grad_norm"] = math.sqrt(float(gf @ lu.solve(gf)))
     fld = ScalarField(mesh, u)
     lam = rayleigh_quotient(fld, region, p)
     cres = constraint_residual(fld, p) if closed else None

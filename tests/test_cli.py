@@ -148,6 +148,17 @@ def test_eigen_command_interval(tmp_path):
     assert len(field_csv) == 2 + 61
 
 
+def test_eigen_command_reports_grad_norm_for_p_other_than_2(tmp_path):
+    cfg = parse_config(
+        "command = eigen\nmesh.kind = interval\nmesh.segments = 60\np = 2, 3\n"
+        f"out = {tmp_path / 'e'}"
+    )
+    assert run(cfg) == 0
+    blocks = {b["name"]: b for b in json.loads((tmp_path / "e" / "eigen.json").read_text())}
+    assert "grad_norm" not in blocks["eigen_p2"]["inputs"]
+    assert 0.0 < blocks["eigen_p3"]["inputs"]["grad_norm"] < 1e-6
+
+
 def test_symmetrize_command(tmp_path):
     cfg = parse_config(
         "command = symmetrize\nmesh.level = 3\np = 1.5,2\n"

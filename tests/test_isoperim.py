@@ -14,7 +14,6 @@ from pspec.isoperim import (
     random_bump_field,
     random_smooth_field,
     superlevel_measure,
-    superlevel_measures,
 )
 from pspec.manifold import hemisphere_domain
 from pspec.pspectral import ScalarField, coordinate_field
@@ -116,7 +115,7 @@ def test_superlevel_extremes(ico3, rng):
 def test_superlevel_batch_matches_scalar(ico3, rng):
     f = random_smooth_field(ico3, rng)
     ts = np.linspace(f.values.min() + 0.05, f.values.max() - 0.05, 17)
-    batch = superlevel_measures(f, ts)
+    batch = LevelSweep(f).superlevel(ts)
     single = np.array([superlevel_measure(f, t) for t in ts])
     np.testing.assert_array_equal(batch, single)
     assert (np.diff(batch) <= 0).all()

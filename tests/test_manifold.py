@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
+import pspec.manifold as manifold
 from pspec.manifold import (
     CapGeometry,
     Domain,
@@ -171,6 +176,76 @@ def test_ellipsoid_diameter_matches_meridian_quadrature():
     assert abs(diameter(m) - half_meridian) <= 0.02 * half_meridian
 
 
+def _lil_geodesic_graph(mesh):
+    # the 3-ring chord graph with its diagonal cleared through a LIL round trip
+    one = mesh.adjacency_matrix().astype(bool)
+    reach, acc = one.copy(), one.copy()
+    for _ in range(manifold._RING_HOPS - 1):
+        reach = reach @ one
+        acc = acc + reach
+    acc = acc.tolil()
+    acc.setdiag(False)
+    acc = acc.tocsr()
+    acc.eliminate_zeros()
+    i, j = acc.nonzero()
+    w = np.linalg.norm(mesh.vertices[i] - mesh.vertices[j], axis=1)
+    return csr_matrix((w, (i, j)), shape=acc.shape)
+
+
+def _undirected_diameter(graph):
+    # all pairs, or maximin landmarks plus double sweep, searching both ways
+    if graph.shape[0] <= manifold._ALL_PAIRS_BUDGET:
+        return float(dijkstra(graph, directed=False).max())
+    dmin = dijkstra(graph, directed=False, indices=0)
+    best, far = float(dmin.max()), int(dmin.argmax())
+    for _ in range(manifold._N_LANDMARKS - 1):
+        row = dijkstra(graph, directed=False, indices=far)
+        best = max(best, float(row.max()))
+        np.minimum(dmin, row, out=dmin)
+        far = int(dmin.argmax())
+    tip = int(row.argmax())
+    for _ in range(manifold._N_SWEEPS):
+        row = dijkstra(graph, directed=False, indices=tip)
+        if float(row.max()) <= best:
+            break
+        best, tip = float(row.max()), int(row.argmax())
+    return best
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_icosphere(3),
+        lambda: build_ellipsoid(1.0, 4),
+        lambda: build_ellipsoid(1.2, 4),
+        lambda: build_icosphere(5),
+    ],
+    ids=["ico3-all-pairs", "ell4-a1", "ell4-a1.2", "ico5"],
+)
+def test_diameter_is_bitwise_the_undirected_search_on_the_lil_graph(build):
+    m = build()
+    ref = _lil_geodesic_graph(m)
+    graph = manifold._geodesic_graph(m)
+    assert (graph != ref).nnz == 0
+    assert np.array_equal(graph.indptr, ref.indptr)
+    assert np.array_equal(graph.indices, ref.indices)
+    assert diameter(m) == _undirected_diameter(ref)
+
+
+@pytest.mark.parametrize("level, most", [(3, 1), (4, 1 + 23 + 8)])
+def test_diameter_searches_one_way_only(monkeypatch, level, most):
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("directed"))
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(manifold, "dijkstra", recording)
+    diameter(build_icosphere(level))
+    assert 1 <= len(calls) <= most
+    assert all(d is True for d in calls)
+
+
 @pytest.mark.parametrize("level, tol", [(3, 5e-3), (4, 1.5e-3)])
 def test_ellipsoid_diameter_matches_pole_to_pole_geodesic(level, tol):
     # prolate spheroid: the diameter is the half meridian, 2c E(1 - s^2/c^2)
@@ -265,6 +340,24 @@ def test_hemisphere_domain_counts_and_boundary(ico3):
     assert not d.interior[d.boundary_vertices].any()
 
 
+def _axis0_edges(cells):
+    raw = np.sort(np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]]), 1)
+    return np.unique(raw, axis=0, return_counts=True)
+
+
+@pytest.mark.parametrize("build", [lambda: build_icosphere(3), lambda: build_ellipsoid(1.2, 4)])
+def test_edges_and_hemisphere_boundary_match_axis0_unique(build):
+    m = build()
+    edges, _ = _axis0_edges(m.cells)
+    assert m.edges.dtype == edges.dtype and np.array_equal(m.edges, edges)
+    d = hemisphere_domain(m)
+    edges, counts = _axis0_edges(m.cells[d.cells])
+    free = edges[counts == 1]
+    assert np.array_equal(d._boundary_edges, free)
+    length = np.linalg.norm(m.vertices[free[:, 0]] - m.vertices[free[:, 1]], axis=1).sum()
+    assert d.boundary_measure == float(length)
+
+
 def test_whole_mesh_domain_needs_closed_mesh(ico2):
     d = Domain(ico2, np.ones(len(ico2.vertices), dtype=bool))
     assert d.boundary_measure == 0.0
@@ -342,3 +435,47 @@ def test_ellipsoid_curvature_bounds_are_closed_form(aspect):
         assert m.meta["min_curvature"] == pytest.approx(curv.min(), rel=1e-12)
         assert m.meta["max_curvature"] == pytest.approx(curv.max(), rel=1e-12)
     assert build_ellipsoid(aspect, 3).meta["min_curvature"] == 1.0
+
+
+@pytest.mark.parametrize("level", [0, 2, 4])
+def test_ellipsoid_stretches_the_icosphere_bitwise(level):
+    ico = build_icosphere(level)
+    for aspect in (1.0, 1.2, 2.0):
+        for normalize in (True, False):
+            m = build_ellipsoid(aspect, level, normalize=normalize)
+            s = 1.0 / aspect if normalize else 1.0
+            expected = ico.vertices * [s, s, s * aspect]
+            assert m.vertices.tobytes() == expected.tobytes()
+            assert np.array_equal(m.cells, ico.cells)
+
+
+# ---------------------------------------------------------------------------
+# edge keys
+
+
+@st.composite
+def _pair_arrays(draw):
+    nv = draw(st.integers(1, 40))
+    vertex = st.integers(0, nv - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+    # repeat some pairs reversed, as the two cells of an interior edge do
+    flips = draw(st.lists(st.sampled_from(pairs), max_size=30)) if pairs else []
+    pairs = pairs + [(j, i) for i, j in flips]
+    return nv, np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair_arrays())
+def test_unique_edges_matches_axis0_unique(case):
+    nv, pairs = case
+    ref, ref_inv, ref_counts = np.unique(
+        np.sort(pairs, axis=1), axis=0, return_inverse=True, return_counts=True
+    )
+    edges, counts = manifold._unique_edges(pairs, nv)
+    assert edges.dtype == ref.dtype and edges.shape == ref.shape
+    assert np.array_equal(edges, ref)
+    assert np.array_equal(counts, ref_counts)
+    edges, inv = manifold._unique_edges(pairs, nv, inverse=True)
+    assert np.array_equal(edges, ref)
+    assert inv.shape == (len(pairs),)
+    assert np.array_equal(inv, ref_inv.ravel())

@@ -500,6 +500,18 @@ def test_round_level4_values():
     assert lam15 < 1.7235351634044753 and lam3 < 2.1724364994634
 
 
+def test_grad_norm_measures_the_distance_to_a_critical_point(ico3):
+    for p in (1.5, 3.0):
+        tight = closed_eigen(ico3, p).diagnostics["grad_norm"]
+        loose = closed_eigen(ico3, p, SolverOptions(tol=1e-3, stall=1)).diagnostics["grad_norm"]
+        assert np.isfinite(tight) and 0.0 < tight < 1e-4 < loose
+    hemi = dirichlet_eigen(hemisphere_domain(ico3), 3.0).diagnostics["grad_norm"]
+    assert np.isfinite(hemi) and hemi > 0.0
+    assert "grad_norm" not in closed_eigen(ico3, 2.0).diagnostics
+    # measured 2.2e-7 on the round level-4 mesh at p = 3
+    assert 0.0 < closed_eigen(build_icosphere(4), 3.0).diagnostics["grad_norm"] < 1e-6
+
+
 def test_only_stages_with_a_p_step_report_log_lipschitz(ico2):
     stages = closed_eigen(ico2, 3.0).diagnostics["stages"]
     assert len(stages) >= 2
