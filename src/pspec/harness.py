@@ -246,7 +246,7 @@ def chain_audit(domain, p, opts=None, grid=64):
     prof = symmetrize(field, bet)
     lhs_mass = mass_tail[np.searchsorted(u[asc], levels, side="right")]
     cap_r = cap_radius(dist.measure_above(levels) / bet, n)
-    rhs_mass = bet * np.array([prof.lp_mass_within(p, r) for r in cap_r])
+    rhs_mass = bet * prof.lp_mass_within(p, cap_r)
     rel = (lhs_mass - rhs_mass) / lhs_mass
     steps.append(AuditStep("mass_transport", _signed_worst(rel), rel))
 

@@ -257,18 +257,31 @@ class CrokeProfile:
     histogram: tuple
     count: int
 
+    @classmethod
+    def from_ratios(cls, diameter, ratios):
+        hist = np.histogram(np.clip(ratios, _HIST_BINS[0], _HIST_BINS[-1] - 1e-9), _HIST_BINS)
+        return cls(diameter, float(ratios.min()), ratios, hist, len(ratios))
+
 
 _HIST_BINS = np.linspace(0.9, 2.1, 25)
+
+
+def battery_ratios(fields, rng, thresholds, beta):
+    """Gromov ratios of a field battery, one sweep per field.
+
+    Each field gets ``thresholds`` levels drawn from rng, uniform over the
+    middle 70% of its range, in field order; the ratios are concatenated.
+    """
+    ratios = []
+    for fld in fields:
+        lo, hi = _field_range(fld)
+        ts = lo + (hi - lo) * rng.uniform(0.15, 0.85, thresholds)
+        ratios.append(gromov_ratio(fld, ts, beta))
+    return np.concatenate(ratios)
 
 
 def croke_profile(mesh, beta, diameter, count=50, thresholds=3, seed=0):
     """Minimum Gromov ratio and its histogram over a random field battery."""
     rng = np.random.default_rng(seed)
-    ratios = []
-    for fld in check_battery(mesh, rng, count):
-        lo, hi = _field_range(fld)
-        ts = lo + (hi - lo) * rng.uniform(0.15, 0.85, thresholds)
-        ratios.append(gromov_ratio(fld, ts, beta))
-    ratios = np.concatenate(ratios)
-    hist = np.histogram(np.clip(ratios, _HIST_BINS[0], _HIST_BINS[-1] - 1e-9), _HIST_BINS)
-    return CrokeProfile(diameter, float(ratios.min()), ratios, hist, len(ratios))
+    ratios = battery_ratios(check_battery(mesh, rng, count), rng, thresholds, beta)
+    return CrokeProfile.from_ratios(diameter, ratios)

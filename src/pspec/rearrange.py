@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,21 +106,45 @@ class RadialProfile:
         r = np.minimum(r, self.knots[-1])
         return np.interp(r, self.knots, self.values)
 
+    def _quadrature(self, a, b):
+        # Gauss nodes on the intervals [a, b]: half-widths, profile values
+        # and cap boundary weights at the nodes
+        half = 0.5 * (b - a)
+        r = (0.5 * (a + b)[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel()
+        shape = (len(half), len(_GAUSS_NODES))
+        vals = self.value_at(r).reshape(shape)
+        return half, vals, cap_boundary(r, self.dimension).reshape(shape)
+
+    @cached_property
+    def _gauss(self):
+        # every knot interval's nodes, evaluated once and shared by every p
+        half, vals, bnd = self._quadrature(self.knots[:-1], self.knots[1:])
+        for arr in (half, vals, bnd):
+            arr.setflags(write=False)
+        return half, vals, bnd
+
+    @staticmethod
+    def _masses(p, quadrature):
+        half, vals, bnd = quadrature
+        return half * ((vals**p * bnd) @ _GAUSS_WEIGHTS)
+
     def lp_mass(self, p):
         """Integral of value^p over the model sphere (polar coordinates)."""
-        return self.lp_mass_within(p, self.support_radius)
+        return float(self._masses(p, self._gauss).sum())
 
     def lp_mass_within(self, p, r_upper):
-        """Same integral restricted to the cap of radius r_upper."""
-        n = self.dimension
-        a = np.minimum(self.knots[:-1], r_upper)
-        b = np.minimum(self.knots[1:], r_upper)
-        half = 0.5 * (b - a)
-        r = 0.5 * (a + b)[:, None] + half[:, None] * _GAUSS_NODES[None, :]
-        vals = self.value_at(r.ravel()).reshape(r.shape) ** p * cap_boundary(
-            r.ravel(), n
-        ).reshape(r.shape)
-        return float((half * (vals @ _GAUSS_WEIGHTS)).sum())
+        """Same integral restricted to the cap of radius r_upper.
+
+        An array of radii gives an array of masses: whole knot intervals
+        below each radius come from one cumulative sum, and only the
+        interval the radius cuts is integrated again. A scalar gives a float.
+        """
+        r = np.clip(np.asarray(r_upper, dtype=float), 0.0, self.support_radius)
+        flat = r.reshape(-1)
+        k = np.searchsorted(self.knots[1:], flat, side="right")
+        whole = np.concatenate([[0.0], np.cumsum(self._masses(p, self._gauss))])
+        out = whole[k] + self._masses(p, self._quadrature(self.knots[k], flat))
+        return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
     def rows(self):
         """(radius, value) pairs for tabular output."""

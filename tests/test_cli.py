@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import pspec
+from pspec import cli, harness, isoperim, pspectral, rearrange
 from pspec.cli import CHECKS, ConfigError, RunConfig, main, parse_config, run
 from pspec.manifold import read_off
 from pspec.pspectral import SolverOptions
@@ -159,6 +160,20 @@ def test_eigen_command_reports_grad_norm_for_p_other_than_2(tmp_path):
     assert 0.0 < blocks["eigen_p3"]["inputs"]["grad_norm"] < 1e-6
 
 
+def test_eigen_command_reports_lipschitz_warning(tmp_path, monkeypatch):
+    text = "command = eigen\nmesh.kind = interval\nmesh.segments = 60\np = 2, 3\n"
+    assert run(parse_config(f"{text}out = {tmp_path / 'a'}")) == 0
+    blocks = {b["name"]: b for b in json.loads((tmp_path / "a" / "eigen.json").read_text())}
+    assert blocks["eigen_p2"]["inputs"]["lipschitz_warning"] is False
+    assert blocks["eigen_p3"]["inputs"]["lipschitz_warning"] is False
+    # with no allowed drift every continuation stage with a p step warns
+    monkeypatch.setattr(pspectral, "_LIPSCHITZ_BUDGET", 0.0)
+    assert run(parse_config(f"{text}out = {tmp_path / 'b'}")) == 0
+    blocks = {b["name"]: b for b in json.loads((tmp_path / "b" / "eigen.json").read_text())}
+    assert blocks["eigen_p2"]["inputs"]["lipschitz_warning"] is False
+    assert blocks["eigen_p3"]["inputs"]["lipschitz_warning"] is True
+
+
 def test_symmetrize_command(tmp_path):
     cfg = parse_config(
         "command = symmetrize\nmesh.level = 3\np = 1.5,2\n"
@@ -243,6 +258,42 @@ def test_checked_blocks_follow_the_table(checked_blocks):
 def test_every_table_entry_is_emitted(checked_blocks):
     emitted = {re.sub(r"[0-9.]+$", "", b["name"]) for b in checked_blocks}
     assert set(CHECKS) <= emitted
+
+
+def test_croke_min_ratio_is_the_gromov_battery_minimum(checked_blocks):
+    blocks = {b["name"]: b for b in checked_blocks}
+    gromov, croke = blocks["gromov_battery"], blocks["croke_min_ratio"]
+    assert croke["lhs"] == 1.0 + gromov["margin"]
+    assert croke["margin"] == gromov["margin"]
+    assert croke["inputs"]["count"] == gromov["inputs"]["count"] == 6 * 3
+
+
+def test_verify_sweeps_one_battery_once(tmp_path, monkeypatch):
+    batteries, swept = [], []
+    check_battery = isoperim.check_battery
+
+    def counting_battery(mesh, rng, count):
+        fields = check_battery(mesh, rng, count)
+        batteries.append(fields)
+        return fields
+
+    class CountingSweep(isoperim.LevelSweep):
+        def __init__(self, field):
+            swept.append(field)
+            super().__init__(field)
+
+    for module in (cli, isoperim):
+        monkeypatch.setattr(module, "check_battery", counting_battery)
+    for module in (isoperim, rearrange, harness):
+        monkeypatch.setattr(module, "LevelSweep", CountingSweep)
+    cfg = parse_config(
+        "command = verify\nmesh.level = 3\np = 2\nbattery.count = 4\n"
+        f"seed = 7\nout = {tmp_path / 'v'}"
+    )
+    assert run(cfg) == 0
+    assert len(batteries) == 1
+    for f in batteries[0]:
+        assert sum(s is f for s in swept) == 1
 
 
 def test_sweep_command_rows(tmp_path):

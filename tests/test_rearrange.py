@@ -198,6 +198,75 @@ def test_eigenfunction_equimeasurability(ico3):
     assert abs(chk.rel_gap) <= 0.01
 
 
+def gauss_lp_mass_within(prof, p, r_upper):
+    # the same 8-point rule on every knot interval clipped to [0, r_upper]
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    a = np.minimum(prof.knots[:-1], r_upper)
+    b = np.minimum(prof.knots[1:], r_upper)
+    half = 0.5 * (b - a)
+    r = 0.5 * (a + b)[:, None] + half[:, None] * nodes[None, :]
+    vals = prof.value_at(r.ravel()) ** p * cap_boundary(r.ravel(), prof.dimension)
+    return float((half * (vals.reshape(r.shape) @ weights)).sum())
+
+
+@pytest.fixture(scope="module")
+def quadratic_profile(ico3):
+    f = quadratic_field(ico3)
+    return symmetrize(f, beta(ico3))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_lp_mass_within_batch_matches_per_radius_rule(quadratic_profile, p):
+    prof = quadratic_profile
+    k = prof.knots
+    top = prof.support_radius
+    radii = np.concatenate(
+        [
+            [0.0, top, top * (1 + 1e-12), top + 0.5, np.pi],
+            k[1:60:7],
+            0.5 * (k[10:200:13] + k[11:201:13]),
+            np.linspace(0.0, top, 23),
+        ]
+    )
+    got = prof.lp_mass_within(p, radii)
+    ref = np.array([gauss_lp_mass_within(prof, p, r) for r in radii])
+    assert got.shape == radii.shape
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got[1:], ref[1:], rtol=1e-13, atol=0.0)
+    assert np.all(got[2:5] == got[1])
+
+
+def test_lp_mass_within_scalar_and_array(quadratic_profile):
+    prof = quadratic_profile
+    r = 0.5 * prof.support_radius
+    one = prof.lp_mass_within(2.0, r)
+    assert type(one) is float
+    many = prof.lp_mass_within(2.0, np.array([r, r]))
+    assert isinstance(many, np.ndarray) and many.shape == (2,)
+    assert np.all(many == one)
+    grid = prof.lp_mass_within(2.0, np.full((2, 3), r))
+    assert grid.shape == (2, 3)
+
+
+def test_lp_mass_is_independent_of_call_order(ico3):
+    f = quadratic_field(ico3)
+    b = beta(ico3)
+    orders = [(3.0, 1.5, 2.0), (2.0, 3.0, 1.5), (1.5, 2.0, 3.0)]
+    seen = []
+    for order in orders:
+        prof = symmetrize(f, b)
+        seen.append({p: (prof.lp_mass(p), prof.lp_mass_within(p, 1.0)) for p in order})
+    assert seen[0] == seen[1] == seen[2]
+    for p, (mass, _) in seen[0].items():
+        assert mass == gauss_lp_mass(symmetrize(f, b), p)
+    prof = symmetrize(f, b)
+    prof.lp_mass(2.0)
+    for arr in prof._gauss:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # energy comparison
 
