@@ -359,8 +359,9 @@ def _cmd_eigen(cfg, outdir):
         inputs = {"p": p, "domain": mode, "iterations": res.iterations}
         inputs["p2_converged"] = res.diagnostics["p2_converged"]
         inputs["lipschitz_warning"] = res.diagnostics.get("lipschitz_warning", False)
-        if "grad_norm" in res.diagnostics:
-            inputs["grad_norm"] = res.diagnostics["grad_norm"]
+        for key in ("grad_norm", "projection_evals"):
+            if key in res.diagnostics:
+                inputs[key] = res.diagnostics[key]
         blocks.append(
             _block(
                 f"eigen_p{p:g}",

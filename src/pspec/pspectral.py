@@ -12,6 +12,9 @@ onto the zero mean constraint of the p-Laplacian (integral of
 |u|^{p-2} u vanishes) after every step.
 
 solve_radial_1d provides the independent 1-D reference values by shooting.
+Its integrator and the root finder of both jobs are in-module ports of
+SciPy's DOP853 and brentq, so the package imports neither scipy.integrate
+nor scipy.optimize.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse.csgraph import connected_components
 from scipy.linalg import eigh
@@ -88,6 +89,8 @@ class EigenResult:
     For p != 2, ``diagnostics["grad_norm"]`` is sqrt(g^T (K + M)^-1 g), g the
     gradient of log energy - log mass at ``field`` over the free vertices: it
     vanishes at a critical point, which a zero ``residual`` does not show.
+    Closed p != 2 solves also record ``diagnostics["projection_evals"]``, the
+    defect evaluations of all their constraint projections.
     """
 
     lam: float
@@ -196,15 +199,73 @@ def _region_values(field, region):
 # ---------------------------------------------------------------------------
 # constraint projection and nodal counting
 
+_RTOL = 4.0 * float(np.finfo(float).eps)    # brentq's default relative tolerance
 
-def project_constraint(field, p):
+
+def _brentq(f, a, b, xtol, rtol, maxiter=100):
+    """(root, evaluations of f): Brent's (1973) method on the bracket [a, b].
+
+    A line-for-line port of SciPy's C ``brentq``, with its checks: a NaN
+    value of f or a bracket without a sign change raises ValueError, and no
+    convergence within ``maxiter`` steps raises RuntimeError.
+    """
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    calls = 2
+    if fpre == 0.0:
+        return xpre, calls
+    if fcur == 0.0:
+        return xcur, calls
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, calls
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                           # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis          # bisect
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+        calls += 1
+    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")
+
+
+def project_constraint(field, p, evals=None):
     """Subtract the scalar c with integral of |u-c|^{p-2}(u-c) equal zero.
 
     The defect is strictly decreasing in c and changes sign over the value
     range [min u, max u], so Brent's method on that bracket converges
     unconditionally; its absolute tolerance is 4 eps times the range, so
     the shift is resolved to the field's own precision wherever c lies.
-    Constant fields have no root and are rejected.
+    Constant fields have no root and are rejected. A list ``evals``, if
+    given, receives the number of defect evaluations.
     """
     p = check_p(p)
     u = field.values
@@ -217,7 +278,9 @@ def project_constraint(field, p):
         d = u - c
         return float(m @ (np.sign(d) * np.abs(d) ** (p - 1.0)))
 
-    c = brentq(defect, lo, hi, xtol=4.0 * np.finfo(float).eps * (hi - lo))
+    c, calls = _brentq(defect, lo, hi, _RTOL * (hi - lo), _RTOL)
+    if evals is not None:
+        evals.append(calls)
     return ScalarField(field.mesh, u - c)
 
 
@@ -325,7 +388,7 @@ def _lp_normalize(u, mass, p):
     return u / norm
 
 
-def _descent_stage(fem, u, p, eps, opts, lu, free, region, budget):
+def _descent_stage(fem, u, p, eps, opts, lu, free, region, budget, evals):
     """Minimize log energy - log mass at fixed (p, eps) by nonlinear CG.
 
     d = -P g + beta d_prev, P = ``lu`` = (K + M)^-1, with Gilbert and
@@ -335,12 +398,13 @@ def _descent_stage(fem, u, p, eps, opts, lu, free, region, budget):
     ``region`` are re-projected. Accepted iterates have non-increasing
     Rayleigh quotient by construction; the stage stops after `opts.stall`
     consecutive accepted steps with relative change below `opts.tol`, on
-    line-search stall, or on budget.
+    line-search stall, or on budget. Each projection appends its count of
+    defect evaluations to ``evals``.
     """
 
     def feasible(w):
         if isinstance(region, Mesh):
-            w = project_constraint(ScalarField(region, w), p).values
+            w = project_constraint(ScalarField(region, w), p, evals).values
         return _lp_normalize(w, fem.mass, p)
 
     u = feasible(u)
@@ -412,13 +476,14 @@ def _eigen_solve(region, p, opts):
     diag = dict(start, stages=[])
     converged, iterations = start["p2_converged"], start["p2_iterations"]
     residual = 0.0
+    evals = []                              # defect evaluations per projection
     if descend:
         eps0 = _EPS_FACTOR * float(mesh.edge_lengths.mean())
         stages = [(pk, eps0) for pk in _continuation_path(p, opts.step)] + [(p, 0.0)]
         budget = opts.max_iters
         lam_prev, p_prev = start["p2_lambda"], 2.0
         for pk, eps in stages:
-            u, info = _descent_stage(fem, u, pk, eps, opts, lu, free, region, budget)
+            u, info = _descent_stage(fem, u, pk, eps, opts, lu, free, region, budget, evals)
             budget -= info["iters"]
             converged = info["converged"] and budget > 0
             residual = info["residual"]
@@ -442,7 +507,9 @@ def _eigen_solve(region, p, opts):
                 break
         iterations = opts.max_iters - budget
     if closed:
-        u = project_constraint(ScalarField(mesh, u), p).values
+        u = project_constraint(ScalarField(mesh, u), p, evals).values
+        if descend:
+            diag["projection_evals"] = sum(evals)
     if u[np.argmax(np.abs(u))] < 0.0:
         u = -u
     neg = u < 0.0
@@ -486,6 +553,96 @@ def closed_eigen(mesh, p, opts=None):
 # ---------------------------------------------------------------------------
 # radial 1-D reference problems
 
+# The DOP853 tableau of Hairer, Norsett and Wanner (Solving ODEs I, Sec. II.10)
+# as doubles, from scipy/integrate/_ivp/dop853_coefficients.py: nodes C of
+# stages 1-12, rows A of stages 1-12 (row 12 holds the weights B, so stage 12
+# is the new state) and the error weights E5, E3 of stages 0-11.
+_DOP_C = (0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
+    1.0)
+_DOP_A = (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
+)
+_DOP_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294)
+_DOP_E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082)
+
+
+def _dop853(rhs, r, rend, u, q, rtol, atol):
+    """(u, q) at ``rend`` > ``r`` of the system (u', q') = rhs(r, u, q).
+
+    SciPy's adaptive DOP853 (``solve_ivp``) on Python floats, with the step
+    control of ``select_initial_step`` and ``RungeKutta._step_impl``: RMS
+    norms, the E5/E3 error estimate, step factor 0.9 err^(-1/8) clamped to
+    [0.2, 10] (at most 1 after a rejection) and the last step clipped to
+    ``rend``. A step below 10 ulp of r, or a NaN one, raises RuntimeError.
+    """
+
+    def rms(a, b, sa, sb):
+        return math.sqrt((a / sa) ** 2 + (b / sb) ** 2) / math.sqrt(2.0)
+
+    fu, fq = rhs(r, u, q)
+    su, sq = atol + abs(u) * rtol, atol + abs(q) * rtol
+    d0, d1 = rms(u, q, su, sq), rms(fu, fq, su, sq)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, rend - r)
+    gu, gq = rhs(r + h0, u + h0 * fu, q + h0 * fq)
+    d2 = rms(gu - fu, gq - fq, su, sq) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100.0 * h0, h1, rend - r)
+    while r < rend:
+        min_step = 10.0 * (math.nextafter(r, math.inf) - r)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if not h_abs >= min_step:
+                raise RuntimeError(f"radial integration failed: step size underflow at r={r}")
+            r_new = min(r + h_abs, rend)
+            h = r_new - r
+            k = [(fu, fq)]                  # stage derivatives
+            for c, row in zip(_DOP_C, _DOP_A):
+                du = dq = 0.0
+                for a, (ku, kq) in zip(row, k):
+                    du, dq = du + a * ku, dq + a * kq
+                us, qs = u + du * h, q + dq * h
+                k.append(rhs(r + c * h, us, qs))
+            scale_u = atol + max(abs(u), abs(us)) * rtol
+            scale_q = atol + max(abs(q), abs(qs)) * rtol
+            e5u = e5q = e3u = e3q = 0.0
+            for e5, e3, (ku, kq) in zip(_DOP_E5, _DOP_E3, k):
+                e5u, e5q = e5u + e5 * ku, e5q + e5 * kq
+                e3u, e3q = e3u + e3 * ku, e3q + e3 * kq
+            n5 = (e5u / scale_u) ** 2 + (e5q / scale_q) ** 2
+            n3 = (e3u / scale_u) ** 2 + (e3q / scale_q) ** 2
+            err = h * n5 / math.sqrt(2.0 * (n5 + 0.01 * n3)) if n5 else 0.0
+            if err < 1.0:
+                factor = min(10.0, 0.9 * err**-0.125) if err else 10.0
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs, rejected = h * max(0.2, 0.9 * err**-0.125), True
+        r, u, q, (fu, fq) = r_new, us, qs, k[12]
+    return u, q
+
 
 def solve_radial_1d(p, n, problem="hemisphere"):
     """First eigenvalue of the radial p-Laplacian model problem by shooting.
@@ -528,25 +685,12 @@ def solve_radial_1d(p, n, problem="hemisphere"):
             return [0.0, 1.0]
 
     def endpoint(lam):
-        def rhs(r, y):
-            u, q = y.tolist()
+        def rhs(r, u, q):
             du = math.copysign(abs(q / weight(r)) ** pim1, q)
             dq = -lam * weight(r) * math.copysign(abs(u) ** (p - 1.0), u)
-            return (du, dq)
+            return du, dq
 
-        sol = solve_ivp(
-            rhs,
-            (r0, rend),
-            y0(lam),
-            method="DOP853",
-            rtol=1e-11,
-            atol=1e-13,
-            dense_output=False,
-            t_eval=[rend],
-        )
-        if not sol.success:
-            raise RuntimeError(f"radial integration failed at lambda={lam}")
-        return float(sol.y[0, -1])
+        return _dop853(rhs, r0, rend, *y0(lam), rtol=1e-11, atol=1e-13)[0]
 
     lam = 0.05
     g_lo = endpoint(lam)
@@ -560,4 +704,4 @@ def solve_radial_1d(p, n, problem="hemisphere"):
         lam, g_lo = lam_hi, g_hi
         if lam > 1e7:
             raise RuntimeError("shooting bracket scan failed below 1e7")
-    return float(brentq(endpoint, lam, lam_hi, xtol=1e-12, rtol=1e-13))
+    return _brentq(endpoint, lam, lam_hi, 1e-12, 1e-13)[0]

@@ -160,6 +160,20 @@ def test_eigen_command_reports_grad_norm_for_p_other_than_2(tmp_path):
     assert 0.0 < blocks["eigen_p3"]["inputs"]["grad_norm"] < 1e-6
 
 
+def test_eigen_command_reports_projection_evals_of_closed_descents(tmp_path):
+    text = "command = eigen\nmesh.segments = 60\np = 2, 3\n"
+    assert run(parse_config(f"{text}mesh.kind = circle\nout = {tmp_path / 'c'}")) == 0
+    blocks = {b["name"]: b for b in json.loads((tmp_path / "c" / "eigen.json").read_text())}
+    assert "projection_evals" not in blocks["eigen_p2"]["inputs"]
+    ref = pspectral.closed_eigen(cli._build_mesh(parse_config(f"{text}mesh.kind = circle")), 3.0)
+    assert blocks["eigen_p3"]["inputs"]["projection_evals"] == ref.diagnostics["projection_evals"]
+    assert ref.diagnostics["projection_evals"] > 0
+    # a Dirichlet solve projects nothing
+    assert run(parse_config(f"{text}mesh.kind = interval\nout = {tmp_path / 'i'}")) == 0
+    blocks = json.loads((tmp_path / "i" / "eigen.json").read_text())
+    assert not any("projection_evals" in b["inputs"] for b in blocks if b["name"] != "meta")
+
+
 def test_eigen_command_reports_lipschitz_warning(tmp_path, monkeypatch):
     text = "command = eigen\nmesh.kind = interval\nmesh.segments = 60\np = 2, 3\n"
     assert run(parse_config(f"{text}out = {tmp_path / 'a'}")) == 0
@@ -310,6 +324,48 @@ def test_sweep_command_rows(tmp_path):
     names = {b["name"] for b in blocks}
     assert "ratio_monotone_p2" in names
     assert "croke_vs_ratio_a1.2_p2" in names
+
+
+IMPORT_FOOTPRINT = """
+import sys
+from pspec import cli
+
+def check(step):
+    heavy = ("scipy.optimize", "scipy.integrate", "scipy.special")
+    loaded = [m for m in heavy if m in sys.modules]
+    assert not loaded, f"{step} loaded {loaded}"
+
+check("import pspec.cli")
+for command, path in zip(sys.argv[1::2], sys.argv[2::2]):
+    # exit 1: some checks fail on a level-2 mesh; 2 would mean the run stopped
+    assert cli.main([command, "--config", path]) in (0, 1)
+    check(command)
+"""
+
+
+def test_cli_never_loads_scipy_optimize_integrate_or_special(tmp_path):
+    # import time counts in every run: the package loads only scipy.sparse and
+    # scipy.linalg, and no command imports more later on
+    configs = {
+        "verify": "mesh.level = 2\np = 1.5, 2\nbattery.count = 4\n",
+        "sweep": "sweep.aspects = 1.0, 1.2\nsweep.level = 2\np = 1.5, 2\nbattery.count = 4\n",
+    }
+    args = []
+    for command, text in configs.items():
+        text = f"command = {command}\n{text}out = {tmp_path / command}"
+        args += [command, write_config(tmp_path, text, f"{command}.cfg")]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    package_root = str(Path(pspec.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_FOOTPRINT, *args],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "verify" / "verify.json").exists()
+    assert (tmp_path / "sweep" / "sweep.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
+
+from pspec import pspectral
 
 from pspec.manifold import (
     build_circle,
@@ -24,6 +32,9 @@ from pspec.pspectral import (
     project_constraint,
     rayleigh_quotient,
     solve_radial_1d,
+    _RTOL,
+    _brentq,
+    _dop853,
     _eigen_solve,
     _fem,
     _p2_init,
@@ -519,3 +530,154 @@ def test_only_stages_with_a_p_step_report_log_lipschitz(ico2):
         assert np.isfinite(stage["log_lipschitz"])
     assert stages[-1]["eps"] == 0.0 and stages[-1]["p"] == stages[-2]["p"]
     assert stages[-1]["log_lipschitz"] is None
+
+
+# ---------------------------------------------------------------------------
+# in-module Brent and DOP853 against SciPy
+
+
+@st.composite
+def _monotone_root_problems(draw):
+    root = draw(st.floats(-5.0, 5.0))
+    power = draw(st.floats(0.3, 3.0))
+    slope = draw(st.floats(0.0, 2.0))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+
+    def f(x):
+        d = x - root
+        return sign * (math.copysign(abs(d) ** power, d) + slope * math.tanh(d))
+
+    a = root - draw(st.floats(1e-3, 10.0))
+    b = root + draw(st.floats(1e-3, 10.0))
+    xtol = 10.0 ** draw(st.floats(-15.0, -2.0))
+    rtol = _RTOL * 10.0 ** draw(st.floats(0.0, 10.0))
+    return f, a, b, xtol, rtol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monotone_root_problems())
+def test_brentq_is_bitwise_scipy_brentq(problem):
+    f, a, b, xtol, rtol = problem
+    try:
+        ref, info = brentq(f, a, b, xtol=xtol, rtol=rtol, full_output=True)
+    except RuntimeError:                # no convergence in 100 steps: the same
+        with pytest.raises(RuntimeError, match="converge"):
+            _brentq(f, a, b, xtol, rtol)
+        return
+    root, calls = _brentq(f, a, b, xtol, rtol)
+    assert root == ref
+    assert calls == info.function_calls
+
+
+def test_brentq_error_paths_match_scipy():
+    for solver in (brentq, lambda f, a, b: _brentq(f, a, b, 2e-12, _RTOL)):
+        with pytest.raises(ValueError, match="different signs"):
+            solver(lambda x: x * x + 1.0, -1.0, 1.0)
+        # the first interpolation lands at 0.5, where f is NaN
+        with pytest.raises(ValueError, match="NaN"):
+            solver(lambda x: math.nan if 0.2 < x < 0.9 else x - 0.5, 0.0, 1.0)
+    with pytest.raises(RuntimeError, match="converge"):
+        brentq(lambda x: x**3 - 0.3, 0.0, 1.0, xtol=1e-15, maxiter=2)
+    with pytest.raises(RuntimeError, match="converge"):
+        _brentq(lambda x: x**3 - 0.3, 0.0, 1.0, 1e-15, _RTOL, maxiter=2)
+
+
+def scipy_projection(field, p):
+    # the projection as it was written on scipy.optimize.brentq
+    u, m = field.values, field.mesh.vertex_measure
+    lo, hi = float(u.min()), float(u.max())
+
+    def defect(c):
+        d = u - c
+        return float(m @ (np.sign(d) * np.abs(d) ** (p - 1.0)))
+
+    c, info = brentq(defect, lo, hi, xtol=4.0 * np.finfo(float).eps * (hi - lo), full_output=True)
+    return u - c, info.function_calls
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 7.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_project_constraint_is_bitwise_the_scipy_projection(ico2, p, seed):
+    rng = np.random.default_rng(seed)
+    f = ScalarField(ico2, rng.normal(size=len(ico2.vertices)) * 10.0 ** rng.uniform(-3, 3))
+    evals = []
+    proj = project_constraint(f, p, evals)
+    ref, calls = scipy_projection(f, p)
+    assert np.array_equal(proj.values, ref)
+    assert evals == [calls]
+
+
+def scipy_radial(p, n, problem):
+    # solve_radial_1d as it was written on solve_ivp(..., "DOP853") and brentq
+    pim1 = 1.0 / (p - 1.0)
+    if problem == "hemisphere":
+        r0, rend, y0 = 1e-6, 0.5 * np.pi, lambda lam: [1.0, -lam * 1e-6**n / n]
+
+        def weight(r):
+            return math.sin(r) ** (n - 1)
+
+    else:
+        r0, rend, y0 = 0.0, 1.0, lambda lam: [0.0, 1.0]
+
+        def weight(r):
+            return 1.0
+
+    def endpoint(lam):
+        def rhs(r, y):
+            u, q = y.tolist()
+            du = math.copysign(abs(q / weight(r)) ** pim1, q)
+            return du, -lam * weight(r) * math.copysign(abs(u) ** (p - 1.0), u)
+
+        sol = solve_ivp(rhs, (r0, rend), y0(lam), method="DOP853", rtol=1e-11, atol=1e-13,
+                        t_eval=[rend])
+        assert sol.success
+        return float(sol.y[0, -1])
+
+    lam = 0.05
+    while endpoint(lam * 1.3) >= 0.0:
+        lam *= 1.3
+    return brentq(endpoint, lam, lam * 1.3, xtol=1e-12, rtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "p, n, problem",
+    [(p, n, "hemisphere") for n in (1, 2, 3, 8) for p in (1.2, 1.5, 2.0, 3.0, 6.0)]
+    + [(1.5, 1, "interval"), (3.0, 1, "interval")],
+)
+def test_radial_solver_matches_the_scipy_integrator(p, n, problem):
+    ref = scipy_radial(p, n, problem)
+    assert abs(solve_radial_1d(p, n, problem) - ref) <= 1e-14 * ref
+
+
+def test_dop853_fails_on_a_nan_right_hand_side():
+    def harmonic(r, u, q):
+        return q, -u
+
+    u, q = _dop853(harmonic, 0.0, 0.5 * np.pi, 0.0, 1.0, 1e-11, 1e-13)
+    assert u == pytest.approx(1.0, abs=1e-11) and q == pytest.approx(0.0, abs=1e-11)
+    with pytest.raises(RuntimeError, match="radial integration failed"):
+        _dop853(lambda r, u, q: (math.nan, math.nan), 0.0, 1.0, 0.0, 1.0, 1e-11, 1e-13)
+    # NaN from r = 0.5 on: the step shrinks below 10 ulp of r instead of looping
+    with pytest.raises(RuntimeError, match="radial integration failed"):
+        _dop853(lambda r, u, q: harmonic(r, u, q) if r < 0.5 else (math.nan, q),
+                0.0, 1.0, 0.0, 1.0, 1e-11, 1e-13)
+
+
+def test_projection_evals_counts_every_defect_evaluation(ico2, monkeypatch):
+    evaluated = []
+    brentq_in_module = pspectral._brentq
+
+    def counting_brentq(f, *args):
+        def g(x):
+            evaluated.append(x)
+            return f(x)
+
+        return brentq_in_module(g, *args)
+
+    monkeypatch.setattr(pspectral, "_brentq", counting_brentq)
+    for p in (1.5, 3.0):
+        evaluated.clear()
+        diagnostics = closed_eigen(ico2, p).diagnostics
+        assert diagnostics["projection_evals"] == len(evaluated) > 0
+    assert "projection_evals" not in closed_eigen(ico2, 2.0).diagnostics
+    assert "projection_evals" not in dirichlet_eigen(hemisphere_domain(ico2), 3.0).diagnostics
