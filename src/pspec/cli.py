@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .harness import chain_audit, pinching_sweep
 from .isoperim import (
-    CrokeProfile,
     battery_ratios,
     check_battery,
     croke_profile,
@@ -33,7 +32,6 @@ from .manifold import (
     build_ellipsoid,
     build_icosphere,
     build_interval,
-    diameter as mesh_diameter,
     hemisphere_domain,
     interior_domain,
     total_measure,
@@ -458,15 +456,9 @@ def _cmd_verify(cfg, outdir):
         _check("gromov_caps", {"ratios": cap_ratios}, float(np.abs(cap_ratios - 1.0).max()))
     )
 
-    prof = CrokeProfile.from_ratios(mesh_diameter(mesh), ratios)
+    low = float(ratios.min())
     blocks.append(
-        _check(
-            "croke_min_ratio",
-            {"diameter": prof.diameter, "count": prof.count},
-            prof.min_ratio - 1.0,
-            lhs=prof.min_ratio,
-            rhs=1.0,
-        )
+        _check("croke_min_ratio", {"count": len(ratios)}, low - 1.0, lhs=low, rhs=1.0)
     )
 
     report = chain_audit(hemi, cfg.ps[0], cfg.solver_options())
@@ -481,12 +473,8 @@ def _cmd_sweep(cfg, outdir):
     records = pinching_sweep(
         cfg.sweep_aspects, cfg.ps, cfg.sweep_level, cfg.solver_options()
     )
-    header = [
-        "aspect", "p", "lam_mesh", "lam_model", "ratio", "diameter",
-        "beta", "level", "min_curvature", "equality_case", "iterations",
-        "converged", "failed", "error",
-    ]
-    rows = [tuple(r.as_dict()[k] for k in header) for r in records]
+    header = list(records[0].as_dict())
+    rows = [tuple(r.as_dict().values()) for r in records]
     _write_csv(outdir / "sweep.csv", header, rows, cfg.seed)
 
     blocks = [_meta_block(cfg)]

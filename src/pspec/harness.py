@@ -17,15 +17,20 @@ from .manifold import (
     Mesh,
     beta as measure_ratio,
     build_ellipsoid,
-    cap_boundary,
     cap_radius,
-    cap_volume,
     diameter as mesh_diameter,
 )
 from .pspectral import check_p, closed_eigen, dirichlet_eigen, solve_radial_1d, _fem
-from .rearrange import _GAUSS_NODES, _GAUSS_WEIGHTS, distribution, symmetrize
+from .rearrange import (
+    cap_shell_integrals,
+    cap_shell_nodes,
+    cap_shells,
+    distribution,
+    symmetrize,
+)
 
 _CURVATURE_FLOOR = 0.99
+_AUDIT_GRID = 64
 
 
 @dataclass
@@ -53,21 +58,13 @@ class SweepRecord:
 
 
 def _curvature_certificate(mesh):
-    meta = mesh.meta
-    if "min_curvature" in meta:
-        return float(meta["min_curvature"])
-    if meta.get("kind") == "icosphere":
-        return 1.0 / float(meta.get("radius", 1.0)) ** 2
-    raise ValueError("mesh carries no curvature certificate in meta")
+    if "min_curvature" not in mesh.meta:
+        raise ValueError("mesh carries no curvature certificate in meta")
+    return float(mesh.meta["min_curvature"])
 
 
 def _is_round_unit(mesh):
-    meta = mesh.meta
-    if meta.get("kind") == "icosphere":
-        return float(meta.get("radius", 1.0)) == 1.0
-    if meta.get("kind") == "ellipsoid":
-        return float(meta.get("aspect", 0.0)) == 1.0 and meta.get("normalized", False)
-    return False
+    return mesh.meta.get("min_curvature") == mesh.meta.get("max_curvature") == 1.0
 
 
 def _sweep_record(mesh, p, opts, lam_model, diam, bet, min_curv, keep_going=False):
@@ -165,7 +162,7 @@ def _signed_worst(values):
     return float(values[np.argmax(np.abs(values))])
 
 
-def chain_audit(domain, p, opts=None, grid=64):
+def chain_audit(domain, p, opts=None):
     """Audit the energy-comparison argument on a Dirichlet eigenfunction.
 
     Five steps, each evaluated on a uniform threshold grid spanning 5% to
@@ -201,7 +198,7 @@ def chain_audit(domain, p, opts=None, grid=64):
     n = mesh.dimension
     umax = float(u.max())
 
-    levels = np.linspace(0.05 * umax, 0.90 * umax, grid)
+    levels = np.linspace(0.05 * umax, 0.90 * umax, _AUDIT_GRID)
     # extension to the maximum so cumulative tails are complete
     tail = np.linspace(levels[-1], umax, 17)[1:-1]
     ext = np.concatenate([levels, tail, [umax]])
@@ -218,18 +215,11 @@ def chain_audit(domain, p, opts=None, grid=64):
     bnd = sweep.level(levels)
     coarea_int = sweep.level(levels, inv_g)
 
-    radii = np.concatenate([cap_radius(mu / bet, n), [0.0]])
-    vol = cap_volume(radii, n)
-    dvol = vol[:-1] - vol[1:]
-    drad = radii[:-1] - radii[1:]
-    dlev = ext[1:] - ext[:-1]
-    slope = np.zeros(len(ext) - 1)
-    ok = drad > 0
-    slope[ok] = dlev[ok] / drad[ok]
+    radii, dvol, slope = cap_shells(ext, mu, bet, n)
 
     steps = []
 
-    dmu = -np.gradient(mu[:grid], levels)
+    dmu = -np.gradient(mu[:_AUDIT_GRID], levels)
     steps.append(
         AuditStep(
             "distribution_derivative",
@@ -258,18 +248,16 @@ def chain_audit(domain, p, opts=None, grid=64):
     # per-shell equality of the radial bound: slope^p * shell volume vs
     # slope^(p-1) * quadrature of the cap boundary across the shell
     gaps = np.zeros(len(slope))
-    act = ok & (dvol > 0)
-    a, b = radii[1:][act], radii[:-1][act]
-    half = 0.5 * (b - a)
-    rq = 0.5 * (a + b)[:, None] + half[:, None] * _GAUSS_NODES[None, :]
-    shell_bnd = (half * (cap_boundary(rq.ravel(), n).reshape(rq.shape) @ _GAUSS_WEIGHTS))
+    act = (slope > 0) & (dvol > 0)
+    half, _, bnd = cap_shell_nodes(radii[1:][act], radii[:-1][act], n)
+    shell_bnd = cap_shell_integrals(half, bnd, 1.0)
     lhs_shell = slope[act] ** p * dvol[act]
     rhs_shell = slope[act] ** (p - 1.0) * slope[act] * shell_bnd
     gaps[act] = (lhs_shell - rhs_shell) / lhs_shell
     steps.append(AuditStep("radial_equality", _signed_worst(gaps), gaps))
 
     star_energy = np.concatenate([np.cumsum((slope**p * dvol)[::-1])[::-1], [0.0]])
-    rel_e = (bet * star_energy[:grid] - energy) / energy
+    rel_e = (bet * star_energy[:_AUDIT_GRID] - energy) / energy
     steps.append(AuditStep("energy_comparison", float(rel_e.max()), rel_e))
 
     return AuditReport(p=float(p), lam=res.lam, levels=levels, steps=steps)

@@ -120,11 +120,17 @@ class Mesh:
         return self._adj
 
     def scaled(self, c):
-        """Return a copy with all vertex positions multiplied by c > 0."""
+        """Return a copy with all vertex positions multiplied by c > 0.
+
+        Curvature bounds in the meta scale by 1 / c^2.
+        """
         if c <= 0:
             raise ValueError("scale factor must be positive")
         meta = dict(self.meta)
         meta["scaled_by"] = c * meta.get("scaled_by", 1.0)
+        for key in ("min_curvature", "max_curvature"):
+            if key in meta:
+                meta[key] = meta[key] / c**2
         return Mesh(self.dimension, self.vertices * c, self.cells, meta)
 
     def __repr__(self):
@@ -374,14 +380,17 @@ def build_icosphere(level, radius=1.0):
 
     Level 0 is the icosahedron itself (12 vertices, 20 faces); each level
     quadruples the face count. The mesh is pole oriented: for level >= 1 a
-    closed ring of vertices lies exactly on the equator z = 0.
+    closed ring of vertices lies exactly on the equator z = 0. The meta
+    records the curvature bounds of the smooth sphere, both 1 / radius^2.
     """
     _check_level(level)
     if radius <= 0:
         raise ValueError("radius must be positive")
     verts, faces = _unit_icosphere(level)
     verts = verts * radius
+    curv = 1.0 / float(radius) ** 2
     meta = {"kind": "icosphere", "level": int(level), "radius": float(radius)}
+    meta.update(min_curvature=curv, max_curvature=curv)
     return Mesh(2, verts, faces, meta)
 
 

@@ -410,7 +410,6 @@ def _descent_stage(fem, u, p, eps, opts, lu, free, region, budget, evals):
     u = feasible(u)
     energy, mass, g, g2 = fem.energy_mass(u, p, eps)
     rq = energy / mass
-    trace = [rq]
     grad = fem.grad_log_quotient(u, p, eps, energy, mass, g, g2)
     t, streak, iters, rel, converged = 1.0, 0, 0, np.inf, False
     d = np.zeros_like(u)
@@ -447,14 +446,13 @@ def _descent_stage(fem, u, p, eps, opts, lu, free, region, budget, evals):
             raise AssertionError("descent accepted an increasing Rayleigh step")
         rel = abs(rq - rq_new) / rq_new
         rq = rq_new
-        trace.append(rq)
         iters += 1
         streak = streak + 1 if rel < opts.tol else 0
         if streak >= opts.stall:
             converged = True
             break
         grad = fem.grad_log_quotient(u, p, eps, energy, mass, g, g2)
-    return u, {"iters": iters, "converged": converged, "residual": rel, "trace": trace}
+    return u, {"iters": iters, "converged": converged, "residual": rel, "rayleigh": rq}
 
 
 def _eigen_solve(region, p, opts):
@@ -487,7 +485,7 @@ def _eigen_solve(region, p, opts):
             budget -= info["iters"]
             converged = info["converged"] and budget > 0
             residual = info["residual"]
-            lam_k = info["trace"][-1]
+            lam_k = info["rayleigh"]
             # the final eps = 0 stage makes no p step and gets no drift
             dlogp = abs(np.log(pk / p_prev))
             drift = abs(np.log(lam_k / lam_prev)) / dlogp if dlogp > 1e-12 else None

@@ -17,6 +17,7 @@ import numpy as np
 
 from .manifold import SPHERE_MEASURE, cap_boundary, cap_radius, cap_volume
 from .isoperim import LevelSweep
+from .pspectral import _fem
 
 _TIE_SCALE = 1e-13
 _CHECK_GRID = 256
@@ -32,6 +33,42 @@ def _tie_broken_keys(values):
     span = float(values.max() - values.min())
     scale = max(span, float(np.abs(values).max()), 1.0)
     return values + np.arange(len(values)) * (_TIE_SCALE * scale)
+
+
+def cap_shell_nodes(a, b, n):
+    """8-point Gauss nodes on the model-sphere cap shells a < r < b.
+
+    Returns the shells' half-widths, the nodes (one row per shell) and the
+    cap boundary measure at the nodes, the weight of polar coordinates on
+    the model S^n.
+    """
+    half = 0.5 * (b - a)
+    r = 0.5 * (a + b)[:, None] + half[:, None] * _GAUSS_NODES
+    return half, r, cap_boundary(r, n)
+
+
+def cap_shell_integrals(half, bnd, f):
+    """Integral of f over each shell, from its values at cap_shell_nodes."""
+    return half * ((f * bnd) @ _GAUSS_WEIGHTS)
+
+
+def cap_shells(levels, measures, beta, n):
+    """Cap rearrangement of a field on a level grid.
+
+    ``measures`` are the superlevel measures at ``levels[:-1]`` (ascending;
+    the last level is the field maximum, where the measure vanishes).
+    Divided by beta, each is matched to a cap of the model S^n. Returns the
+    cap radii, one per level and decreasing to 0, the volumes of the shells
+    between successive caps, and the rearranged profile's slope on each
+    shell (level step over radius step; 0 on a shell of zero width).
+    """
+    radii = np.append(cap_radius(np.minimum(measures / beta, SPHERE_MEASURE[n]), n), 0.0)
+    vol = cap_volume(radii, n)
+    dr = radii[:-1] - radii[1:]
+    ok = dr > 0
+    slope = np.zeros(len(dr))
+    slope[ok] = np.diff(levels)[ok] / dr[ok]
+    return radii, vol[:-1] - vol[1:], slope
 
 
 @dataclass
@@ -107,13 +144,10 @@ class RadialProfile:
         return np.interp(r, self.knots, self.values)
 
     def _quadrature(self, a, b):
-        # Gauss nodes on the intervals [a, b]: half-widths, profile values
-        # and cap boundary weights at the nodes
-        half = 0.5 * (b - a)
-        r = (0.5 * (a + b)[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel()
-        shape = (len(half), len(_GAUSS_NODES))
-        vals = self.value_at(r).reshape(shape)
-        return half, vals, cap_boundary(r, self.dimension).reshape(shape)
+        # half-widths, profile values and cap boundary weights at the Gauss
+        # nodes of the shells a < r < b
+        half, r, bnd = cap_shell_nodes(a, b, self.dimension)
+        return half, self.value_at(r), bnd
 
     @cached_property
     def _gauss(self):
@@ -126,7 +160,7 @@ class RadialProfile:
     @staticmethod
     def _masses(p, quadrature):
         half, vals, bnd = quadrature
-        return half * ((vals**p * bnd) @ _GAUSS_WEIGHTS)
+        return cap_shell_integrals(half, bnd, vals**p)
 
     def lp_mass(self, p):
         """Integral of value^p over the model sphere (polar coordinates)."""
@@ -217,30 +251,17 @@ class EnergyComparisonCheck:
     rel_margin: float
 
 
-def _interp_cap_radii(field, levels, beta):
-    """Cap radii matching interpolated superlevel measures at each level.
-
-    The piecewise-linear superlevel measure is used instead of the lumped
-    one: its t-derivative is the coarea integrand of the interpolant, so
-    the radial slopes below stay free of vertex-mass granularity noise.
-    """
-    n = field.mesh.dimension
-    full = SPHERE_MEASURE[n]
-    v = np.minimum(LevelSweep(field).superlevel(levels) / beta, full)
-    return cap_radius(v, n)
-
-
-def polya_szego_check(field, beta, p, grid=_CHECK_GRID):
+def polya_szego_check(field, beta, p):
     """Energy comparison: p-Dirichlet energy of the positive part vs beta
     times the energy of its cap rearrangement.
 
-    The rearranged energy integrates |slope|^p over cap shells, with the
-    radial profile rebuilt from interpolated superlevel measures on a
-    uniform level grid. margin = lhs - beta*rhs must be nonnegative up to
-    mesh error; rel_margin divides by lhs.
+    The rearranged energy integrates |slope|^p over the cap shells of a
+    uniform level grid. The shells match interpolated superlevel measures,
+    not lumped ones: their t-derivative is the coarea integrand of the
+    interpolant, so the slopes stay free of vertex-mass granularity noise.
+    margin = lhs - beta*rhs must be nonnegative up to mesh error;
+    rel_margin divides by lhs.
     """
-    from .pspectral import _fem  # local import: avoids cycle at load time
-
     u = field.values
     if not (u > 0).any():
         raise ValueError("field has no positive part to compare")
@@ -249,19 +270,9 @@ def polya_szego_check(field, beta, p, grid=_CHECK_GRID):
     g2 = (fem.gradients(pos) ** 2).sum(axis=1)
     lhs = float(fem.cellw @ g2 ** (p / 2.0))
 
-    umax = float(u.max())
-    levels = np.linspace(0.0, umax, grid + 1)
-    radii = np.empty(grid + 1)
-    radii[:-1] = _interp_cap_radii(field, levels[:-1], beta)
-    radii[-1] = 0.0
-    n = field.mesh.dimension
-    vol = cap_volume(radii, n)
-    dv = vol[:-1] - vol[1:]
-    dr = radii[:-1] - radii[1:]
-    dt = levels[1:] - levels[:-1]
-    ok = dr > 0
-    slope = np.zeros(grid)
-    slope[ok] = dt[ok] / dr[ok]
+    levels = np.linspace(0.0, float(u.max()), _CHECK_GRID + 1)
+    mu = LevelSweep(field).superlevel(levels[:-1])
+    _, dv, slope = cap_shells(levels, mu, beta, field.mesh.dimension)
     rhs = float((slope**p) @ dv)
     margin = lhs - beta * rhs
     return EnergyComparisonCheck(lhs, beta * rhs, margin, margin / lhs)
@@ -274,15 +285,13 @@ class CoareaCheck:
     rel_err: float
 
 
-def coarea_check(field, grid=_CHECK_GRID):
+def coarea_check(field):
     """Total variation two ways: cell gradients vs integrated level measure.
 
     lhs integrates |grad u| over cells; rhs integrates the level boundary
     measure of the interpolant over a uniform level grid (trapezoid rule,
     with half-panel closures at both ends).
     """
-    from .pspectral import _fem
-
     fem = _fem(field.mesh)
     g = np.linalg.norm(fem.gradients(field.values), axis=1)
     lhs = float(fem.cellw @ g)
@@ -290,7 +299,7 @@ def coarea_check(field, grid=_CHECK_GRID):
     lo, hi = float(field.values.min()), float(field.values.max())
     if hi <= lo:
         raise ValueError("constant field has no level structure")
-    inner = np.linspace(lo, hi, grid + 2)[1:-1]
+    inner = np.linspace(lo, hi, _CHECK_GRID + 2)[1:-1]
     lens = LevelSweep(field).level(inner)
     step = inner[1] - inner[0]
     rhs = float(np.trapezoid(lens, inner) + 0.5 * step * (lens[0] + lens[-1]))

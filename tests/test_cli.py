@@ -279,7 +279,21 @@ def test_croke_min_ratio_is_the_gromov_battery_minimum(checked_blocks):
     gromov, croke = blocks["gromov_battery"], blocks["croke_min_ratio"]
     assert croke["lhs"] == 1.0 + gromov["margin"]
     assert croke["margin"] == gromov["margin"]
-    assert croke["inputs"]["count"] == gromov["inputs"]["count"] == 6 * 3
+    assert croke["inputs"] == {"count": gromov["inputs"]["count"]}
+    assert croke["inputs"]["count"] == 6 * 3
+
+
+def test_verify_computes_no_diameter(tmp_path, monkeypatch):
+    # every diameter, under whatever name it is imported, builds this graph
+    def no_graph(mesh):
+        raise AssertionError("verify computed a diameter")
+
+    monkeypatch.setattr(pspec.manifold, "_geodesic_graph", no_graph)
+    cfg = parse_config(
+        "command = verify\nmesh.level = 3\np = 2\nbattery.count = 4\n"
+        f"seed = 7\nout = {tmp_path / 'v'}"
+    )
+    assert run(cfg) == 0
 
 
 def test_verify_sweeps_one_battery_once(tmp_path, monkeypatch):
@@ -318,6 +332,9 @@ def test_sweep_command_rows(tmp_path):
     assert run(cfg) == 0
     rows = (tmp_path / "w" / "sweep.csv").read_text().splitlines()
     assert rows[0] == "# seed = 0"
+    assert rows[1] == ",".join(
+        f.name for f in dataclasses.fields(harness.SweepRecord) if f.name != "mesh"
+    )
     assert rows[1].startswith("aspect,p,lam_mesh,lam_model,ratio,diameter,beta,")
     assert len(rows) == 2 + 2  # one data row per (aspect, p)
     blocks = json.loads((tmp_path / "w" / "sweep.json").read_text())

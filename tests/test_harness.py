@@ -54,6 +54,24 @@ def test_comparison_requires_curvature_certificate():
         sphere_comparison(bare, 2.0)
 
 
+def test_scaled_sphere_loses_its_curvature_certificate(ico2):
+    # radius 2 gives K = 1/4, below the floor
+    with pytest.raises(ValueError, match="curvature minimum 0.2500"):
+        sphere_comparison(ico2.scaled(2.0), 2.0)
+
+
+def test_scaled_up_half_sphere_is_an_equality_case():
+    rec = sphere_comparison(build_icosphere(2, 0.5).scaled(2.0), 2.0)
+    assert rec.min_curvature == 1.0
+    assert rec.equality_case
+
+
+def test_unnormalized_round_ellipsoid_is_an_equality_case():
+    assert harness._is_round_unit(build_ellipsoid(1.0, 2, normalize=False))
+    assert not harness._is_round_unit(build_icosphere(2, 0.5))
+    assert not harness._is_round_unit(build_interval(5))
+
+
 def _icosahedron_arrays():
     m = build_icosphere(1)
     return m.vertices, m.cells

@@ -146,6 +146,21 @@ def test_beta_rejects_open_mesh():
         beta(build_interval(10))
 
 
+def test_icosphere_records_its_curvature():
+    m = build_icosphere(1, 0.5)
+    assert m.meta["min_curvature"] == m.meta["max_curvature"] == 4.0
+
+
+@pytest.mark.parametrize(
+    "mesh", [build_icosphere(1, 2.0), build_ellipsoid(1.3, 1), build_ellipsoid(1.3, 1, False)]
+)
+def test_scaled_divides_the_curvature_bounds(mesh):
+    m = mesh.scaled(3.0).scaled(0.5)
+    for key in ("min_curvature", "max_curvature"):
+        assert m.meta[key] == pytest.approx(mesh.meta[key] / 2.25, rel=1e-15)
+    assert "min_curvature" not in build_interval(4).scaled(2.0).meta
+
+
 def test_unnormalized_ellipsoid_curvature_below_one():
     m = build_ellipsoid(1.5, 2, normalize=False)
     assert m.meta["min_curvature"] < 1.0

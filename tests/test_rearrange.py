@@ -6,12 +6,16 @@ from pspec.manifold import (
     build_icosphere,
     cap_boundary,
     cap_radius,
+    cap_volume,
     hemisphere_domain,
     total_measure,
 )
-from pspec.isoperim import domain_bump_battery
+from pspec.isoperim import LevelSweep, domain_bump_battery
 from pspec.pspectral import ScalarField, coordinate_field, dirichlet_eigen
 from pspec.rearrange import (
+    cap_shell_integrals,
+    cap_shell_nodes,
+    cap_shells,
     coarea_check,
     distribution,
     lp_equimeasurability,
@@ -265,6 +269,50 @@ def test_lp_mass_is_independent_of_call_order(ico3):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# cap shells
+
+
+def test_cap_shells_of_z_are_the_caps_of_z(ico4):
+    # {z > t} is the cap of radius arccos t and the rearranged z is z itself,
+    # so the radii track arccos(levels) and the slopes dt/dr track sin r.
+    # Measured on this mesh with 64 levels: radius error 2.81e-3, slope
+    # error 3.17e-3 against sin at the exact mid-radius of each shell; both
+    # shrink about fourfold per refinement level (1.07e-2 at level 3,
+    # 6.8e-4 at level 5 for the radii).
+    z = coordinate_field(ico4)
+    levels = np.linspace(-1.0, 1.0, 65)
+    mu = LevelSweep(z).superlevel(levels[:-1])
+    radii, dv, slope = cap_shells(levels, mu, beta(ico4), 2)
+    exact = np.arccos(levels)
+    assert radii[-1] == 0.0
+    assert np.abs(radii - exact).max() <= 3e-3
+    assert np.abs(slope - np.sin(0.5 * (exact[:-1] + exact[1:]))).max() <= 3.5e-3
+    assert dv.sum() == pytest.approx(4.0 * np.pi, rel=1e-13)
+
+
+def test_cap_shells_zero_width_shell_has_zero_slope():
+    # no mass between levels 1 and 2: the shell collapses to one radius
+    radii, dv, slope = cap_shells(
+        np.array([0.0, 1.0, 2.0, 3.0]), np.array([2.0, 1.0, 1.0]), 1.0, 2
+    )
+    assert radii[1] == radii[2] and radii[3] == 0.0
+    assert dv[1] == 0.0 and slope[1] == 0.0
+    assert (slope[[0, 2]] > 0).all()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cap_shell_integrals_of_one_are_shell_volumes(n):
+    # the integral of 1 over a shell is its volume; measured 3.5e-15 for n = 2
+    edges = np.linspace(0.0, np.pi, 50)
+    half, nodes, bnd = cap_shell_nodes(edges[:-1], edges[1:], n)
+    assert nodes.shape == (49, 8)
+    assert ((nodes > edges[:-1, None]) & (nodes < edges[1:, None])).all()
+    np.testing.assert_allclose(
+        cap_shell_integrals(half, bnd, 1.0), np.diff(cap_volume(edges, n)), rtol=0, atol=1e-14
+    )
 
 
 # ---------------------------------------------------------------------------
