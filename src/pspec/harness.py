@@ -269,7 +269,9 @@ def pinching_sweep(aspects, ps, level=4, opts=None):
     One record per (aspect, p), sorted by diameter then p, each carrying
     the ellipsoid it was solved on (built once per aspect). Solver failures
     are recorded on the row and do not stop the sweep. The reference
-    eigenvalue is solved once per p.
+    eigenvalue is solved once per p. Once an ellipsoid's rows are solved its
+    FEM operators and geodesic graph are dropped, so the sweep holds one
+    mesh's caches at a time.
     """
     lam_model = {float(p): solve_radial_1d(p, 2, "hemisphere") for p in ps}
     records = []
@@ -284,5 +286,7 @@ def pinching_sweep(aspects, ps, level=4, opts=None):
             )
             for p in ps
         )
+        for cache in ("_fem_ops", "_geo_graph"):
+            mesh.__dict__.pop(cache, None)
     records.sort(key=lambda r: (r.diameter, r.p))
     return records

@@ -33,53 +33,71 @@ class LevelSetCurve:
     closed: bool
 
 
+_BLOCK = 8192
+
+
 class LevelSweep:
     """Exact level-set sums of one vertex field over any batch of thresholds.
 
     A cell is crossed by the level t when min <= t < max over its vertices;
     only those (cell, threshold) pairs are evaluated, and cells wholly above
     t contribute their full weight through suffix sums over the sorted cell
-    minima. Pairs are reduced in cell-index order, so a batch returns
-    bitwise the same numbers as one threshold at a time.
+    minima. Pairs are evaluated in blocks of at most ``_BLOCK``, so memory
+    stays bounded however many thresholds a batch has, into one per-pair
+    array that a single bincount reduces in cell-index order: a batch
+    returns bitwise the same numbers as one threshold at a time.
     """
 
     def __init__(self, field):
         self.mesh = field.mesh
+        self._u = field.values
         self._uc = field.values[self.mesh.cells]
-        self._srt = np.sort(self._uc, axis=1)
-        self._by_min = np.argsort(self._srt[:, 0], kind="stable")
-        self._min_sorted = self._srt[self._by_min, 0]
+        # sorted vertex values of each cell by a min/max network: lo, hi,
+        # and the middle value of a triangle
+        a, b = self._uc[:, 0], self._uc[:, 1]
+        self._lo, self._hi = np.minimum(a, b), np.maximum(a, b)
+        if self.mesh.dimension == 2:
+            c = self._uc[:, 2]
+            self._mid = np.maximum(self._lo, np.minimum(self._hi, c))
+            self._lo, self._hi = np.minimum(self._lo, c), np.maximum(self._hi, c)
+        self._by_min = np.argsort(self._lo, kind="stable")
+        self._min_sorted = self._lo[self._by_min]
 
     def _pairs(self, ts):
+        # searchsorted is monotone, so a cell's first and last crossing
+        # thresholds are read off its min and max vertex
         ts = np.asarray(ts, dtype=float)
         order = np.argsort(ts, kind="stable")
-        srt = ts[order]
-        first = np.searchsorted(srt, self._srt[:, 0], side="left")
-        count = np.searchsorted(srt, self._srt[:, -1], side="left") - first
+        pos = np.searchsorted(ts[order], self._u, side="left")
+        cols = np.stack([pos[c] for c in self.mesh.cells.T])
+        first = np.minimum.reduce(cols)
+        count = np.maximum.reduce(cols) - first
         cell = np.repeat(np.arange(len(count)), count)
-        k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
-        return cell, order[first[cell] + k], ts
+        idx = np.arange(len(cell))
+        idx -= np.repeat(np.cumsum(count) - count - first, count)
+        return cell, order[idx], ts
 
     def _crossings(self, cell, t):
-        # interpolated level points of each crossed cell: the d edges from
-        # the lone vertex (alone on its side of t; vertex 0 in 1-D) to the
-        # others. Returns (k, d, 3) points and the (k, d, 2) crossed edges.
+        # the d crossed edges of each crossed cell run from its lone vertex
+        # (alone on its side of t: the max vertex when t >= mid, else the
+        # min vertex; vertex 0 in 1-D) to the others. Returns the lone
+        # vertices, the d other ends and the d interpolated (k, 3) points.
         d = self.mesh.dimension
         cc, uc = self.mesh.cells[cell], self._uc[cell]
         rows = np.arange(len(cell))
         lone = np.zeros(len(cell), dtype=np.int64)
         if d == 2:
-            above = uc > t[:, None]
-            lone = np.where(above.sum(1) == 1, np.argmax(above, 1), np.argmax(~above, 1))
+            lone = np.where(t >= self._mid[cell], np.argmax(uc, 1), np.argmin(uc, 1))
         V = self.mesh.vertices
-        base = cc[rows, lone]
-        pts, edges = [], []
+        base, u0 = cc[rows, lone], uc[rows, lone]
+        x0 = V[base]
+        ends, pts = [], []
         for k in range(1, d + 1):
             oth = (lone + k) % (d + 1)
-            w = (t - uc[rows, lone]) / (uc[rows, oth] - uc[rows, lone])
-            pts.append(V[base] + w[:, None] * (V[cc[rows, oth]] - V[base]))
-            edges.append(np.stack([base, cc[rows, oth]], 1))
-        return np.stack(pts, 1), np.stack(edges, 1)
+            ends.append(cc[rows, oth])
+            w = (t - u0) / (uc[rows, oth] - u0)
+            pts.append(x0 + w[:, None] * (V[ends[-1]] - x0))
+        return base, ends, pts
 
     def level(self, ts, weights=None):
         """Sum over cells of weight times level-set measure in the cell.
@@ -89,12 +107,14 @@ class LevelSweep:
         """
         cell, tid, ts = self._pairs(ts)
         if self.mesh.dimension == 2:
-            pts, _ = self._crossings(cell, ts[tid])
-            size = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
+            size = np.empty(len(cell))
+            for b in _blocks(len(cell)):
+                _, _, (p0, p1) = self._crossings(cell[b], ts[tid[b]])
+                size[b] = np.linalg.norm(p1 - p0, axis=1)
         else:
             size = np.ones(len(cell))
         if weights is not None:
-            size = size * np.asarray(weights, dtype=float)[cell]
+            size *= np.asarray(weights, dtype=float)[cell]
         return np.bincount(tid, weights=size, minlength=len(ts))
 
     def superlevel(self, ts, weights=None):
@@ -104,21 +124,29 @@ class LevelSweep:
         """
         w = self.mesh.cell_measure if weights is None else np.asarray(weights, dtype=float)
         cell, tid, ts = self._pairs(ts)
-        t = ts[tid]
-        srt = self._srt[cell]
-        if self.mesh.dimension == 2:
-            c_, b_, a_ = srt[:, 0], srt[:, 1], srt[:, 2]
-            frac = np.empty(len(cell))
-            m = t >= b_
-            frac[m] = (a_[m] - t[m]) ** 2 / ((a_[m] - b_[m]) * (a_[m] - c_[m]))
-            m = ~m
-            frac[m] = 1.0 - (t[m] - c_[m]) ** 2 / ((a_[m] - c_[m]) * (b_[m] - c_[m]))
-        else:
-            b_, a_ = srt[:, 0], srt[:, 1]
-            frac = (a_ - t) / (a_ - b_)
+        part = np.empty(len(cell))
+        for b in _blocks(len(cell)):
+            cb, t = cell[b], ts[tid[b]]
+            c_, a_ = self._lo[cb], self._hi[cb]
+            if self.mesh.dimension == 2:
+                b_ = self._mid[cb]
+                frac = np.empty(len(cb))
+                m = t >= b_
+                frac[m] = (a_[m] - t[m]) ** 2 / ((a_[m] - b_[m]) * (a_[m] - c_[m]))
+                m = ~m
+                frac[m] = 1.0 - (t[m] - c_[m]) ** 2 / ((a_[m] - c_[m]) * (b_[m] - c_[m]))
+            else:
+                frac = (a_ - t) / (a_ - c_)
+            part[b] = frac * w[cb]
         whole = np.concatenate([np.cumsum(w[self._by_min][::-1])[::-1], [0.0]])
         above = whole[np.searchsorted(self._min_sorted, ts, side="right")]
-        return above + np.bincount(tid, weights=frac * w[cell], minlength=len(ts))
+        return above + np.bincount(tid, weights=part, minlength=len(ts))
+
+
+def _blocks(n):
+    # slices of at most _BLOCK pairs covering range(n): the kernels' per-pair
+    # temporaries stay bounded however many pairs a batch has
+    return (slice(s, s + _BLOCK) for s in range(0, n, _BLOCK))
 
 
 def _field_range(field):
@@ -141,12 +169,14 @@ def level_curve(field, t):
     _require_interior_level(field, t)
     sweep = LevelSweep(field)
     cell, tid, ts = sweep._pairs([t])
-    pts, edges = sweep._crossings(cell, ts[tid])
+    base, ends, pts = sweep._crossings(cell, ts[tid])
     measure = float(sweep.level([t])[0])
     if field.mesh.dimension == 1:
-        return LevelSetCurve(float(t), pts[:, 0], measure, len(pts) % 2 == 0)
-    _, counts = _unique_edges(edges.reshape(-1, 2), len(field.mesh.vertices))
-    return LevelSetCurve(float(t), pts, measure, bool(len(pts)) and bool((counts == 2).all()))
+        return LevelSetCurve(float(t), pts[0], measure, len(pts[0]) % 2 == 0)
+    edges = np.column_stack([np.tile(base, len(ends)), np.concatenate(ends)])
+    _, counts = _unique_edges(edges, len(field.mesh.vertices))
+    closed = bool(len(base)) and bool((counts == 2).all())
+    return LevelSetCurve(float(t), np.stack(pts, 1), measure, closed)
 
 
 def level_boundary_measure(field, t):

@@ -122,12 +122,21 @@ class Mesh:
     def scaled(self, c):
         """Return a copy with all vertex positions multiplied by c > 0.
 
-        Curvature bounds in the meta scale by 1 / c^2.
+        Lengths in the meta (``radius``, ``scale``, ``semi_axes`` and the
+        interval ends ``a``, ``b``) scale by c and curvature bounds by
+        1 / c^2; an ellipsoid stays ``normalized`` only when c == 1.
         """
         if c <= 0:
             raise ValueError("scale factor must be positive")
         meta = dict(self.meta)
         meta["scaled_by"] = c * meta.get("scaled_by", 1.0)
+        for key in ("radius", "scale", "a", "b"):
+            if key in meta:
+                meta[key] = meta[key] * c
+        if "semi_axes" in meta:
+            meta["semi_axes"] = tuple(s * c for s in meta["semi_axes"])
+        if "normalized" in meta:
+            meta["normalized"] = meta["normalized"] and c == 1
         for key in ("min_curvature", "max_curvature"):
             if key in meta:
                 meta[key] = meta[key] / c**2

@@ -3,6 +3,7 @@ import pytest
 
 import pspec.harness as harness
 from pspec.harness import chain_audit, pinching_sweep, sphere_comparison
+from pspec.isoperim import croke_profile
 from pspec.manifold import (
     build_ellipsoid,
     build_icosphere,
@@ -145,6 +146,25 @@ def test_pinching_sweep_small():
         assert r.ratio >= 0.98
         d = r.as_dict()
         assert d["aspect"] == r.aspect and d["error"] == ""
+
+
+def test_pinching_sweep_drops_each_mesh_caches(monkeypatch):
+    built = []
+    real = harness.closed_eigen
+
+    def solve(mesh, p, opts=None):
+        res = real(mesh, p, opts)
+        built.append(hasattr(mesh, "_fem_ops") and hasattr(mesh, "_geo_graph"))
+        return res
+
+    monkeypatch.setattr(harness, "closed_eigen", solve)
+    recs = pinching_sweep([1.0, 1.1], [2.0, 3.0], level=2)
+    assert built == [True] * 4
+    for r in recs:
+        assert not hasattr(r.mesh, "_fem_ops") and not hasattr(r.mesh, "_geo_graph")
+    prof = croke_profile(recs[0].mesh, recs[0].beta, recs[0].diameter, count=4)
+    assert prof.count == 12
+    assert not hasattr(recs[0].mesh, "_fem_ops")
 
 
 def test_pinching_sweep_records_failures(monkeypatch):

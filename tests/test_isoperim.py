@@ -1,7 +1,20 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pspec.manifold import beta, build_circle, build_icosphere, diameter
+import pspec.isoperim as isoperim
+from pspec.manifold import (
+    _unique_edges,
+    beta,
+    build_circle,
+    build_icosphere,
+    build_interval,
+    diameter,
+)
 from pspec.isoperim import (
     LevelSweep,
     check_battery,
@@ -17,6 +30,11 @@ from pspec.isoperim import (
 )
 from pspec.manifold import hemisphere_domain
 from pspec.pspectral import ScalarField, coordinate_field
+
+
+@pytest.fixture(scope="module")
+def ico5():
+    return build_icosphere(5)
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +116,9 @@ def test_superlevel_matches_cap_areas(ico4):
         )
 
 
-def test_superlevel_hemisphere_area_level5():
+def test_superlevel_hemisphere_area_level5(ico5):
     # Archimedes: the hemisphere occupies half of the sphere area
-    z = coordinate_field(build_icosphere(5))
+    z = coordinate_field(ico5)
     assert superlevel_measure(z, 0.0) == pytest.approx(2 * np.pi, rel=0.01)
 
 
@@ -227,6 +245,181 @@ def test_sweep_default_weights_are_explicit_weights(ico3, rng):
     sweep = LevelSweep(f)
     np.testing.assert_array_equal(sweep.level(ts, np.ones(len(ico3.cells))), sweep.level(ts))
     np.testing.assert_array_equal(sweep.superlevel(ts, ico3.cell_measure), sweep.superlevel(ts))
+
+
+# ---------------------------------------------------------------------------
+# blocked kernels against the whole-batch reference
+
+
+class _ReferenceSweep:
+    """LevelSweep with whole-batch kernels: one sort per cell, two searches
+    over the cell values, and every per-pair temporary alive at once. The
+    blocked kernels must return bitwise the same arrays."""
+
+    def __init__(self, field):
+        self.mesh = field.mesh
+        self._uc = field.values[self.mesh.cells]
+        self._srt = np.sort(self._uc, axis=1)
+        self._by_min = np.argsort(self._srt[:, 0], kind="stable")
+        self._min_sorted = self._srt[self._by_min, 0]
+
+    def _pairs(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        order = np.argsort(ts, kind="stable")
+        srt = ts[order]
+        first = np.searchsorted(srt, self._srt[:, 0], side="left")
+        count = np.searchsorted(srt, self._srt[:, -1], side="left") - first
+        cell = np.repeat(np.arange(len(count)), count)
+        k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
+        return cell, order[first[cell] + k], ts
+
+    def _crossings(self, cell, t):
+        d = self.mesh.dimension
+        cc, uc = self.mesh.cells[cell], self._uc[cell]
+        rows = np.arange(len(cell))
+        lone = np.zeros(len(cell), dtype=np.int64)
+        if d == 2:
+            above = uc > t[:, None]
+            lone = np.where(above.sum(1) == 1, np.argmax(above, 1), np.argmax(~above, 1))
+        V = self.mesh.vertices
+        base = cc[rows, lone]
+        pts, edges = [], []
+        for k in range(1, d + 1):
+            oth = (lone + k) % (d + 1)
+            w = (t - uc[rows, lone]) / (uc[rows, oth] - uc[rows, lone])
+            pts.append(V[base] + w[:, None] * (V[cc[rows, oth]] - V[base]))
+            edges.append(np.stack([base, cc[rows, oth]], 1))
+        return np.stack(pts, 1), np.stack(edges, 1)
+
+    def level(self, ts, weights=None):
+        cell, tid, ts = self._pairs(ts)
+        if self.mesh.dimension == 2:
+            pts, _ = self._crossings(cell, ts[tid])
+            size = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
+        else:
+            size = np.ones(len(cell))
+        if weights is not None:
+            size = size * np.asarray(weights, dtype=float)[cell]
+        return np.bincount(tid, weights=size, minlength=len(ts))
+
+    def superlevel(self, ts, weights=None):
+        w = self.mesh.cell_measure if weights is None else np.asarray(weights, dtype=float)
+        cell, tid, ts = self._pairs(ts)
+        t = ts[tid]
+        srt = self._srt[cell]
+        if self.mesh.dimension == 2:
+            c_, b_, a_ = srt[:, 0], srt[:, 1], srt[:, 2]
+            frac = np.empty(len(cell))
+            m = t >= b_
+            frac[m] = (a_[m] - t[m]) ** 2 / ((a_[m] - b_[m]) * (a_[m] - c_[m]))
+            m = ~m
+            frac[m] = 1.0 - (t[m] - c_[m]) ** 2 / ((a_[m] - c_[m]) * (b_[m] - c_[m]))
+        else:
+            b_, a_ = srt[:, 0], srt[:, 1]
+            frac = (a_ - t) / (a_ - b_)
+        whole = np.concatenate([np.cumsum(w[self._by_min][::-1])[::-1], [0.0]])
+        above = whole[np.searchsorted(self._min_sorted, ts, side="right")]
+        return above + np.bincount(tid, weights=frac * w[cell], minlength=len(ts))
+
+    def curve(self, t):
+        cell, tid, ts = self._pairs([t])
+        pts, edges = self._crossings(cell, ts[tid])
+        measure = float(self.level([t])[0])
+        if self.mesh.dimension == 1:
+            return pts[:, 0], measure, len(pts) % 2 == 0
+        _, counts = _unique_edges(edges.reshape(-1, 2), len(self.mesh.vertices))
+        return pts, measure, bool(len(pts)) and bool((counts == 2).all())
+
+
+_EQUIV_MESHES = {
+    "ico2": build_icosphere(2),
+    "ico3": build_icosphere(3),
+    "circle": build_circle(24),
+    "interval": build_interval(17, -1.0, 1.0),
+}
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A field, a threshold batch and a block size for the equivalence test.
+
+    Fields are smooth, bumps, or bumps cut to zero on part of the mesh
+    (constant patches), optionally quantized so that vertex values tie.
+    Thresholds mix vertex values, triangle middle values, the field's own
+    extremes, values outside its range and uniform draws; the batch may be
+    empty, and small block sizes split even short batches into many blocks.
+    """
+    mesh = _EQUIV_MESHES[draw(st.sampled_from(sorted(_EQUIV_MESHES)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["smooth", "bump", "cut"]))
+    if kind == "smooth":
+        u = random_smooth_field(mesh, rng).values
+    else:
+        u = random_bump_field(mesh, rng).values
+        if kind == "cut":
+            u = np.where(mesh.vertices[:, 0] > rng.uniform(-0.5, 0.5), u, 0.0)
+    step = draw(st.sampled_from([0.0, 0.05, 0.25]))
+    if step:
+        u = np.round(u / step) * step
+    lo, hi = float(u.min()), float(u.max())
+    uc = np.sort(u[mesh.cells], axis=1)
+    pools = [u, uc[:, 1], np.array([lo, hi, lo - 1.0, hi + 1.0]), rng.uniform(lo, hi, 64)]
+    picks = draw(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2**16)), max_size=48)
+    )
+    ts = np.array([pools[i][j % len(pools[i])] for i, j in picks], dtype=float)
+    block = draw(st.sampled_from([1, 7, 64, isoperim._BLOCK]))
+    return ScalarField(mesh, u), ts, block, rng.uniform(0.5, 2.0, len(mesh.cells))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sweep_cases())
+def test_blocked_kernels_bitwise_equal_the_reference(case):
+    field, ts, block, weights = case
+    ref = _ReferenceSweep(field)
+    with mock.patch.object(isoperim, "_BLOCK", block):
+        sweep = LevelSweep(field)
+        for name in ("level", "superlevel"):
+            for w in (None, weights):
+                got, want = getattr(sweep, name)(ts, w), getattr(ref, name)(ts, w)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        lo, hi = field.values.min(), field.values.max()
+        for t in ts[(lo < ts) & (ts < hi)][:4]:
+            curve = level_curve(field, t)
+            pts, measure, closed = ref.curve(t)
+            assert curve.segments.tobytes() == pts.tobytes()
+            assert curve.segments.shape == pts.shape
+            assert (curve.measure, curve.closed) == (measure, closed)
+
+
+def test_batch_of_many_blocks_bitwise_equal_the_reference(ico3, rng):
+    f = random_smooth_field(ico3, rng)
+    ts = np.linspace(f.values.min(), f.values.max(), 258)[1:-1]
+    sweep = LevelSweep(f)
+    cell, _, _ = sweep._pairs(ts)
+    assert len(cell) > 2 * isoperim._BLOCK
+    ref = _ReferenceSweep(f)
+    w = rng.uniform(size=len(ico3.cells))
+    for name in ("level", "superlevel"):
+        for weights in (None, w):
+            got, want = getattr(sweep, name)(ts, weights), getattr(ref, name)(ts, weights)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_level_batch_memory_is_bounded(ico5):
+    # the 256-level coarea grid of z: 71,370 (cell, threshold) pairs, whose
+    # whole-batch temporaries took 18.7 MiB; blocked, the kernel stays below
+    # 6 MiB
+    z = coordinate_field(ico5)
+    inner = np.linspace(z.values.min(), z.values.max(), 258)[1:-1]
+    sweep = LevelSweep(z)
+    tracemalloc.start()
+    try:
+        sweep.level(inner)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,22 @@ def test_scaled_divides_the_curvature_bounds(mesh):
     assert "min_curvature" not in build_interval(4).scaled(2.0).meta
 
 
+def test_scaled_multiplies_the_meta_lengths():
+    ico = build_icosphere(1).scaled(2.0)
+    assert ico.meta["radius"] == 2.0
+    assert np.allclose(np.linalg.norm(ico.vertices, axis=1), 2.0)
+    base = build_ellipsoid(1.2, 1)
+    ell = base.scaled(2.0)
+    assert ell.meta["scale"] == 2.0 * base.meta["scale"]
+    assert ell.meta["semi_axes"] == tuple(2.0 * s for s in base.meta["semi_axes"])
+    assert np.abs(ell.vertices[:, 2]).max() == pytest.approx(ell.meta["semi_axes"][2])
+    assert ell.meta["normalized"] is False
+    assert base.scaled(1.0).meta["normalized"] is True
+    assert build_circle(8, 0.5).scaled(3.0).meta["radius"] == 1.5
+    seg = build_interval(4, -1.0, 2.0).scaled(2.0)
+    assert (seg.meta["a"], seg.meta["b"]) == (-2.0, 4.0)
+
+
 def test_unnormalized_ellipsoid_curvature_below_one():
     m = build_ellipsoid(1.5, 2, normalize=False)
     assert m.meta["min_curvature"] < 1.0
