@@ -24,6 +24,7 @@ from .manifold import (
     hemisphere_domain,
     interior_domain,
     read_off,
+    spheroid_diameter,
     superlevel_domain,
     total_measure,
     write_off,

@@ -19,6 +19,7 @@ from .manifold import (
     build_ellipsoid,
     cap_radius,
     diameter as mesh_diameter,
+    spheroid_diameter,
 )
 from .pspectral import check_p, closed_eigen, dirichlet_eigen, solve_radial_1d, _fem
 from .rearrange import (
@@ -267,17 +268,20 @@ def pinching_sweep(aspects, ps, level=4, opts=None):
     """Eigenvalue ratio against diameter across the ellipsoid family.
 
     One record per (aspect, p), sorted by diameter then p, each carrying
-    the ellipsoid it was solved on (built once per aspect). Solver failures
-    are recorded on the row and do not stop the sweep. The reference
-    eigenvalue is solved once per p. Once an ellipsoid's rows are solved its
-    FEM operators and geodesic graph are dropped, so the sweep holds one
-    mesh's caches at a time.
+    the ellipsoid it was solved on (built once per aspect). A row's
+    ``diameter`` is the exact spheroid diameter of its ellipsoid
+    (:func:`~pspec.manifold.spheroid_diameter`), so no geodesic graph is
+    built. Solver failures are recorded on the row and do not stop the
+    sweep. The reference eigenvalue is solved once per p. Once an
+    ellipsoid's rows are solved its FEM operators, and with them its K + M
+    factorization, are dropped, so the sweep holds one mesh's caches at a
+    time.
     """
     lam_model = {float(p): solve_radial_1d(p, 2, "hemisphere") for p in ps}
     records = []
     for a in aspects:
         mesh = build_ellipsoid(a, level)
-        diam = mesh_diameter(mesh)
+        diam = spheroid_diameter(mesh.meta["semi_axes"])
         bet = measure_ratio(mesh)
         min_curv = float(mesh.meta["min_curvature"])
         records.extend(
@@ -286,7 +290,6 @@ def pinching_sweep(aspects, ps, level=4, opts=None):
             )
             for p in ps
         )
-        for cache in ("_fem_ops", "_geo_graph"):
-            mesh.__dict__.pop(cache, None)
+        mesh.__dict__.pop("_fem_ops", None)
     records.sort(key=lambda r: (r.diameter, r.p))
     return records

@@ -10,6 +10,8 @@ rounding.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
@@ -27,6 +29,8 @@ _N_SWEEPS = 8
 # measured stretch of the plain edge graph on icospheres is 5-6 percent, so
 # surface meshes route paths through the 3-ring chord graph instead
 _RING_HOPS = 3
+# AGM steps of spheroid_diameter; the AGM converges quadratically
+_AGM_STEPS = 8
 
 
 class Mesh:
@@ -256,6 +260,31 @@ def diameter(mesh):
         dist = dijkstra(graph, directed=True)
         return float(dist.max())
     return _farthest_point_diameter(graph)
+
+
+def spheroid_diameter(semi_axes):
+    """Exact diameter of the prolate spheroid with semi-axes (a, a, c), c >= a.
+
+    The diameter is the pole-to-pole half meridian, 2 c E(1 - a^2 / c^2),
+    with E the complete elliptic integral of the second kind. E comes from
+    the arithmetic-geometric mean (DLMF 19.8(i)): E(m) = K(m) (1 - sum of
+    2^(n-1) c_n^2), K(m) = pi / (2 AGM(1, sqrt(1 - m))). A fixed
+    ``_AGM_STEPS`` steps are taken, which reach rounding for c / a up to
+    10^6. Takes ``mesh.meta["semi_axes"]`` of :func:`build_ellipsoid`.
+    """
+    a, b, c = (float(s) for s in semi_axes)
+    if not 0.0 < a == b <= c:
+        raise ValueError(f"semi-axes {semi_axes} are not those of a prolate spheroid")
+    m = 1.0 - a**2 / c**2
+    an, gn, cn = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
+    weight = 0.5
+    total = weight * cn * cn
+    for _ in range(_AGM_STEPS):
+        an, gn, cn = 0.5 * (an + gn), math.sqrt(an * gn), 0.5 * (an - gn)
+        weight *= 2.0
+        total += weight * cn * cn
+    ellipe = 0.5 * math.pi / an * (1.0 - total)
+    return 2.0 * c * ellipe
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,7 @@ class _FemOps:
         self.mass = mesh.vertex_measure
         self.stiffness = (G.T @ diags(np.repeat(self.cellw, 3)) @ G).tocsr()
         self.p2_starts = {}                     # free vertex set -> start, info
+        self.closed_lu = None                   # K + M factorization, made on first use
 
     def gradients(self, u):
         return (self.grad_op @ u).reshape(-1, 3)
@@ -268,20 +269,31 @@ def project_constraint(field, p, evals=None):
     given, receives the number of defect evaluations.
     """
     p = check_p(p)
-    u = field.values
-    m = field.mesh.vertex_measure
+    return ScalarField(field.mesh, _project(field.values, field.mesh.vertex_measure, p, evals))
+
+
+def _project(u, m, p, evals=None):
+    # project_constraint on arrays: u - c for vertex values u and measures m.
+    # The defect is evaluated into two preallocated buffers: the in-place
+    # ``**=`` takes numpy's scalar-exponent paths as ``**`` does, and
+    # copysign(|d|^(p-1), d) is bitwise sign(d) |d|^(p-1) in the sum
     lo, hi = float(u.min()), float(u.max())
     if hi <= lo:
         raise ValueError("constraint projection of a constant field")
+    buffers = np.empty_like(u), np.empty_like(u)
 
     def defect(c):
-        d = u - c
-        return float(m @ (np.sign(d) * np.abs(d) ** (p - 1.0)))
+        d, w = buffers
+        np.subtract(u, c, out=d)
+        np.abs(d, out=w)
+        w **= p - 1.0
+        np.copysign(w, d, out=w)
+        return float(m @ w)
 
     c, calls = _brentq(defect, lo, hi, _RTOL * (hi - lo), _RTOL)
     if evals is not None:
         evals.append(calls)
-    return ScalarField(field.mesh, u - c)
+    return u - c
 
 
 def constraint_residual(field, p):
@@ -314,9 +326,16 @@ def nodal_domains(field):
 # eigensolvers
 
 
-def _shifted_lu(fem, free):
-    # factored per solve, not cached: a cached LU lives as long as its mesh
-    return splu((fem.stiffness + diags(fem.mass)).tocsc()[free][:, free])
+def _shifted_lu(fem, free, closed):
+    # a closed mesh factors K + M once and keeps it on its _FemOps, which is
+    # dropped with the mesh's other caches; a Domain factors its interior per
+    # solve, since a cached LU per interior would live as long as the mesh
+    if closed and fem.closed_lu is not None:
+        return fem.closed_lu
+    lu = splu((fem.stiffness + diags(fem.mass)).tocsc()[free][:, free])
+    if closed:
+        fem.closed_lu = lu
+    return lu
 
 
 def _p2_init(fem, free, closed, lu):
@@ -348,7 +367,7 @@ def _p2_init(fem, free, closed, lu):
     if len(m) < 2 * k + 1:
         lam, vecs = eigh(K.toarray(), np.diag(m))
     else:                                   # eigsh sorts eigenpairs ascending
-        lu = _shifted_lu(fem, free) if lu is None else lu
+        lu = _shifted_lu(fem, free, closed) if lu is None else lu
         op = LinearOperator(K.shape, matvec=apply_inverse, dtype=float)
         lam, vecs = eigsh(K, k, M=diags(m), sigma=-1.0, OPinv=op, v0=c)
     lam, vecs = lam[int(closed):], vecs[:, int(closed):]
@@ -404,7 +423,7 @@ def _descent_stage(fem, u, p, eps, opts, lu, free, region, budget, evals):
 
     def feasible(w):
         if isinstance(region, Mesh):
-            w = project_constraint(ScalarField(region, w), p, evals).values
+            w = _project(w, fem.mass, p, evals)
         return _lp_normalize(w, fem.mass, p)
 
     u = feasible(u)
@@ -469,7 +488,7 @@ def _eigen_solve(region, p, opts):
     free = slice(None) if closed else region.interior_indices
     fem = _fem(mesh)
     descend = abs(p - 2.0) > 1e-12
-    lu = _shifted_lu(fem, free) if descend else None
+    lu = _shifted_lu(fem, free, closed) if descend else None
     u, start = _p2_init(fem, free, closed, lu)
     diag = dict(start, stages=[])
     converged, iterations = start["p2_converged"], start["p2_iterations"]
@@ -505,7 +524,7 @@ def _eigen_solve(region, p, opts):
                 break
         iterations = opts.max_iters - budget
     if closed:
-        u = project_constraint(ScalarField(mesh, u), p, evals).values
+        u = _project(u, fem.mass, p, evals)
         if descend:
             diag["projection_evals"] = sum(evals)
     if u[np.argmax(np.abs(u))] < 0.0:
@@ -684,8 +703,9 @@ def solve_radial_1d(p, n, problem="hemisphere"):
 
     def endpoint(lam):
         def rhs(r, u, q):
-            du = math.copysign(abs(q / weight(r)) ** pim1, q)
-            dq = -lam * weight(r) * math.copysign(abs(u) ** (p - 1.0), u)
+            w = weight(r)
+            du = math.copysign(abs(q / w) ** pim1, q)
+            dq = -lam * w * math.copysign(abs(u) ** (p - 1.0), u)
             return du, dq
 
         return _dop853(rhs, r0, rend, *y0(lam), rtol=1e-11, atol=1e-13)[0]

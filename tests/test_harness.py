@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pspec.harness as harness
+import pspec.manifold as manifold
 from pspec.harness import chain_audit, pinching_sweep, sphere_comparison
 from pspec.isoperim import croke_profile
 from pspec.manifold import (
@@ -10,6 +11,7 @@ from pspec.manifold import (
     build_interval,
     hemisphere_domain,
     interior_domain,
+    spheroid_diameter,
 )
 from pspec.pspectral import SolverOptions, closed_eigen, solve_radial_1d
 
@@ -149,17 +151,26 @@ def test_pinching_sweep_small():
 
 
 def test_pinching_sweep_drops_each_mesh_caches(monkeypatch):
-    built = []
+    # the FEM operators live while a mesh's rows are solved; no geodesic
+    # graph is ever built
+    built, graphs = [], []
     real = harness.closed_eigen
+    real_graph = manifold._geodesic_graph
 
     def solve(mesh, p, opts=None):
         res = real(mesh, p, opts)
-        built.append(hasattr(mesh, "_fem_ops") and hasattr(mesh, "_geo_graph"))
+        built.append(hasattr(mesh, "_fem_ops") and not hasattr(mesh, "_geo_graph"))
         return res
 
+    def graph(mesh):
+        graphs.append(mesh)
+        return real_graph(mesh)
+
     monkeypatch.setattr(harness, "closed_eigen", solve)
+    monkeypatch.setattr(manifold, "_geodesic_graph", graph)
     recs = pinching_sweep([1.0, 1.1], [2.0, 3.0], level=2)
     assert built == [True] * 4
+    assert graphs == []
     for r in recs:
         assert not hasattr(r.mesh, "_fem_ops") and not hasattr(r.mesh, "_geo_graph")
     prof = croke_profile(recs[0].mesh, recs[0].beta, recs[0].diameter, count=4)
@@ -213,6 +224,13 @@ def test_converged_sweep_rows_match_tight_solves(level4_sweep):
         ref = closed_eigen(r.mesh, r.p, tight)
         assert ref.converged
         assert r.lam_mesh == pytest.approx(ref.lam, rel=1e-8), (r.aspect, r.p)
+
+
+def test_sweep_rows_carry_the_exact_spheroid_diameter(level4_sweep):
+    for r in level4_sweep:
+        assert r.diameter == spheroid_diameter(r.mesh.meta["semi_axes"])
+    assert [r.aspect for r in level4_sweep[::3]] == [1.2, 1.005, 1.0]
+    assert level4_sweep[-1].diameter == np.pi
 
 
 def test_sweep_rows_carry_their_mesh(level4_sweep):

@@ -30,6 +30,7 @@ from pspec.isoperim import (
 )
 from pspec.manifold import hemisphere_domain
 from pspec.pspectral import ScalarField, coordinate_field
+from pspec.rearrange import coarea_check
 
 
 @pytest.fixture(scope="module")
@@ -420,6 +421,31 @@ def test_level_batch_memory_is_bounded(ico5):
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+def test_level_only_sweeps_never_sort_the_cells(ico3, monkeypatch):
+    # the cell order by minimum is built on the first superlevel call only
+    sweeps = []
+    real_init = LevelSweep.__init__
+
+    def recording_init(self, field):
+        real_init(self, field)
+        sweeps.append(self)
+
+    monkeypatch.setattr(LevelSweep, "__init__", recording_init)
+    z = coordinate_field(ico3)
+    coarea_check(z)
+    level_boundary_measure(z, 0.1)
+    level_integral(z, 0.1, np.ones(len(ico3.cells)))
+    level_curve(z, 0.1)
+    assert len(sweeps) == 4
+    assert all("_by_min" not in vars(s) for s in sweeps)
+
+    sweep = LevelSweep(z)
+    sweep.superlevel([0.1])
+    order, mins = vars(sweep)["_by_min"]
+    assert np.array_equal(order, np.argsort(sweep._lo, kind="stable"))
+    assert np.array_equal(mins, np.sort(sweep._lo))
 
 
 # ---------------------------------------------------------------------------

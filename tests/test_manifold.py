@@ -289,6 +289,30 @@ def test_ellipsoid_diameter_matches_pole_to_pole_geodesic(level, tol):
         assert abs(diameter(m) - exact) <= tol * exact
 
 
+@pytest.mark.parametrize("aspect", [1.0, 1.005, 1.2, 2.0])
+def test_spheroid_diameter_is_the_exact_half_meridian(aspect):
+    from scipy.special import ellipe
+
+    meshes = [
+        build_ellipsoid(aspect, 1),
+        build_ellipsoid(aspect, 1, normalize=False),
+        build_ellipsoid(aspect, 1).scaled(2.5),
+        build_ellipsoid(aspect, 1, normalize=False).scaled(0.3),
+    ]
+    for m in meshes:
+        a, _, c = m.meta["semi_axes"]
+        exact = 2.0 * c * ellipe(1.0 - a**2 / c**2)
+        assert abs(manifold.spheroid_diameter(m.meta["semi_axes"]) - exact) <= 1e-15 * exact
+
+
+def test_spheroid_diameter_of_the_round_sphere_and_bad_axes():
+    assert manifold.spheroid_diameter((1.0, 1.0, 1.0)) == np.pi
+    assert manifold.spheroid_diameter((2.0, 2.0, 2.0)) == 2.0 * np.pi
+    for axes in ((1.0, 1.0, 0.5), (1.0, 0.9, 1.2), (0.0, 0.0, 1.0), (-1.0, -1.0, 1.0)):
+        with pytest.raises(ValueError, match="prolate"):
+            manifold.spheroid_diameter(axes)
+
+
 # ---------------------------------------------------------------------------
 # caps
 

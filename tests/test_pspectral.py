@@ -502,6 +502,33 @@ def test_cached_p2_start_skips_the_factorization(monkeypatch):
     assert warm.field.values.tobytes() == cold.field.values.tobytes()
 
 
+def test_closed_mesh_factors_once_and_domains_once_per_solve(monkeypatch):
+    real_splu, calls = pspectral.splu, []
+
+    def counting_splu(A):
+        calls.append(A.shape)
+        return real_splu(A)
+
+    monkeypatch.setattr(pspectral, "splu", counting_splu)
+    mesh = build_icosphere(3)
+    nv = len(mesh.vertices)
+    warm = {p: closed_eigen(mesh, p) for p in (1.5, 2.0, 3.0)}
+    assert calls == [(nv, nv)]
+    assert _fem(mesh).closed_lu is not None
+    for p, res in warm.items():         # the kept factorization changes no bit
+        cold = closed_eigen(build_icosphere(3), p)
+        assert res.lam == cold.lam and res.iterations == cold.iterations
+        assert res.field.values.tobytes() == cold.field.values.tobytes()
+        assert res.diagnostics == cold.diagnostics
+
+    calls.clear()
+    hemi = hemisphere_domain(mesh)
+    ni = len(hemi.interior_indices)
+    for p in (1.5, 2.0, 3.0):
+        dirichlet_eigen(hemi, p)
+    assert calls == [(ni, ni)] * 2      # p = 2 reuses the cached start
+
+
 def test_round_level4_values():
     # the steepest-descent stall stop left 1.7235351634044753 and 2.1724364994634
     mesh = build_icosphere(4)
