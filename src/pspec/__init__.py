@@ -9,7 +9,6 @@ and isoperimetric inequalities that connect eigenvalues to diameters.
 __version__ = "0.1.0"
 
 from .manifold import (
-    CapGeometry,
     Domain,
     Mesh,
     beta,
@@ -20,7 +19,6 @@ from .manifold import (
     cap_boundary,
     cap_radius,
     cap_volume,
-    diameter,
     hemisphere_domain,
     interior_domain,
     read_off,

@@ -124,6 +124,16 @@ def _parse_floats(s):
     return tuple(float(tok) for tok in s.split(","))
 
 
+def _solver_option(name, kind):
+    # SolverOptions checks the value, so a bad one fails at parse time
+    def parse(s):
+        value = kind(s)
+        SolverOptions(**{name: value})
+        return value
+
+    return parse
+
+
 def _parse_seed(s):
     v = int(s)
     if not 0 <= v < 2**64:
@@ -141,10 +151,10 @@ _KEYS = {
     "mesh.segments": ("mesh_segments", int),
     "eigen.domain": ("eigen_domain", _parse_choice("auto", "closed", "hemisphere")),
     "p": ("ps", _parse_ps),
-    "solver.tol": ("solver_tol", float),
-    "solver.stall": ("solver_stall", int),
-    "solver.max_iters": ("solver_max_iters", int),
-    "solver.step": ("solver_step", float),
+    "solver.tol": ("solver_tol", _solver_option("tol", float)),
+    "solver.stall": ("solver_stall", _solver_option("stall", int)),
+    "solver.max_iters": ("solver_max_iters", _solver_option("max_iters", int)),
+    "solver.step": ("solver_step", _solver_option("step", float)),
     "seed": ("seed", _parse_seed),
     "out": ("out", str),
     "sweep.aspects": ("sweep_aspects", _parse_floats),
@@ -500,7 +510,6 @@ def _cmd_sweep(cfg, outdir):
         prof = croke_profile(
             first.mesh,
             first.beta,
-            first.diameter,
             count=cfg.battery_count,
             thresholds=cfg.battery_thresholds,
             seed=cfg.seed,
@@ -510,7 +519,7 @@ def _cmd_sweep(cfg, outdir):
             blocks.append(
                 _block(
                     f"croke_vs_ratio_a{a:g}_p{p:g}",
-                    {"aspect": a, "p": p, "diameter": prof.diameter},
+                    {"aspect": a, "p": p, "diameter": first.diameter},
                     lhs=row.ratio,
                     rhs=prof.min_ratio**p,
                     ok=not row.failed,

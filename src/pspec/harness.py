@@ -18,7 +18,6 @@ from .manifold import (
     beta as measure_ratio,
     build_ellipsoid,
     cap_radius,
-    diameter as mesh_diameter,
     spheroid_diameter,
 )
 from .pspectral import check_p, closed_eigen, dirichlet_eigen, solve_radial_1d, _fem
@@ -68,22 +67,27 @@ def _is_round_unit(mesh):
     return mesh.meta.get("min_curvature") == mesh.meta.get("max_curvature") == 1.0
 
 
-def _sweep_record(mesh, p, opts, lam_model, diam, bet, min_curv, keep_going=False):
+def _sweep_record(mesh, p, opts, lam_model, keep_going=False):
     """Solve the closed eigenvalue of one family point into its record.
 
-    With ``keep_going`` a solver exception becomes a failed row carrying the
-    exception type and message; otherwise it propagates.
+    The diameter, beta and curvature certificate come from the mesh: the
+    diameter is the exact one of ``meta["semi_axes"]``
+    (:func:`~pspec.manifold.spheroid_diameter`). With ``keep_going`` a
+    solver exception becomes a failed row carrying the exception type and
+    message; otherwise it propagates.
     """
+    if "semi_axes" not in mesh.meta:
+        raise ValueError("mesh carries no semi_axes in meta, so its diameter is unknown")
     row = SweepRecord(
         aspect=float(mesh.meta.get("aspect", 1.0)),
         p=float(p),
         lam_mesh=float("nan"),
         lam_model=lam_model,
         ratio=float("nan"),
-        diameter=diam,
-        beta=bet,
+        diameter=spheroid_diameter(mesh.meta["semi_axes"]),
+        beta=measure_ratio(mesh),
         level=int(mesh.meta.get("level", -1)),
-        min_curvature=min_curv,
+        min_curvature=_curvature_certificate(mesh),
         equality_case=False,
         iterations=0,
         converged=False,
@@ -108,10 +112,11 @@ def _sweep_record(mesh, p, opts, lam_model, diam, bet, min_curv, keep_going=Fals
 def sphere_comparison(mesh, p, opts=None, lam_model=None):
     """Closed first eigenvalue of the mesh against the round-sphere value.
 
-    Requires a curvature certificate with minimum >= 0.99; the
-    reference value comes from the radial shooting solver. Ratios at or
-    above 1 (minus mesh tolerance) confirm the comparison; the equality
-    flag marks the round unit sphere.
+    Requires a curvature certificate with minimum >= 0.99 and the
+    ``semi_axes`` that give the diameter, as the builder icospheres and
+    ellipsoids carry; the reference value comes from the radial shooting
+    solver. Ratios at or above 1 (minus mesh tolerance) confirm the
+    comparison; the equality flag marks the round unit sphere.
     """
     check_p(p)
     min_curv = _curvature_certificate(mesh)
@@ -121,9 +126,7 @@ def sphere_comparison(mesh, p, opts=None, lam_model=None):
         )
     if lam_model is None:
         lam_model = solve_radial_1d(p, mesh.dimension, "hemisphere")
-    return _sweep_record(
-        mesh, p, opts, lam_model, mesh_diameter(mesh), measure_ratio(mesh), min_curv
-    )
+    return _sweep_record(mesh, p, opts, lam_model)
 
 
 @dataclass
@@ -270,25 +273,18 @@ def pinching_sweep(aspects, ps, level=4, opts=None):
     One record per (aspect, p), sorted by diameter then p, each carrying
     the ellipsoid it was solved on (built once per aspect). A row's
     ``diameter`` is the exact spheroid diameter of its ellipsoid
-    (:func:`~pspec.manifold.spheroid_diameter`), so no geodesic graph is
-    built. Solver failures are recorded on the row and do not stop the
-    sweep. The reference eigenvalue is solved once per p. Once an
-    ellipsoid's rows are solved its FEM operators, and with them its K + M
-    factorization, are dropped, so the sweep holds one mesh's caches at a
-    time.
+    (:func:`~pspec.manifold.spheroid_diameter`). Solver failures are
+    recorded on the row and do not stop the sweep. The reference
+    eigenvalue is solved once per p. Once an ellipsoid's rows are solved
+    its FEM operators, and with them its K + M factorization, are dropped,
+    so the sweep holds one mesh's caches at a time.
     """
     lam_model = {float(p): solve_radial_1d(p, 2, "hemisphere") for p in ps}
     records = []
     for a in aspects:
         mesh = build_ellipsoid(a, level)
-        diam = spheroid_diameter(mesh.meta["semi_axes"])
-        bet = measure_ratio(mesh)
-        min_curv = float(mesh.meta["min_curvature"])
         records.extend(
-            _sweep_record(
-                mesh, p, opts, lam_model[float(p)], diam, bet, min_curv, keep_going=True
-            )
-            for p in ps
+            _sweep_record(mesh, p, opts, lam_model[float(p)], keep_going=True) for p in ps
         )
         mesh.__dict__.pop("_fem_ops", None)
     records.sort(key=lambda r: (r.diameter, r.p))

@@ -291,16 +291,10 @@ class CrokeProfile:
     clipped to the bin range.
     """
 
-    diameter: float
     min_ratio: float
     ratios: np.ndarray
     histogram: tuple
     count: int
-
-    @classmethod
-    def from_ratios(cls, diameter, ratios):
-        hist = np.histogram(np.clip(ratios, _HIST_BINS[0], _HIST_BINS[-1] - 1e-9), _HIST_BINS)
-        return cls(diameter, float(ratios.min()), ratios, hist, len(ratios))
 
 
 _HIST_BINS = np.linspace(0.9, 2.1, 25)
@@ -320,8 +314,9 @@ def battery_ratios(fields, rng, thresholds, beta):
     return np.concatenate(ratios)
 
 
-def croke_profile(mesh, beta, diameter, count=50, thresholds=3, seed=0):
+def croke_profile(mesh, beta, count=50, thresholds=3, seed=0):
     """Minimum Gromov ratio and its histogram over a random field battery."""
     rng = np.random.default_rng(seed)
     ratios = battery_ratios(check_battery(mesh, rng, count), rng, thresholds, beta)
-    return CrokeProfile.from_ratios(diameter, ratios)
+    hist = np.histogram(np.clip(ratios, _HIST_BINS[0], _HIST_BINS[-1] - 1e-9), _HIST_BINS)
+    return CrokeProfile(float(ratios.min()), ratios, hist, len(ratios))

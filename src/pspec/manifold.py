@@ -14,21 +14,13 @@ import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import connected_components
 
 SPHERE_MEASURE = {1: 2.0 * np.pi, 2: 4.0 * np.pi}
 
 MAX_LEVEL = 8
 MAX_ASPECT = 2.0
 
-# all-pairs geodesics above this vertex count would not fit comfortably in
-# memory; fall back to landmark sampling with double-sweep refinement
-_ALL_PAIRS_BUDGET = 1500
-_N_LANDMARKS = 24
-_N_SWEEPS = 8
-# measured stretch of the plain edge graph on icospheres is 5-6 percent, so
-# surface meshes route paths through the 3-ring chord graph instead
-_RING_HOPS = 3
 # AGM steps of spheroid_diameter; the AGM converges quadratically
 _AGM_STEPS = 8
 
@@ -191,77 +183,6 @@ def _unique_edges(pairs, nv, inverse=False):
     return np.column_stack(np.divmod(keys, nv)), extra
 
 
-def _geodesic_graph(mesh):
-    """Chord-weighted graph used for geodesic distances.
-
-    The plain edge graph overestimates distances on surface meshes by the
-    lattice stretch factor (measured 5-6 percent on icospheres), so for
-    dimension 2 every vertex is also connected to its 2- and 3-ring
-    neighbors by straight chords. The residual error is below one percent
-    and two-sided (measured in :func:`diameter`). 1-D meshes have no
-    stretch and keep the plain edge graph.
-    """
-    if mesh.dimension == 1:
-        return mesh.adjacency_matrix()
-    if not hasattr(mesh, "_geo_graph"):
-        one = mesh.adjacency_matrix().astype(bool)
-        reach = one.copy()
-        acc = one.copy()
-        for _ in range(_RING_HOPS - 1):
-            reach = reach @ one
-            acc = acc + reach
-        i, j = acc.nonzero()
-        off = i != j
-        i, j = i[off], j[off]
-        w = np.linalg.norm(mesh.vertices[i] - mesh.vertices[j], axis=1)
-        mesh._geo_graph = csr_matrix((w, (i, j)), shape=acc.shape)
-    return mesh._geo_graph
-
-
-def _farthest_point_diameter(graph):
-    # landmark Dijkstra with maximin seeding, then double-sweep refinement;
-    # deterministic given the mesh
-    dmin = dijkstra(graph, directed=True, indices=0)
-    best = float(dmin.max())
-    far = int(dmin.argmax())
-    for _ in range(_N_LANDMARKS - 1):
-        row = dijkstra(graph, directed=True, indices=far)
-        if row.max() > best:
-            best = float(row.max())
-        np.minimum(dmin, row, out=dmin)
-        far = int(dmin.argmax())
-    tip = int(row.argmax())
-    for _ in range(_N_SWEEPS):
-        row = dijkstra(graph, directed=True, indices=tip)
-        top = float(row.max())
-        if top <= best:
-            break
-        best = top
-        tip = int(row.argmax())
-    return best
-
-
-def diameter(mesh):
-    """Graph-geodesic diameter: max vertex-to-vertex chord-path distance.
-
-    Distances run over the 3-ring chord graph of the mesh (see
-    :func:`_geodesic_graph`). Its error against the exact spheroid geodesic
-    (aspects 1 to 1.2) is two-sided, so it bounds the smooth diameter
-    neither way: -0.43% at level 3, -0.11% to -0.04% at level 4, and at
-    level 5 +0.07% on the round mesh but -0.03% at aspects 1.1 and 1.2.
-    Meshes above the all-pairs budget use farthest-point landmark sampling
-    plus double-sweep refinement. The chord weights are exactly symmetric
-    (|v_i - v_j| and |v_j - v_i| round alike), so a directed search over the
-    stored graph gives the undirected distances bitwise, without scipy
-    building the transpose on every call.
-    """
-    graph = _geodesic_graph(mesh)
-    if len(mesh.vertices) <= _ALL_PAIRS_BUDGET:
-        dist = dijkstra(graph, directed=True)
-        return float(dist.max())
-    return _farthest_point_diameter(graph)
-
-
 def spheroid_diameter(semi_axes):
     """Exact diameter of the prolate spheroid with semi-axes (a, a, c), c >= a.
 
@@ -270,7 +191,8 @@ def spheroid_diameter(semi_axes):
     the arithmetic-geometric mean (DLMF 19.8(i)): E(m) = K(m) (1 - sum of
     2^(n-1) c_n^2), K(m) = pi / (2 AGM(1, sqrt(1 - m))). A fixed
     ``_AGM_STEPS`` steps are taken, which reach rounding for c / a up to
-    10^6. Takes ``mesh.meta["semi_axes"]`` of :func:`build_ellipsoid`.
+    10^6. Takes ``mesh.meta["semi_axes"]`` of :func:`build_ellipsoid` or
+    :func:`build_icosphere`; (r, r, r) gives pi r exactly.
     """
     a, b, c = (float(s) for s in semi_axes)
     if not 0.0 < a == b <= c:
@@ -330,25 +252,6 @@ def cap_radius(v, n):
 def _check_model_dim(n):
     if n not in (1, 2):
         raise ValueError(f"model sphere dimension must be 1 or 2, got {n}")
-
-
-class CapGeometry:
-    """Geodesic cap on the unit S^n, radius in [0, pi]."""
-
-    def __init__(self, n, radius):
-        _check_model_dim(n)
-        if not 0.0 <= radius <= np.pi:
-            raise ValueError("cap radius outside [0, pi]")
-        self.n = n
-        self.radius = float(radius)
-
-    @property
-    def volume(self):
-        return cap_volume(self.radius, self.n)
-
-    @property
-    def boundary(self):
-        return cap_boundary(self.radius, self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +322,17 @@ def build_icosphere(level, radius=1.0):
     Level 0 is the icosahedron itself (12 vertices, 20 faces); each level
     quadruples the face count. The mesh is pole oriented: for level >= 1 a
     closed ring of vertices lies exactly on the equator z = 0. The meta
-    records the curvature bounds of the smooth sphere, both 1 / radius^2.
+    records the semi-axes (radius, radius, radius) and the curvature bounds
+    of the smooth sphere, both 1 / radius^2.
     """
     _check_level(level)
     if radius <= 0:
         raise ValueError("radius must be positive")
+    r = float(radius)
     verts, faces = _unit_icosphere(level)
     verts = verts * radius
-    curv = 1.0 / float(radius) ** 2
-    meta = {"kind": "icosphere", "level": int(level), "radius": float(radius)}
-    meta.update(min_curvature=curv, max_curvature=curv)
+    meta = {"kind": "icosphere", "level": int(level), "radius": r, "semi_axes": (r, r, r)}
+    meta.update(min_curvature=1.0 / r**2, max_curvature=1.0 / r**2)
     return Mesh(2, verts, faces, meta)
 
 

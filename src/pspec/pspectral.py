@@ -69,6 +69,18 @@ class SolverOptions:
     max_iters: int = 50000      # total accepted descent steps per solve
     step: float = 0.25          # geometric continuation step in p
 
+    def __post_init__(self):
+        # a zero step never advances the continuation in p, and a zero stall
+        # declares every solve converged after its first step
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not self.stall >= 1:
+            raise ValueError(f"stall must be at least 1, got {self.stall}")
+        if not self.max_iters >= 0:
+            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
+        if not self.step > 0:
+            raise ValueError(f"step must be positive, got {self.step}")
+
 
 _EPS_FACTOR = 1e-9          # gradient smoothing, times mean edge length
 _MAX_BACKTRACKS = 40

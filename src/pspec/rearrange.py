@@ -260,11 +260,14 @@ def polya_szego_check(field, beta, p):
     not lumped ones: their t-derivative is the coarea integrand of the
     interpolant, so the slopes stay free of vertex-mass granularity noise.
     margin = lhs - beta*rhs must be nonnegative up to mesh error;
-    rel_margin divides by lhs.
+    rel_margin divides by lhs, so a constant field, whose lhs is rounding
+    noise, is rejected.
     """
     u = field.values
     if not (u > 0).any():
         raise ValueError("field has no positive part to compare")
+    if u.max() <= u.min():
+        raise ValueError("constant field has no level structure")
     fem = _fem(field.mesh)
     pos = np.where(u > 0, u, 0.0)
     g2 = (fem.gradients(pos) ** 2).sum(axis=1)

@@ -25,9 +25,9 @@ from pspec.manifold import (
     build_ellipsoid,
     build_icosphere,
     build_interval,
-    diameter,
     hemisphere_domain,
     interior_domain,
+    spheroid_diameter,
     superlevel_domain,
 )
 from pspec.pspectral import (
@@ -221,9 +221,9 @@ def test_criterion_08_isoperimetric_ratio_battery(sphere4, ell4):
 
 
 def test_criterion_09_ratio_sharpens_below_diameter_pi(sphere4, ell4):
-    sph = croke_profile(sphere4, beta(sphere4), diameter(sphere4), seed=SEED)
-    d_ell = diameter(ell4)
-    ell = croke_profile(ell4, beta(ell4), d_ell, seed=SEED)
+    sph = croke_profile(sphere4, beta(sphere4), seed=SEED)
+    d_ell = spheroid_diameter(ell4.meta["semi_axes"])
+    ell = croke_profile(ell4, beta(ell4), seed=SEED)
     gap = ell.min_ratio - sph.min_ratio
     ok = d_ell < np.pi and gap > 0.0
     report(

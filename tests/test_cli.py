@@ -97,6 +97,31 @@ def test_parse_value_validation():
     assert cfg.ps == (1.5, 2.0)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("step", "0"), ("step", "-0.25"), ("stall", "0"), ("tol", "0"), ("tol", "-1e-9"),
+     ("max_iters", "-1")],
+)
+def test_parse_rejects_solver_values_that_never_finish(key, value):
+    # step <= 0 never advances the continuation in p; stall 0 declares every
+    # solve converged after one step
+    with pytest.raises(ConfigError, match=rf"line 2: solver\.{key}: {key} must be"):
+        parse_config(f"command = eigen\nsolver.{key} = {value}")
+    with pytest.raises(ValueError, match=f"{key} must be"):
+        SolverOptions(**{key: float(value) if key in ("step", "tol") else int(value)})
+
+
+def test_main_exit_2_on_zero_step_before_any_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(cli, "closed_eigen", no_solve)
+    monkeypatch.setattr(cli, "dirichlet_eigen", no_solve)
+    path = write_config(tmp_path, "command = eigen\nmesh.level = 1\nsolver.step = 0")
+    assert main(["eigen", "--config", path, "--out", str(tmp_path / "e")]) == 2
+    assert "solver.step" in capsys.readouterr().err
+
+
 def test_parse_keeps_raw_text():
     text = "command = mesh\nmesh.level = 1"
     assert parse_config(text).raw_text == text
@@ -281,19 +306,6 @@ def test_croke_min_ratio_is_the_gromov_battery_minimum(checked_blocks):
     assert croke["margin"] == gromov["margin"]
     assert croke["inputs"] == {"count": gromov["inputs"]["count"]}
     assert croke["inputs"]["count"] == 6 * 3
-
-
-def test_verify_computes_no_diameter(tmp_path, monkeypatch):
-    # every diameter, under whatever name it is imported, builds this graph
-    def no_graph(mesh):
-        raise AssertionError("verify computed a diameter")
-
-    monkeypatch.setattr(pspec.manifold, "_geodesic_graph", no_graph)
-    cfg = parse_config(
-        "command = verify\nmesh.level = 3\np = 2\nbattery.count = 4\n"
-        f"seed = 7\nout = {tmp_path / 'v'}"
-    )
-    assert run(cfg) == 0
 
 
 def test_verify_sweeps_one_battery_once(tmp_path, monkeypatch):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import pspec.harness as harness
-import pspec.manifold as manifold
 from pspec.harness import chain_audit, pinching_sweep, sphere_comparison
 from pspec.isoperim import croke_profile
 from pspec.manifold import (
@@ -29,13 +28,14 @@ def test_comparison_round_sphere(ico3):
     assert rec.equality_case
     assert rec.lam_model == pytest.approx(2.0, abs=1e-6)
     assert rec.ratio == pytest.approx(1.0, rel=0.02)
-    assert rec.diameter == pytest.approx(np.pi, rel=0.02)
+    assert rec.diameter == np.pi
 
 
 def test_comparison_stretched_family_above_one():
     m = build_ellipsoid(1.2, 3)
     for p in (2.0, 3.0):
         rec = sphere_comparison(m, p)
+        assert rec.diameter == spheroid_diameter(m.meta["semi_axes"])
         assert rec.ratio > 1.0
         assert not rec.equality_case
         assert rec.min_curvature >= 0.99
@@ -55,6 +55,9 @@ def test_comparison_requires_curvature_certificate():
     bare = Mesh(2, *_icosahedron_arrays())
     with pytest.raises(ValueError, match="certificate"):
         sphere_comparison(bare, 2.0)
+    shapeless = Mesh(2, *_icosahedron_arrays(), {"min_curvature": 1.0, "max_curvature": 1.0})
+    with pytest.raises(ValueError, match="semi_axes"):
+        sphere_comparison(shapeless, 2.0)
 
 
 def test_scaled_sphere_loses_its_curvature_certificate(ico2):
@@ -64,9 +67,12 @@ def test_scaled_sphere_loses_its_curvature_certificate(ico2):
 
 
 def test_scaled_up_half_sphere_is_an_equality_case():
-    rec = sphere_comparison(build_icosphere(2, 0.5).scaled(2.0), 2.0)
+    half = build_icosphere(2, 0.5)
+    assert sphere_comparison(half, 2.0).diameter == 0.5 * np.pi
+    rec = sphere_comparison(half.scaled(2.0), 2.0)
     assert rec.min_curvature == 1.0
     assert rec.equality_case
+    assert rec.diameter == np.pi
 
 
 def test_unnormalized_round_ellipsoid_is_an_equality_case():
@@ -151,29 +157,21 @@ def test_pinching_sweep_small():
 
 
 def test_pinching_sweep_drops_each_mesh_caches(monkeypatch):
-    # the FEM operators live while a mesh's rows are solved; no geodesic
-    # graph is ever built
-    built, graphs = [], []
+    # the FEM operators live while a mesh's rows are solved
+    built = []
     real = harness.closed_eigen
-    real_graph = manifold._geodesic_graph
 
     def solve(mesh, p, opts=None):
         res = real(mesh, p, opts)
-        built.append(hasattr(mesh, "_fem_ops") and not hasattr(mesh, "_geo_graph"))
+        built.append(hasattr(mesh, "_fem_ops"))
         return res
 
-    def graph(mesh):
-        graphs.append(mesh)
-        return real_graph(mesh)
-
     monkeypatch.setattr(harness, "closed_eigen", solve)
-    monkeypatch.setattr(manifold, "_geodesic_graph", graph)
     recs = pinching_sweep([1.0, 1.1], [2.0, 3.0], level=2)
     assert built == [True] * 4
-    assert graphs == []
     for r in recs:
-        assert not hasattr(r.mesh, "_fem_ops") and not hasattr(r.mesh, "_geo_graph")
-    prof = croke_profile(recs[0].mesh, recs[0].beta, recs[0].diameter, count=4)
+        assert not hasattr(r.mesh, "_fem_ops")
+    prof = croke_profile(recs[0].mesh, recs[0].beta, count=4)
     assert prof.count == 12
     assert not hasattr(recs[0].mesh, "_fem_ops")
 

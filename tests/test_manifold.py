@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 import pspec.manifold as manifold
 from pspec.manifold import (
-    CapGeometry,
     Domain,
     Mesh,
     beta,
@@ -20,7 +17,6 @@ from pspec.manifold import (
     cap_boundary,
     cap_radius,
     cap_volume,
-    diameter,
     hemisphere_domain,
     interior_domain,
     read_off,
@@ -164,6 +160,7 @@ def test_scaled_divides_the_curvature_bounds(mesh):
 def test_scaled_multiplies_the_meta_lengths():
     ico = build_icosphere(1).scaled(2.0)
     assert ico.meta["radius"] == 2.0
+    assert ico.meta["semi_axes"] == (2.0, 2.0, 2.0)
     assert np.allclose(np.linalg.norm(ico.vertices, axis=1), 2.0)
     base = build_ellipsoid(1.2, 1)
     ell = base.scaled(2.0)
@@ -184,109 +181,6 @@ def test_unnormalized_ellipsoid_curvature_below_one():
 
 # ---------------------------------------------------------------------------
 # diameter
-
-
-def test_diameter_round_sphere(ico4):
-    assert abs(diameter(ico4) - np.pi) <= 0.02 * np.pi
-
-
-def test_diameter_scales_linearly(ico2):
-    d1 = diameter(ico2)
-    d2 = diameter(ico2.scaled(2.0))
-    assert d2 == pytest.approx(2.0 * d1, rel=1e-12)
-
-
-def test_ellipsoid_diameter_matches_meridian_quadrature():
-    from scipy.integrate import quad
-
-    m = build_ellipsoid(1.2, 4)
-    s, _, sa = m.meta["semi_axes"]
-    half_meridian, _ = quad(
-        lambda t: np.hypot(s * np.cos(t), sa * np.sin(t)), 0.0, np.pi
-    )
-    assert abs(diameter(m) - half_meridian) <= 0.02 * half_meridian
-
-
-def _lil_geodesic_graph(mesh):
-    # the 3-ring chord graph with its diagonal cleared through a LIL round trip
-    one = mesh.adjacency_matrix().astype(bool)
-    reach, acc = one.copy(), one.copy()
-    for _ in range(manifold._RING_HOPS - 1):
-        reach = reach @ one
-        acc = acc + reach
-    acc = acc.tolil()
-    acc.setdiag(False)
-    acc = acc.tocsr()
-    acc.eliminate_zeros()
-    i, j = acc.nonzero()
-    w = np.linalg.norm(mesh.vertices[i] - mesh.vertices[j], axis=1)
-    return csr_matrix((w, (i, j)), shape=acc.shape)
-
-
-def _undirected_diameter(graph):
-    # all pairs, or maximin landmarks plus double sweep, searching both ways
-    if graph.shape[0] <= manifold._ALL_PAIRS_BUDGET:
-        return float(dijkstra(graph, directed=False).max())
-    dmin = dijkstra(graph, directed=False, indices=0)
-    best, far = float(dmin.max()), int(dmin.argmax())
-    for _ in range(manifold._N_LANDMARKS - 1):
-        row = dijkstra(graph, directed=False, indices=far)
-        best = max(best, float(row.max()))
-        np.minimum(dmin, row, out=dmin)
-        far = int(dmin.argmax())
-    tip = int(row.argmax())
-    for _ in range(manifold._N_SWEEPS):
-        row = dijkstra(graph, directed=False, indices=tip)
-        if float(row.max()) <= best:
-            break
-        best, tip = float(row.max()), int(row.argmax())
-    return best
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: build_icosphere(3),
-        lambda: build_ellipsoid(1.0, 4),
-        lambda: build_ellipsoid(1.2, 4),
-        lambda: build_icosphere(5),
-    ],
-    ids=["ico3-all-pairs", "ell4-a1", "ell4-a1.2", "ico5"],
-)
-def test_diameter_is_bitwise_the_undirected_search_on_the_lil_graph(build):
-    m = build()
-    ref = _lil_geodesic_graph(m)
-    graph = manifold._geodesic_graph(m)
-    assert (graph != ref).nnz == 0
-    assert np.array_equal(graph.indptr, ref.indptr)
-    assert np.array_equal(graph.indices, ref.indices)
-    assert diameter(m) == _undirected_diameter(ref)
-
-
-@pytest.mark.parametrize("level, most", [(3, 1), (4, 1 + 23 + 8)])
-def test_diameter_searches_one_way_only(monkeypatch, level, most):
-    calls = []
-
-    def recording(*args, **kwargs):
-        calls.append(kwargs.get("directed"))
-        return dijkstra(*args, **kwargs)
-
-    monkeypatch.setattr(manifold, "dijkstra", recording)
-    diameter(build_icosphere(level))
-    assert 1 <= len(calls) <= most
-    assert all(d is True for d in calls)
-
-
-@pytest.mark.parametrize("level, tol", [(3, 5e-3), (4, 1.5e-3)])
-def test_ellipsoid_diameter_matches_pole_to_pole_geodesic(level, tol):
-    # prolate spheroid: the diameter is the half meridian, 2c E(1 - s^2/c^2)
-    from scipy.special import ellipe
-
-    for aspect in (1.0, 1.1, 1.2):
-        m = build_ellipsoid(aspect, level)
-        s, _, c = m.meta["semi_axes"]
-        exact = 2.0 * c * ellipe(1.0 - s**2 / c**2)
-        assert abs(diameter(m) - exact) <= tol * exact
 
 
 @pytest.mark.parametrize("aspect", [1.0, 1.005, 1.2, 2.0])
@@ -372,14 +266,6 @@ def test_cap_range_checks():
         cap_radius(13.0, 2)
     with pytest.raises(ValueError):
         cap_volume(1.0, 3)
-
-
-def test_cap_geometry_object():
-    cap = CapGeometry(2, 1.0)
-    assert cap.volume == pytest.approx(cap_volume(1.0, 2))
-    assert cap.boundary == pytest.approx(cap_boundary(1.0, 2))
-    with pytest.raises(ValueError):
-        CapGeometry(2, 4.0)
 
 
 # ---------------------------------------------------------------------------

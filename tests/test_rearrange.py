@@ -346,6 +346,13 @@ def test_polya_szego_eigenfunction_near_equality(ico4):
     assert 0.97 <= b * chk.rhs / chk.lhs <= 1.0
 
 
+def test_polya_szego_rejects_constant(ico2):
+    # lhs of a constant field is rounding noise (1.1e-30 at 0.5), and the
+    # relative margin divided by it read -4.39e24
+    with pytest.raises(ValueError, match="constant"):
+        polya_szego_check(ScalarField(ico2, np.full(len(ico2.vertices), 0.5)), beta(ico2), 2.0)
+
+
 # ---------------------------------------------------------------------------
 # coarea
 
