@@ -134,6 +134,14 @@ def _solver_option(name, kind):
     return parse
 
 
+def _parse_count(s):
+    # an empty battery only fails after the mesh is built and checks have run
+    v = int(s)
+    if v < 1:
+        raise ValueError(f"must be at least 1, got {v}")
+    return v
+
+
 def _parse_seed(s):
     v = int(s)
     if not 0 <= v < 2**64:
@@ -159,8 +167,8 @@ _KEYS = {
     "out": ("out", str),
     "sweep.aspects": ("sweep_aspects", _parse_floats),
     "sweep.level": ("sweep_level", int),
-    "battery.count": ("battery_count", int),
-    "battery.thresholds": ("battery_thresholds", int),
+    "battery.count": ("battery_count", _parse_count),
+    "battery.thresholds": ("battery_thresholds", _parse_count),
     "oracle.n": ("oracle_n", int),
     "oracle.problem": ("oracle_problem", _parse_choice("hemisphere", "interval")),
 }

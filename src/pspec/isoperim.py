@@ -139,12 +139,14 @@ class LevelSweep:
             cb, t = cell[b], ts[tid[b]]
             c_, a_ = self._lo[cb], self._hi[cb]
             if self.mesh.dimension == 2:
+                # both closed forms over the whole block, then select: the
+                # branch not taken may divide by a zero edge (a == b or
+                # b == c), and its inf or nan is discarded
                 b_ = self._mid[cb]
-                frac = np.empty(len(cb))
-                m = t >= b_
-                frac[m] = (a_[m] - t[m]) ** 2 / ((a_[m] - b_[m]) * (a_[m] - c_[m]))
-                m = ~m
-                frac[m] = 1.0 - (t[m] - c_[m]) ** 2 / ((a_[m] - c_[m]) * (b_[m] - c_[m]))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    upper = (a_ - t) ** 2 / ((a_ - b_) * (a_ - c_))
+                    lower = 1.0 - (t - c_) ** 2 / ((a_ - c_) * (b_ - c_))
+                frac = np.where(t >= b_, upper, lower)
             else:
                 frac = (a_ - t) / (a_ - c_)
             part[b] = frac * w[cb]

@@ -119,9 +119,47 @@ class EigenResult:
 # piecewise-linear element operators
 
 
-class _FemOps:
-    """P1 operators of one mesh; ``grad_op`` G (3 n_cells x n_vertices, CSR)
-    maps vertex values to the ambient gradient of each cell, row 3c + i."""
+class _Operators:
+    """Cellwise p-energy and lumped p-mass of fields over a set of unknowns:
+    ``grad_op`` G (3 rows per cell, one column per unknown, CSR) maps the
+    unknowns to the ambient gradient of each cell, row 3c + i; ``cellw`` and
+    ``mass`` are the cell and unknown measures."""
+
+    def __init__(self, grad_op, cellw, mass):
+        self.grad_op = grad_op
+        self.cellw = cellw
+        self.mass = mass
+
+    def restricted(self, cells, free):
+        """The same functionals for fields vanishing off ``free``: the rows
+        of ``cells``, which must hold every cell touching a free vertex, and
+        the ``free`` columns; zero values drop out of the products."""
+        rows = (3 * cells[:, None] + np.arange(3)).ravel()
+        return _Operators(self.grad_op[rows][:, free], self.cellw[cells], self.mass[free])
+
+    def gradients(self, u):
+        return (self.grad_op @ u).reshape(-1, 3)
+
+    def energy_mass(self, u, p, eps):
+        g = self.gradients(u)
+        g2 = np.einsum("ci,ci->c", g, g)
+        base = g2 + eps * eps if eps else g2
+        energy = float(self.cellw @ base ** (p / 2.0))
+        mass = float(self.mass @ np.abs(u) ** p)
+        return energy, mass, g, g2
+
+    def grad_log_quotient(self, u, p, eps, energy, mass, g, g2):
+        base = g2 + eps * eps if eps else g2
+        with np.errstate(divide="ignore"):
+            gamma = np.where(base > 0.0, base ** ((p - 2.0) / 2.0), 0.0)
+        dE = p * (self.grad_op.T @ ((self.cellw * gamma)[:, None] * g).ravel())
+        dM = p * self.mass * np.sign(u) * np.abs(u) ** (p - 1.0)
+        return dE / energy - dM / mass
+
+
+class _FemOps(_Operators):
+    """P1 operators of one mesh over all its vertices, with the stiffness K
+    and the per-mesh caches of the eigensolver."""
 
     def __init__(self, mesh):
         V, C = mesh.vertices, mesh.cells
@@ -143,34 +181,14 @@ class _FemOps:
             gp = np.stack([-t / L2[:, None], t / L2[:, None]], axis=2)
         nc, k = C.shape                         # gp: (cell, component, local vertex)
         self.nv = len(V)
-        self.grad_op = G = csr_matrix(
+        G = csr_matrix(
             (gp.ravel(), np.repeat(C, 3, axis=0).ravel(), np.arange(0, 3 * nc * k + 1, k)),
             shape=(3 * nc, self.nv),
         )
-        self.cellw = mesh.cell_measure
-        self.mass = mesh.vertex_measure
+        super().__init__(G, mesh.cell_measure, mesh.vertex_measure)
         self.stiffness = (G.T @ diags(np.repeat(self.cellw, 3)) @ G).tocsr()
         self.p2_starts = {}                     # free vertex set -> start, info
         self.closed_lu = None                   # K + M factorization, made on first use
-
-    def gradients(self, u):
-        return (self.grad_op @ u).reshape(-1, 3)
-
-    def energy_mass(self, u, p, eps):
-        g = self.gradients(u)
-        g2 = np.einsum("ci,ci->c", g, g)
-        base = g2 + eps * eps if eps else g2
-        energy = float(self.cellw @ base ** (p / 2.0))
-        mass = float(self.mass @ np.abs(u) ** p)
-        return energy, mass, g, g2
-
-    def grad_log_quotient(self, u, p, eps, energy, mass, g, g2):
-        base = g2 + eps * eps if eps else g2
-        with np.errstate(divide="ignore"):
-            gamma = np.where(base > 0.0, base ** ((p - 2.0) / 2.0), 0.0)
-        dE = p * (self.grad_op.T @ ((self.cellw * gamma)[:, None] * g).ravel())
-        dM = p * self.mass * np.sign(u) * np.abs(u) ** (p - 1.0)
-        return dE / energy - dM / mass
 
 
 def _fem(mesh):
@@ -419,14 +437,16 @@ def _lp_normalize(u, mass, p):
     return u / norm
 
 
-def _descent_stage(fem, u, p, eps, opts, lu, free, region, budget, evals):
+def _descent_stage(ops, u, p, eps, opts, lu, closed, budget, evals):
     """Minimize log energy - log mass at fixed (p, eps) by nonlinear CG.
 
-    d = -P g + beta d_prev, P = ``lu`` = (K + M)^-1, with Gilbert and
-    Nocedal's beta = max(0, min(beta_PR, beta_FR)) in the P inner product;
-    -P g, then -g, replace a d that does not descend. Armijo backtracking
-    picks the step. Only ``free`` vertices move; iterates on a closed Mesh
-    ``region`` are re-projected. Accepted iterates have non-increasing
+    ``u`` holds the values of the unknowns of ``ops``: every vertex of a
+    closed mesh, or the free vertices of a Domain, whose ``ops`` carry only
+    the domain's cells. d = -P g + beta d_prev, P = ``lu`` = (K + M)^-1 over
+    the same unknowns, with Gilbert and Nocedal's beta = max(0, min(beta_PR,
+    beta_FR)) in the P inner product; -P g, then -g, replace a d that does
+    not descend. Armijo backtracking picks the step. ``closed`` iterates are
+    re-projected onto the constraint. Accepted iterates have non-increasing
     Rayleigh quotient by construction; the stage stops after `opts.stall`
     consecutive accepted steps with relative change below `opts.tol`, on
     line-search stall, or on budget. Each projection appends its count of
@@ -434,36 +454,34 @@ def _descent_stage(fem, u, p, eps, opts, lu, free, region, budget, evals):
     """
 
     def feasible(w):
-        if isinstance(region, Mesh):
-            w = _project(w, fem.mass, p, evals)
-        return _lp_normalize(w, fem.mass, p)
+        if closed:
+            w = _project(w, ops.mass, p, evals)
+        return _lp_normalize(w, ops.mass, p)
 
     u = feasible(u)
-    energy, mass, g, g2 = fem.energy_mass(u, p, eps)
+    energy, mass, g, g2 = ops.energy_mass(u, p, eps)
     rq = energy / mass
-    grad = fem.grad_log_quotient(u, p, eps, energy, mass, g, g2)
+    grad = ops.grad_log_quotient(u, p, eps, energy, mass, g, g2)
     t, streak, iters, rel, converged = 1.0, 0, 0, np.inf, False
     d = np.zeros_like(u)
     gpg_prev = None                         # no previous direction: beta = 0
     while iters < budget:
-        gf = grad[free]
-        pg = lu.solve(gf)
-        gpg = float(gf @ pg)
+        pg = lu.solve(grad)
+        gpg = float(grad @ pg)
         beta = 0.0
         if gpg_prev is not None:            # Gilbert-Nocedal PR/FR hybrid
-            beta = max(0.0, min(gpg, gpg - float(gf @ pg_prev))) / gpg_prev
-        for direction in (beta * d[free] - pg, -pg, -gf):    # first that descends
-            slope = float(gf @ direction)
+            beta = max(0.0, min(gpg, gpg - float(grad @ pg_prev))) / gpg_prev
+        for d in (beta * d - pg, -pg, -grad):   # first that descends
+            slope = float(grad @ d)
             if slope < 0.0:
                 break
         else:
             break
-        d[free] = direction
         pg_prev, gpg_prev = pg, gpg
         t = min(2.0 * t, 4.0)
         for _ in range(_MAX_BACKTRACKS):
             unew = feasible(u + t * d)
-            e_new, m_new, g_new, g2_new = fem.energy_mass(unew, p, eps)
+            e_new, m_new, g_new, g2_new = ops.energy_mass(unew, p, eps)
             f_new = np.log(e_new) - np.log(m_new)
             if f_new <= np.log(rq) + 1e-4 * t * slope:
                 break
@@ -482,7 +500,7 @@ def _descent_stage(fem, u, p, eps, opts, lu, free, region, budget, evals):
         if streak >= opts.stall:
             converged = True
             break
-        grad = fem.grad_log_quotient(u, p, eps, energy, mass, g, g2)
+        grad = ops.grad_log_quotient(u, p, eps, energy, mass, g, g2)
     return u, {"iters": iters, "converged": converged, "residual": rel, "rayleigh": rq}
 
 
@@ -490,8 +508,14 @@ def _eigen_solve(region, p, opts):
     """The one solver behind closed_eigen (a Mesh) and dirichlet_eigen (a Domain).
 
     A closed mesh frees every vertex and keeps iterates on the constraint; a
-    Domain frees its interior and holds the rest at zero. ``converged`` is
-    the p = 2 start's flag for p = 2 and the last stage's flag otherwise.
+    Domain frees its interior and holds the rest at zero. The K + M LU and
+    the p = 2 start come from the mesh's operators, sliced by the free set.
+    A Domain then descends on the reduced operators of its own cells and
+    free vertices (built per solve, after the LU, and dropped on return), so
+    every step, the sign trim, the L^p normalization and ``grad_norm`` run
+    on interior-length vectors; the result is scattered into a field that
+    vanishes off the interior. ``converged`` is the p = 2 start's flag for
+    p = 2 and the last stage's flag otherwise.
     """
     p = check_p(p)
     opts = opts or SolverOptions()
@@ -502,6 +526,12 @@ def _eigen_solve(region, p, opts):
     descend = abs(p - 2.0) > 1e-12
     lu = _shifted_lu(fem, free, closed) if descend else None
     u, start = _p2_init(fem, free, closed, lu)
+    ops = fem
+    if not closed:
+        u = u[free]
+        if descend:
+            ops = fem.restricted(region.cells, free)
+    mass = fem.mass[free]
     diag = dict(start, stages=[])
     converged, iterations = start["p2_converged"], start["p2_iterations"]
     residual = 0.0
@@ -512,7 +542,7 @@ def _eigen_solve(region, p, opts):
         budget = opts.max_iters
         lam_prev, p_prev = start["p2_lambda"], 2.0
         for pk, eps in stages:
-            u, info = _descent_stage(fem, u, pk, eps, opts, lu, free, region, budget, evals)
+            u, info = _descent_stage(ops, u, pk, eps, opts, lu, closed, budget, evals)
             budget -= info["iters"]
             converged = info["converged"] and budget > 0
             residual = info["residual"]
@@ -536,7 +566,7 @@ def _eigen_solve(region, p, opts):
                 break
         iterations = opts.max_iters - budget
     if closed:
-        u = _project(u, fem.mass, p, evals)
+        u = _project(u, mass, p, evals)
         if descend:
             diag["projection_evals"] = sum(evals)
     if u[np.argmax(np.abs(u))] < 0.0:
@@ -544,11 +574,15 @@ def _eigen_solve(region, p, opts):
     neg = u < 0.0
     if not closed and neg.any() and abs(u[neg].min()) <= 1e-8 * u.max():
         u = np.where(neg, 0.0, u)  # trim sign noise from the constrained ring
-    u = _lp_normalize(u, fem.mass, p)
+    u = _lp_normalize(u, mass, p)
     if descend:
-        energy, mass, g, g2 = fem.energy_mass(u, p, 0.0)
-        gf = fem.grad_log_quotient(u, p, 0.0, energy, mass, g, g2)[free]
-        diag["grad_norm"] = math.sqrt(float(gf @ lu.solve(gf)))
+        energy, m_p, g, g2 = ops.energy_mass(u, p, 0.0)
+        grad = ops.grad_log_quotient(u, p, 0.0, energy, m_p, g, g2)
+        diag["grad_norm"] = math.sqrt(float(grad @ lu.solve(grad)))
+    if not closed:
+        full = np.zeros(fem.nv)
+        full[free] = u
+        u = full
     fld = ScalarField(mesh, u)
     lam = rayleigh_quotient(fld, region, p)
     cres = constraint_residual(fld, p) if closed else None
@@ -559,11 +593,21 @@ def dirichlet_eigen(domain, p, opts=None):
     """First Dirichlet eigenvalue and eigenfunction of the p-Laplacian.
 
     The minimizer of the p-Rayleigh quotient over fields vanishing outside
-    the domain interior. The returned field is sign fixed to be nonnegative
-    and has unit L^p norm; ``result.lam`` equals its Rayleigh quotient.
+    the domain interior. The returned field is sign fixed to be nonnegative,
+    exactly zero off the interior, and has unit L^p norm; ``result.lam``
+    equals its Rayleigh quotient. The descent runs on the domain's own cells
+    and interior vertices. A domain whose interior is every vertex of a
+    closed mesh has no boundary to hold at zero, and its minimizer would be
+    the constant mode; it is rejected before any factorization (use
+    ``closed_eigen`` for the closed problem).
     """
     if not isinstance(domain, Domain):
         raise TypeError("dirichlet_eigen requires a Domain")
+    if domain.interior.all():
+        raise ValueError(
+            "domain has no boundary: every vertex is interior; use closed_eigen "
+            "for the closed problem"
+        )
     return _eigen_solve(domain, p, opts)
 
 

@@ -122,6 +122,29 @@ def test_main_exit_2_on_zero_step_before_any_solve(tmp_path, capsys, monkeypatch
     assert "solver.step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("verify", "count", "0"), ("verify", "count", "-3"), ("verify", "thresholds", "0"),
+     ("sweep", "count", "0")],
+)
+def test_main_exit_2_on_empty_battery_before_any_work(
+    tmp_path, capsys, monkeypatch, command, key, value
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in [(cli, "_build_mesh"), (cli, "pinching_sweep"), (cli, "closed_eigen"),
+                         (cli, "dirichlet_eigen"), (harness, "closed_eigen"),
+                         (harness, "dirichlet_eigen")]:
+        monkeypatch.setattr(module, name, no_work)
+    text = f"command = {command}\nmesh.level = 2\nbattery.{key} = {value}"
+    with pytest.raises(ConfigError, match=rf"line 3: battery\.{key}: must be at least 1, got {value}"):
+        parse_config(text)
+    path = write_config(tmp_path, text)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"line 3: battery.{key}" in capsys.readouterr().err
+
+
 def test_parse_keeps_raw_text():
     text = "command = mesh\nmesh.level = 1"
     assert parse_config(text).raw_text == text

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -405,6 +406,49 @@ def test_batch_of_many_blocks_bitwise_equal_the_reference(ico3, rng):
         for weights in (None, w):
             got, want = getattr(sweep, name)(ts, weights), getattr(ref, name)(ts, weights)
             assert got.tobytes() == want.tobytes()
+
+
+def _tied_cells_field(mesh, rng):
+    # a random field with one cell whose two top values tie (a == b) and a
+    # disjoint cell whose two bottom values tie (b == c)
+    u = rng.normal(size=len(mesh.vertices))
+    top = mesh.cells[0]
+    bottom = next(c for c in mesh.cells if not np.isin(c, top).any())
+    u[top], u[bottom] = (1.0, 1.0, 0.2), (0.5, -0.3, -0.3)
+    return ScalarField(mesh, u), top, bottom
+
+
+def _assert_superlevel_bitwise_without_warnings(field, ts):
+    weights = np.random.default_rng(3).uniform(0.5, 2.0, len(field.mesh.cells))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in (None, weights):
+            got = LevelSweep(field).superlevel(ts, w)
+            want = _ReferenceSweep(field).superlevel(ts, w)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_superlevel_at_middle_vertex_values_bitwise_equals_the_reference(ico2, rng):
+    # t equal to a cell's middle value takes the upper closed form
+    field, top, bottom = _tied_cells_field(ico2, rng)
+    mids = np.sort(field.values[ico2.cells], axis=1)[:, 1]
+    _assert_superlevel_bitwise_without_warnings(field, mids)
+
+
+def test_superlevel_with_tied_cell_values_bitwise_equals_the_reference(ico2, rng):
+    # the branch not taken divides by the zero edge: (a - b) when a == b,
+    # (b - c) when b == c; its inf or nan must neither leak nor warn
+    field, top, bottom = _tied_cells_field(ico2, rng)
+    ts = np.array([0.2, 0.6, 0.999, -0.3, 0.1, 0.4999])
+    _assert_superlevel_bitwise_without_warnings(field, ts)
+    sweep = LevelSweep(field)
+    for cell in (top, bottom):              # each tied cell's own area fraction
+        index = np.flatnonzero((ico2.cells == cell).all(1))
+        frac = sweep.superlevel(ts, np.isin(np.arange(len(ico2.cells)), index) * 1.0)
+        lo, hi = min(field.values[cell]), max(field.values[cell])
+        inside = (lo <= ts) & (ts < hi)
+        assert inside.sum() >= 3
+        assert ((0.0 < frac[inside]) & (frac[inside] <= 1.0)).all()
 
 
 def test_level_batch_memory_is_bounded(ico5):

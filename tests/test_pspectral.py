@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 from pspec import pspectral
 
 from pspec.manifold import (
+    Domain,
     build_circle,
     build_ellipsoid,
     build_icosphere,
@@ -344,6 +345,95 @@ def test_non_convergence_is_flagged(ico2):
     res = dirichlet_eigen(hemisphere_domain(ico2), 3.0, SolverOptions(max_iters=1))
     assert not res.converged
     assert res.lam > 0  # best iterate still reported
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_dirichlet_eigen_rejects_a_domain_without_boundary(ico2, p, monkeypatch):
+    # every vertex interior: nothing is held at zero and the minimizer
+    # would be the constant mode, so the solve is refused before any LU
+    def no_lu(A):
+        raise AssertionError("factorized")
+
+    monkeypatch.setattr(pspectral, "splu", no_lu)
+    whole = Domain(ico2, np.ones(len(ico2.vertices), dtype=bool))
+    with pytest.raises(ValueError, match="closed_eigen"):
+        dirichlet_eigen(whole, p)
+    z = coordinate_field(ico2)
+    assert rayleigh_quotient(z, whole, p) == rayleigh_quotient(z, ico2, p)
+
+
+_REDUCED_MESHES = {
+    "ico2": build_icosphere(2),
+    "ico3": build_icosphere(3),
+    "interval": build_interval(40),
+}
+
+
+@st.composite
+def _reduced_cases(draw):
+    """A cap domain (interval: its interior), p, eps and a field on it.
+
+    Caps are superlevel domains of a random linear field cut between its
+    20% and 80% quantiles; fields are random on the interior, zero outside.
+    """
+    name = draw(st.sampled_from(sorted(_REDUCED_MESHES)))
+    mesh = _REDUCED_MESHES[name]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if name == "interval":
+        domain = interior_domain(mesh)
+    else:
+        lin = mesh.vertices @ rng.normal(size=3)
+        domain = superlevel_domain(mesh, lin, np.quantile(lin, rng.uniform(0.2, 0.8)))
+    p = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    eps = draw(st.sampled_from([0.0, pspectral._EPS_FACTOR * float(mesh.edge_lengths.mean())]))
+    u = np.zeros(len(mesh.vertices))
+    u[domain.interior] = rng.normal(size=int(domain.interior.sum()))
+    return domain, p, eps, u
+
+
+@settings(max_examples=60, deadline=None)
+@given(_reduced_cases())
+def test_reduced_operator_equals_the_full_one_on_the_interior(case):
+    domain, p, eps, u = case
+    fem = _fem(domain.mesh)
+    free = domain.interior_indices
+    ops = fem.restricted(domain.cells, free)
+    assert ops.grad_op.shape == (3 * len(domain.cells), len(free))
+    full, red = fem.energy_mass(u, p, eps), ops.energy_mass(u[free], p, eps)
+    for a, b in zip(full[:2], red[:2]):     # energy and mass
+        assert b == pytest.approx(a, rel=1e-13)
+    grad = fem.grad_log_quotient(u, p, eps, *full)
+    grad_red = ops.grad_log_quotient(u[free], p, eps, *red)
+    np.testing.assert_allclose(
+        grad_red, grad[free], rtol=1e-13, atol=1e-13 * np.abs(grad).max()
+    )
+
+
+def test_dirichlet_descent_sees_only_the_domain_cells(ico3, monkeypatch):
+    domain = hemisphere_domain(ico3)
+    nv, ni = len(ico3.vertices), len(domain.interior_indices)
+    real, calls = pspectral._Operators.energy_mass, []
+
+    def counting(self, u, p, eps):
+        calls.append((len(self.cellw), len(u)))
+        return real(self, u, p, eps)
+
+    monkeypatch.setattr(pspectral._Operators, "energy_mass", counting)
+    res = dirichlet_eigen(domain, 1.5)
+    descent = [c for c in calls if c[1] != nv]
+    assert len(descent) > res.iterations
+    assert set(descent) == {(len(domain.cells), ni)}
+    # the one full-mesh evaluation is rayleigh_quotient of the returned field
+    assert calls.count((len(ico3.cells), nv)) == 1 == len(calls) - len(descent)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_dirichlet_field_vanishes_exactly_off_the_interior(ico2, p):
+    for domain in (hemisphere_domain(ico2), interior_domain(build_interval(40))):
+        res = dirichlet_eigen(domain, p)
+        u = res.field.values
+        assert (u[~domain.interior] == 0.0).all() and (u[domain.interior] > 0.0).any()
+        assert res.lam == rayleigh_quotient(res.field, domain, p)
 
 
 # ---------------------------------------------------------------------------
