@@ -40,25 +40,18 @@ from .pspectral import (
     solve_radial_1d,
 )
 from .rearrange import (
-    DistributionProfile,
     RadialProfile,
     coarea_check,
-    distribution,
     lp_equimeasurability,
     polya_szego_check,
     symmetrize,
 )
 from .isoperim import (
     CrokeProfile,
-    LevelSetCurve,
     LevelSweep,
     check_battery,
     croke_profile,
     domain_bump_battery,
     gromov_ratio,
-    level_boundary_measure,
-    level_curve,
-    level_integral,
-    superlevel_measure,
 )
 from .harness import AuditReport, SweepRecord, chain_audit, pinching_sweep, sphere_comparison

@@ -27,6 +27,7 @@ from .isoperim import (
     gromov_ratio,
 )
 from .manifold import (
+    MAX_ASPECT,
     beta as measure_ratio,
     build_circle,
     build_ellipsoid,
@@ -120,8 +121,13 @@ def _parse_ps(s):
     return vals
 
 
-def _parse_floats(s):
-    return tuple(float(tok) for tok in s.split(","))
+def _parse_aspects(s):
+    # build_ellipsoid's bound, checked before the sweep solves any aspect
+    vals = tuple(float(tok) for tok in s.split(","))
+    for a in vals:
+        if not 1.0 <= a <= MAX_ASPECT:
+            raise ValueError(f"aspect must be in [1, {MAX_ASPECT}], got {a:g}")
+    return vals
 
 
 def _solver_option(name, kind):
@@ -165,7 +171,7 @@ _KEYS = {
     "solver.step": ("solver_step", _solver_option("step", float)),
     "seed": ("seed", _parse_seed),
     "out": ("out", str),
-    "sweep.aspects": ("sweep_aspects", _parse_floats),
+    "sweep.aspects": ("sweep_aspects", _parse_aspects),
     "sweep.level": ("sweep_level", int),
     "battery.count": ("battery_count", _parse_count),
     "battery.thresholds": ("battery_thresholds", _parse_count),
@@ -599,7 +605,10 @@ def main(argv=None):
         if args.out is not None:
             cfg = replace(cfg, out=args.out)
         if args.seed is not None:
-            cfg = replace(cfg, seed=_parse_seed(str(args.seed)))
+            try:
+                cfg = replace(cfg, seed=_parse_seed(str(args.seed)))
+            except ValueError as exc:
+                raise ConfigError(f"--seed: {exc}") from None
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,6 @@ from .rearrange import (
     cap_shell_integrals,
     cap_shell_nodes,
     cap_shells,
-    distribution,
     symmetrize,
 )
 
@@ -232,14 +231,17 @@ def chain_audit(domain, p, opts=None):
         )
     )
 
+    # lumped masses above each level from one ascending sort: idx vertices
+    # lie at or below the level (idx >= 1, as levels exceed the minimum 0)
+    m = mesh.vertex_measure
     asc = np.argsort(u, kind="stable")
     mass_tail = np.concatenate(
-        [np.cumsum((mesh.vertex_measure[asc] * np.abs(u[asc]) ** p)[::-1])[::-1], [0.0]]
+        [np.cumsum((m[asc] * np.abs(u[asc]) ** p)[::-1])[::-1], [0.0]]
     )
-    dist = distribution(field)
     prof = symmetrize(field, bet)
-    lhs_mass = mass_tail[np.searchsorted(u[asc], levels, side="right")]
-    cap_r = cap_radius(dist.measure_above(levels) / bet, n)
+    idx = np.searchsorted(u[asc], levels, side="right")
+    lhs_mass = mass_tail[idx]
+    cap_r = cap_radius((float(m.sum()) - np.cumsum(m[asc])[idx - 1]) / bet, n)
     rhs_mass = bet * prof.lp_mass_within(p, cap_r)
     rel = (lhs_mass - rhs_mass) / lhs_mass
     steps.append(AuditStep("mass_transport", _signed_worst(rel), rel))

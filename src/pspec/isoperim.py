@@ -1,9 +1,9 @@
 """Level sets of vertex fields and isoperimetric ratio checks.
 
 Every level-set quantity goes through :class:`LevelSweep`, built once per
-field: level curves are extracted by linear interpolation along cell edges,
-and superlevel measures integrate the same piecewise-linear interpolant
-exactly, so boundary and bulk stay mutually consistent: the two sides of the
+field: level sets are cut by linear interpolation along cell edges, and
+superlevel measures integrate the same piecewise-linear interpolant exactly,
+so boundary and bulk stay mutually consistent: the two sides of the
 isoperimetric comparison see the same discrete geometry.
 """
 
@@ -14,24 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .manifold import SPHERE_MEASURE, _unique_edges, cap_boundary, cap_radius, total_measure
+from .manifold import SPHERE_MEASURE, cap_boundary, cap_radius, total_measure
 from .pspectral import ScalarField, coordinate_field
-
-
-@dataclass
-class LevelSetCurve:
-    """Level set {u = t}: polyline segments for n=2, crossing points for n=1.
-
-    ``measure`` is the H^{n-1} content (total segment length, or the
-    crossing count under the counting measure). ``closed`` reports whether
-    every crossed cell edge is shared by exactly two crossed cells, which
-    holds for level sets on closed surfaces (even crossing count in 1-D).
-    """
-
-    t: float
-    segments: np.ndarray
-    measure: float
-    closed: bool
 
 
 _BLOCK = 8192
@@ -84,26 +68,20 @@ class LevelSweep:
         return cell, order[idx], ts
 
     def _crossings(self, cell, t):
-        # the d crossed edges of each crossed cell run from its lone vertex
-        # (alone on its side of t: the max vertex when t >= mid, else the
-        # min vertex; vertex 0 in 1-D) to the others. Returns the lone
-        # vertices, the d other ends and the d interpolated (k, 3) points.
-        d = self.mesh.dimension
+        # the two crossed edges of each crossed triangle run from its lone
+        # vertex (alone on its side of t: the max vertex when t >= mid, else
+        # the min vertex) to the other two; returns their interpolated points
         cc, uc = self.mesh.cells[cell], self._uc[cell]
         rows = np.arange(len(cell))
-        lone = np.zeros(len(cell), dtype=np.int64)
-        if d == 2:
-            lone = np.where(t >= self._mid[cell], np.argmax(uc, 1), np.argmin(uc, 1))
+        lone = np.where(t >= self._mid[cell], np.argmax(uc, 1), np.argmin(uc, 1))
         V = self.mesh.vertices
-        base, u0 = cc[rows, lone], uc[rows, lone]
-        x0 = V[base]
-        ends, pts = [], []
-        for k in range(1, d + 1):
-            oth = (lone + k) % (d + 1)
-            ends.append(cc[rows, oth])
+        u0, x0 = uc[rows, lone], V[cc[rows, lone]]
+        pts = []
+        for k in (1, 2):
+            oth = (lone + k) % 3
             w = (t - u0) / (uc[rows, oth] - u0)
-            pts.append(x0 + w[:, None] * (V[ends[-1]] - x0))
-        return base, ends, pts
+            pts.append(x0 + w[:, None] * (V[cc[rows, oth]] - x0))
+        return pts
 
     def level(self, ts, weights=None):
         """Sum over cells of weight times level-set measure in the cell.
@@ -115,7 +93,7 @@ class LevelSweep:
         if self.mesh.dimension == 2:
             size = np.empty(len(cell))
             for b in _blocks(len(cell)):
-                _, _, (p0, p1) = self._crossings(cell[b], ts[tid[b]])
+                p0, p1 = self._crossings(cell[b], ts[tid[b]])
                 size[b] = np.linalg.norm(p1 - p0, axis=1)
         else:
             size = np.ones(len(cell))
@@ -174,48 +152,6 @@ def _require_interior_level(field, t):
         raise ValueError(
             f"level {bad[0]} is not strictly inside the field range [{lo}, {hi}]"
         )
-
-
-def level_curve(field, t):
-    """Extract the level set {u = t} by linear edge interpolation."""
-    _require_interior_level(field, t)
-    sweep = LevelSweep(field)
-    cell, tid, ts = sweep._pairs([t])
-    base, ends, pts = sweep._crossings(cell, ts[tid])
-    measure = float(sweep.level([t])[0])
-    if field.mesh.dimension == 1:
-        return LevelSetCurve(float(t), pts[0], measure, len(pts[0]) % 2 == 0)
-    edges = np.column_stack([np.tile(base, len(ends)), np.concatenate(ends)])
-    _, counts = _unique_edges(edges, len(field.mesh.vertices))
-    closed = bool(len(base)) and bool((counts == 2).all())
-    return LevelSetCurve(float(t), np.stack(pts, 1), measure, closed)
-
-
-def level_boundary_measure(field, t):
-    """H^{n-1} measure of the interpolated level set {u = t}."""
-    _require_interior_level(field, t)
-    return float(LevelSweep(field).level([t])[0])
-
-
-def level_integral(field, t, cell_values):
-    """Integral over the level set of a per-cell quantity.
-
-    ``cell_values`` holds one value per mesh cell (constant on each cell,
-    e.g. a function of the cell gradient); the integral weights it by the
-    local level-segment measure.
-    """
-    _require_interior_level(field, t)
-    return float(LevelSweep(field).level([t], cell_values)[0])
-
-
-def superlevel_measure(field, t):
-    """H^n measure of {u > t} integrated from the linear interpolant.
-
-    Consistent with level_boundary_measure: the derivative of this measure
-    in t matches the coarea integrand of the same interpolant, which keeps
-    volume and boundary comparisons noise free.
-    """
-    return float(LevelSweep(field).superlevel([t])[0])
 
 
 def gromov_ratio(field, t, beta):
@@ -289,17 +225,12 @@ class CrokeProfile:
 
     ``min_ratio`` over the battery estimates the best constant available on
     this mesh; diameters below pi should push it strictly above the
-    round-sphere value. ``histogram`` is (counts, bin_edges) over ratios
-    clipped to the bin range.
+    round-sphere value.
     """
 
     min_ratio: float
     ratios: np.ndarray
-    histogram: tuple
     count: int
-
-
-_HIST_BINS = np.linspace(0.9, 2.1, 25)
 
 
 def battery_ratios(fields, rng, thresholds, beta):
@@ -317,8 +248,7 @@ def battery_ratios(fields, rng, thresholds, beta):
 
 
 def croke_profile(mesh, beta, count=50, thresholds=3, seed=0):
-    """Minimum Gromov ratio and its histogram over a random field battery."""
+    """Minimum Gromov ratio over a random field battery."""
     rng = np.random.default_rng(seed)
     ratios = battery_ratios(check_battery(mesh, rng, count), rng, thresholds, beta)
-    hist = np.histogram(np.clip(ratios, _HIST_BINS[0], _HIST_BINS[-1] - 1e-9), _HIST_BINS)
-    return CrokeProfile(float(ratios.min()), ratios, hist, len(ratios))
+    return CrokeProfile(float(ratios.min()), ratios, len(ratios))

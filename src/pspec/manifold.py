@@ -399,9 +399,7 @@ class Domain:
 
     ``interior`` is a boolean vertex mask. Cells touching at least one
     interior vertex belong to the domain; closure vertices that are not
-    interior form the constrained boundary ring. ``boundary_measure`` is the
-    H^{n-1} measure of the free boundary of the domain cell complex
-    (polyline length for n=2, endpoint count for n=1).
+    interior form the constrained boundary ring.
     """
 
     def __init__(self, mesh, interior):
@@ -422,22 +420,6 @@ class Domain:
         closure = np.unique(mesh.cells[self.cells])
         self.boundary_vertices = closure[~interior[closure]]
 
-        cells = mesh.cells[self.cells]
-        if mesh.dimension == 2:
-            edges, counts = _unique_edges(_cell_edges(cells), len(mesh.vertices))
-            free = edges[counts == 1]
-            self.boundary_measure = float(
-                np.linalg.norm(
-                    mesh.vertices[free[:, 0]] - mesh.vertices[free[:, 1]], axis=1
-                ).sum()
-            )
-            self._boundary_edges = free
-        else:
-            deg = np.bincount(cells.ravel(), minlength=len(mesh.vertices))
-            ends = np.flatnonzero(deg == 1)
-            self.boundary_measure = float(len(ends))
-            self._boundary_edges = ends
-
         if interior.all():
             if not mesh.closed:
                 raise ValueError("whole-mesh domain requires a closed mesh")
@@ -452,7 +434,7 @@ class Domain:
         return (
             f"<Domain {int(self.interior.sum())} interior / "
             f"{len(self.mesh.vertices)} vertices, "
-            f"boundary measure {self.boundary_measure:.6g}>"
+            f"{len(self.boundary_vertices)} on the boundary>"
         )
 
 

@@ -1,6 +1,6 @@
-"""Distribution functions, cap symmetrization, and rearrangement checks.
+"""Cap symmetrization and rearrangement checks.
 
-A vertex field is symmetrized by transporting its distribution function
+A vertex field is symmetrized by transporting its superlevel measures
 onto concentric geodesic caps of the model unit sphere, after dividing the
 measure by the volume ratio beta. The checks in this module confirm the
 two defining properties numerically: scaled p-mass is preserved, and the
@@ -10,7 +10,7 @@ p-Dirichlet energy does not increase beyond the beta factor.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -69,56 +69,6 @@ def cap_shells(levels, measures, beta, n):
     slope = np.zeros(len(dr))
     slope[ok] = np.diff(levels)[ok] / dr[ok]
     return radii, vol[:-1] - vol[1:], slope
-
-
-@dataclass
-class DistributionProfile:
-    """Superlevel measure t -> mu{u > t} of a vertex field.
-
-    ``thresholds`` are the tie-broken vertex values, strictly increasing;
-    ``measures`` are the strict superlevel masses there, decreasing to zero
-    at the top vertex. measure_above queries the original (unperturbed)
-    values exactly.
-    """
-
-    thresholds: np.ndarray
-    measures: np.ndarray
-    total: float
-    dimension: int
-    source: object
-    _sorted_values: np.ndarray = dc_field(repr=False, default=None)
-    _cum_mass: np.ndarray = dc_field(repr=False, default=None)
-
-    def measure_above(self, t):
-        """Exact mu{u > t} of the vertex measure, scalar or array t."""
-        idx = np.searchsorted(self._sorted_values, t, side="right")
-        below = np.where(idx > 0, self._cum_mass[np.maximum(idx - 1, 0)], 0.0)
-        out = self.total - below
-        return float(out) if np.isscalar(t) else out
-
-
-def distribution(field):
-    """Distribution profile of a field under the lumped vertex measure."""
-    u = field.values
-    m = field.mesh.vertex_measure
-    keys = _tie_broken_keys(u)
-    order = np.argsort(-keys, kind="stable")
-    cum = np.cumsum(m[order])
-    strict = np.concatenate([[0.0], cum[:-1]])
-    thresholds = keys[order][::-1].copy()
-    measures = strict[::-1].copy()
-    assert (np.diff(thresholds) > 0).all(), "tie-broken thresholds not strict"
-    assert (np.diff(measures) < 0).all(), "superlevel measure not decreasing"
-    asc = np.argsort(u, kind="stable")
-    return DistributionProfile(
-        thresholds=thresholds,
-        measures=measures,
-        total=float(m.sum()),
-        dimension=field.mesh.dimension,
-        source=field,
-        _sorted_values=u[asc],
-        _cum_mass=np.cumsum(m[asc]),
-    )
 
 
 @dataclass

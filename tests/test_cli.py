@@ -14,7 +14,7 @@ import pytest
 import pspec
 from pspec import cli, harness, isoperim, pspectral, rearrange
 from pspec.cli import CHECKS, ConfigError, RunConfig, main, parse_config, run
-from pspec.manifold import read_off
+from pspec.manifold import MAX_ASPECT, read_off
 from pspec.pspectral import SolverOptions
 
 
@@ -120,6 +120,35 @@ def test_main_exit_2_on_zero_step_before_any_solve(tmp_path, capsys, monkeypatch
     path = write_config(tmp_path, "command = eigen\nmesh.level = 1\nsolver.step = 0")
     assert main(["eigen", "--config", path, "--out", str(tmp_path / "e")]) == 2
     assert "solver.step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_main_exit_2_on_out_of_range_seed_flag(tmp_path, capsys, seed):
+    path = write_config(tmp_path, "command = oracle\np = 2")
+    assert main(["oracle", "--config", path, "--out", str(tmp_path / "o"), "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("aspects", ["1.0, 2.5", "0.9", "1.0, 1.2, nan"])
+def test_main_exit_2_on_out_of_range_aspect_before_any_solve(
+    tmp_path, capsys, monkeypatch, aspects
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(cli, "pinching_sweep", no_solve)
+    monkeypatch.setattr(harness, "closed_eigen", no_solve)
+    text = f"command = sweep\nsweep.level = 2\nsweep.aspects = {aspects}"
+    with pytest.raises(ConfigError, match=rf"line 3: sweep\.aspects: aspect must be in \[1, "):
+        parse_config(text)
+    path = write_config(tmp_path, text)
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == 2
+    assert "sweep.aspects" in capsys.readouterr().err
+    bounds = parse_config(f"command = sweep\nsweep.aspects = 1, {MAX_ASPECT}")
+    assert bounds.sweep_aspects == (1.0, MAX_ASPECT)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import pspec.isoperim as isoperim
 from pspec.manifold import (
-    _unique_edges,
     beta,
     build_circle,
     build_icosphere,
@@ -22,12 +21,8 @@ from pspec.isoperim import (
     croke_profile,
     domain_bump_battery,
     gromov_ratio,
-    level_boundary_measure,
-    level_curve,
-    level_integral,
     random_bump_field,
     random_smooth_field,
-    superlevel_measure,
 )
 from pspec.manifold import hemisphere_domain
 from pspec.pspectral import ScalarField, coordinate_field
@@ -40,19 +35,19 @@ def ico5():
 
 
 # ---------------------------------------------------------------------------
-# level curves and boundary measure
+# level-set measures
 
 
 def test_equator_length(ico4):
     z = coordinate_field(ico4)
-    assert level_boundary_measure(z, 0.0) == pytest.approx(2 * np.pi, rel=0.01)
+    assert LevelSweep(z).level([0.0])[0] == pytest.approx(2 * np.pi, rel=0.01)
 
 
 def test_level_out_of_range_rejected(ico3):
     z = coordinate_field(ico3)
     for t in (1.0, 1.5, -1.0, -2.0):
-        with pytest.raises(ValueError):
-            level_boundary_measure(z, t)
+        with pytest.raises(ValueError, match="strictly inside"):
+            gromov_ratio(z, t, beta(ico3))
 
 
 def test_boundary_error_halves_under_refinement():
@@ -60,7 +55,7 @@ def test_boundary_error_halves_under_refinement():
     errs = {}
     for level in (4, 6):
         z = coordinate_field(build_icosphere(level))
-        errs[level] = abs(level_boundary_measure(z, 0.4) - exact) / exact
+        errs[level] = abs(LevelSweep(z).level([0.4])[0] - exact) / exact
     assert errs[6] < 0.5 * errs[4]
 
 
@@ -68,42 +63,28 @@ def test_sign_symmetry_exact(ico3, rng):
     f = random_smooth_field(ico3, rng)
     neg = ScalarField(ico3, -f.values)
     for t in (0.1, -0.3, 0.55):
-        assert level_boundary_measure(f, t) == level_boundary_measure(neg, -t)
+        assert LevelSweep(f).level([t])[0] == LevelSweep(neg).level([-t])[0]
 
 
 def test_boundary_measure_continuous_in_t(ico4):
     z = coordinate_field(ico4)
     ts = np.linspace(-0.9, 0.9, 200)
-    lens = np.array([level_boundary_measure(z, t) for t in ts])
+    sweep = LevelSweep(z)
+    lens = np.array([sweep.level([t])[0] for t in ts])
     assert np.abs(np.diff(lens)).max() <= 0.05 * lens.max()
-
-
-def test_level_curve_closed_on_sphere(ico3, rng):
-    z = coordinate_field(ico3)
-    for t in (0.0, 0.5, -0.37):
-        curve = level_curve(z, t)
-        assert curve.closed
-        assert curve.segments.shape[1:] == (2, 3)
-        assert curve.measure == level_boundary_measure(z, t)
-    f = random_smooth_field(ico3, rng)
-    assert level_curve(f, 0.2).closed
 
 
 def test_level_crossings_on_circle():
     m = build_circle(100)
     f = coordinate_field(m, axis=0)  # cos(theta) along the polygon
-    curve = level_curve(f, 0.3)
-    assert curve.measure == 2.0
-    assert curve.closed
-    assert level_boundary_measure(f, 0.3) == 2.0
+    assert LevelSweep(f).level([0.3])[0] == 2.0
 
 
 def test_level_integral_of_ones_is_measure(ico3):
     z = coordinate_field(ico3)
+    sweep = LevelSweep(z)
     ones = np.ones(len(ico3.cells))
-    assert level_integral(z, 0.25, ones) == pytest.approx(
-        level_boundary_measure(z, 0.25), rel=1e-12
-    )
+    assert sweep.level([0.25], ones)[0] == pytest.approx(sweep.level([0.25])[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +94,7 @@ def test_level_integral_of_ones_is_measure(ico3):
 def test_superlevel_matches_cap_areas(ico4):
     z = coordinate_field(ico4)
     for t in (-0.5, 0.0, 0.4, 0.8):
-        assert superlevel_measure(z, t) == pytest.approx(
+        assert LevelSweep(z).superlevel([t])[0] == pytest.approx(
             2 * np.pi * (1 - t), rel=0.01
         )
 
@@ -121,22 +102,23 @@ def test_superlevel_matches_cap_areas(ico4):
 def test_superlevel_hemisphere_area_level5(ico5):
     # Archimedes: the hemisphere occupies half of the sphere area
     z = coordinate_field(ico5)
-    assert superlevel_measure(z, 0.0) == pytest.approx(2 * np.pi, rel=0.01)
+    assert LevelSweep(z).superlevel([0.0])[0] == pytest.approx(2 * np.pi, rel=0.01)
 
 
 def test_superlevel_extremes(ico3, rng):
     f = random_smooth_field(ico3, rng)
     lo, hi = f.values.min(), f.values.max()
     total = float(ico3.cell_measure.sum())
-    assert superlevel_measure(f, lo - 1.0) == pytest.approx(total, rel=1e-12)
-    assert superlevel_measure(f, hi + 1.0) == 0.0
+    sweep = LevelSweep(f)
+    assert sweep.superlevel([lo - 1.0])[0] == pytest.approx(total, rel=1e-12)
+    assert sweep.superlevel([hi + 1.0])[0] == 0.0
 
 
 def test_superlevel_batch_matches_scalar(ico3, rng):
     f = random_smooth_field(ico3, rng)
     ts = np.linspace(f.values.min() + 0.05, f.values.max() - 0.05, 17)
     batch = LevelSweep(f).superlevel(ts)
-    single = np.array([superlevel_measure(f, t) for t in ts])
+    single = np.array([LevelSweep(f).superlevel([t])[0] for t in ts])
     np.testing.assert_array_equal(batch, single)
     assert (np.diff(batch) <= 0).all()
 
@@ -276,27 +258,23 @@ class _ReferenceSweep:
         return cell, order[first[cell] + k], ts
 
     def _crossings(self, cell, t):
-        d = self.mesh.dimension
         cc, uc = self.mesh.cells[cell], self._uc[cell]
         rows = np.arange(len(cell))
-        lone = np.zeros(len(cell), dtype=np.int64)
-        if d == 2:
-            above = uc > t[:, None]
-            lone = np.where(above.sum(1) == 1, np.argmax(above, 1), np.argmax(~above, 1))
+        above = uc > t[:, None]
+        lone = np.where(above.sum(1) == 1, np.argmax(above, 1), np.argmax(~above, 1))
         V = self.mesh.vertices
         base = cc[rows, lone]
-        pts, edges = [], []
-        for k in range(1, d + 1):
-            oth = (lone + k) % (d + 1)
+        pts = []
+        for k in (1, 2):
+            oth = (lone + k) % 3
             w = (t - uc[rows, lone]) / (uc[rows, oth] - uc[rows, lone])
             pts.append(V[base] + w[:, None] * (V[cc[rows, oth]] - V[base]))
-            edges.append(np.stack([base, cc[rows, oth]], 1))
-        return np.stack(pts, 1), np.stack(edges, 1)
+        return np.stack(pts, 1)
 
     def level(self, ts, weights=None):
         cell, tid, ts = self._pairs(ts)
         if self.mesh.dimension == 2:
-            pts, _ = self._crossings(cell, ts[tid])
+            pts = self._crossings(cell, ts[tid])
             size = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
         else:
             size = np.ones(len(cell))
@@ -322,15 +300,6 @@ class _ReferenceSweep:
         whole = np.concatenate([np.cumsum(w[self._by_min][::-1])[::-1], [0.0]])
         above = whole[np.searchsorted(self._min_sorted, ts, side="right")]
         return above + np.bincount(tid, weights=frac * w[cell], minlength=len(ts))
-
-    def curve(self, t):
-        cell, tid, ts = self._pairs([t])
-        pts, edges = self._crossings(cell, ts[tid])
-        measure = float(self.level([t])[0])
-        if self.mesh.dimension == 1:
-            return pts[:, 0], measure, len(pts) % 2 == 0
-        _, counts = _unique_edges(edges.reshape(-1, 2), len(self.mesh.vertices))
-        return pts, measure, bool(len(pts)) and bool((counts == 2).all())
 
 
 _EQUIV_MESHES = {
@@ -385,13 +354,6 @@ def test_blocked_kernels_bitwise_equal_the_reference(case):
             for w in (None, weights):
                 got, want = getattr(sweep, name)(ts, w), getattr(ref, name)(ts, w)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-        lo, hi = field.values.min(), field.values.max()
-        for t in ts[(lo < ts) & (ts < hi)][:4]:
-            curve = level_curve(field, t)
-            pts, measure, closed = ref.curve(t)
-            assert curve.segments.tobytes() == pts.tobytes()
-            assert curve.segments.shape == pts.shape
-            assert (curve.measure, curve.closed) == (measure, closed)
 
 
 def test_batch_of_many_blocks_bitwise_equal_the_reference(ico3, rng):
@@ -479,10 +441,9 @@ def test_level_only_sweeps_never_sort_the_cells(ico3, monkeypatch):
     monkeypatch.setattr(LevelSweep, "__init__", recording_init)
     z = coordinate_field(ico3)
     coarea_check(z)
-    level_boundary_measure(z, 0.1)
-    level_integral(z, 0.1, np.ones(len(ico3.cells)))
-    level_curve(z, 0.1)
-    assert len(sweeps) == 4
+    LevelSweep(z).level([0.1])
+    LevelSweep(z).level([0.1], np.ones(len(ico3.cells)))
+    assert len(sweeps) == 3
     assert all("_by_min" not in vars(s) for s in sweeps)
 
     sweep = LevelSweep(z)
@@ -592,7 +553,6 @@ def test_domain_bumps_vanish_outside(ico3, rng):
 def test_croke_profile_round_sphere(ico3):
     prof = croke_profile(ico3, beta(ico3), count=20, thresholds=3)
     assert prof.count == 60
-    assert prof.histogram[0].sum() == prof.count
     assert 0.98 <= prof.min_ratio <= 1.05
     assert spheroid_diameter(ico3.meta["semi_axes"]) == np.pi
 

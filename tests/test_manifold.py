@@ -275,8 +275,6 @@ def test_cap_range_checks():
 def test_hemisphere_domain_counts_and_boundary(ico3):
     d = hemisphere_domain(ico3)
     assert d.interior.sum() == (ico3.vertices[:, 2] > 0).sum()
-    # free boundary of the touched cells is the inscribed equator polygon
-    assert abs(d.boundary_measure - 2 * np.pi) <= 0.005 * 2 * np.pi
     assert len(d.boundary_vertices) > 0
     assert not d.interior[d.boundary_vertices].any()
 
@@ -293,15 +291,13 @@ def test_edges_and_hemisphere_boundary_match_axis0_unique(build):
     assert m.edges.dtype == edges.dtype and np.array_equal(m.edges, edges)
     d = hemisphere_domain(m)
     edges, counts = _axis0_edges(m.cells[d.cells])
-    free = edges[counts == 1]
-    assert np.array_equal(d._boundary_edges, free)
-    length = np.linalg.norm(m.vertices[free[:, 0]] - m.vertices[free[:, 1]], axis=1).sum()
-    assert d.boundary_measure == float(length)
+    # the boundary ring is the vertex set of the touched cells' free edges
+    assert np.array_equal(d.boundary_vertices, np.unique(edges[counts == 1]))
 
 
 def test_whole_mesh_domain_needs_closed_mesh(ico2):
     d = Domain(ico2, np.ones(len(ico2.vertices), dtype=bool))
-    assert d.boundary_measure == 0.0
+    assert len(d.boundary_vertices) == 0
     with pytest.raises(ValueError):
         Domain(build_interval(5), np.ones(6, dtype=bool))
 
@@ -310,7 +306,7 @@ def test_interval_interior_domain():
     m = build_interval(10)
     d = interior_domain(m)
     assert d.interior.sum() == 9
-    assert d.boundary_measure == 2.0
+    assert d.boundary_vertices.tolist() == [0, 10]
 
 
 def test_domain_rejects_empty_and_disconnected(ico3):

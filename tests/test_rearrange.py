@@ -3,12 +3,10 @@ import pytest
 
 from pspec.manifold import (
     beta,
-    build_icosphere,
     cap_boundary,
     cap_radius,
     cap_volume,
     hemisphere_domain,
-    total_measure,
 )
 from pspec.isoperim import LevelSweep, domain_bump_battery
 from pspec.pspectral import ScalarField, coordinate_field, dirichlet_eigen
@@ -17,7 +15,6 @@ from pspec.rearrange import (
     cap_shell_nodes,
     cap_shells,
     coarea_check,
-    distribution,
     lp_equimeasurability,
     polya_szego_check,
     symmetrize,
@@ -45,54 +42,6 @@ def gauss_lp_mass(prof, p):
     r = 0.5 * (a + b)[:, None] + half[:, None] * nodes[None, :]
     vals = prof.value_at(r.ravel()) ** p * cap_boundary(r.ravel(), prof.dimension)
     return float((half * (vals.reshape(r.shape) @ weights)).sum())
-
-
-# ---------------------------------------------------------------------------
-# distribution
-
-
-def test_distribution_constant_field(ico3):
-    c, total = 0.7, total_measure(ico3)
-    prof = distribution(ScalarField(ico3, np.full(len(ico3.vertices), c)))
-    assert prof.measure_above(c - 1e-9) == pytest.approx(total, rel=1e-13)
-    # right-continuous: at c the strict superlevel set is empty
-    assert abs(prof.measure_above(c)) <= 1e-12 * total
-    assert abs(prof.measure_above(c + 1.0)) <= 1e-12 * total
-
-
-def test_distribution_monotone_shape(ico3, rng):
-    prof = distribution(ScalarField(ico3, rng.normal(size=len(ico3.vertices))))
-    assert (np.diff(prof.thresholds) > 0).all()
-    assert (np.diff(prof.measures) <= 0).all()
-    assert prof.measure_above(prof.thresholds[0] - 1.0) == pytest.approx(
-        prof.total, rel=1e-13
-    )
-
-
-def test_distribution_support_mass_exact(ico3):
-    z = coordinate_field(ico3)
-    zp = positive_part(z)
-    support = float(ico3.vertex_measure[z.values > 0].sum())
-    assert distribution(zp).measure_above(0.0) == pytest.approx(support, rel=1e-13)
-
-
-def test_distribution_of_z_matches_cap_areas(ico4):
-    # lumped superlevel mass of z approximates the area 2*pi*(1-t) away
-    # from vertex rings
-    prof = distribution(coordinate_field(ico4))
-    for t in (-0.6, -0.2, 0.3, 0.7):
-        assert prof.measure_above(t) == pytest.approx(2 * np.pi * (1 - t), rel=0.015)
-
-
-def test_distribution_staircase_brackets_equator_area():
-    # a vertex ring sits exactly at z = 0, so the right-continuous staircase
-    # jumps across the true hemisphere area by the ring collar
-    m = build_icosphere(5)
-    prof = distribution(coordinate_field(m))
-    lo, hi = prof.measure_above(0.0), prof.measure_above(-1e-12)
-    assert lo <= 2 * np.pi <= hi
-    assert lo == pytest.approx(2 * np.pi, rel=0.02)
-    assert hi == pytest.approx(2 * np.pi, rel=0.02)
 
 
 # ---------------------------------------------------------------------------
