@@ -212,11 +212,12 @@ def chain_audit(domain, p, opts=None):
     inv_g = np.zeros_like(g)
     np.divide(1.0, g, out=inv_g, where=g > 0)
 
-    sweep = LevelSweep(field)
-    mu = sweep.superlevel(ext[:-1])
-    energy = sweep.superlevel(levels, fem.cellw * gp)
-    bnd = sweep.level(levels)
-    coarea_int = sweep.level(levels, inv_g)
+    # one cut of the field at every level; the grid is ext[:_AUDIT_GRID]
+    sweep = LevelSweep(field, ext[:-1])
+    mu = sweep.superlevel()
+    energy = sweep.superlevel(fem.cellw * gp)[:_AUDIT_GRID]
+    bnd = sweep.level()[:_AUDIT_GRID]
+    coarea_int = sweep.level(inv_g)[:_AUDIT_GRID]
 
     radii, dvol, slope = cap_shells(ext, mu, bet, n)
 

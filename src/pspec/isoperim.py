@@ -1,7 +1,8 @@
 """Level sets of vertex fields and isoperimetric ratio checks.
 
-Every level-set quantity goes through :class:`LevelSweep`, built once per
-field: level sets are cut by linear interpolation along cell edges, and
+Every level-set quantity goes through :class:`LevelSweep`, which cuts one
+field at one batch of thresholds: the crossed cells are found once per
+batch, level sets are cut by linear interpolation along cell edges, and
 superlevel measures integrate the same piecewise-linear interpolant exactly,
 so boundary and bulk stay mutually consistent: the two sides of the
 isoperimetric comparison see the same discrete geometry.
@@ -22,18 +23,26 @@ _BLOCK = 8192
 
 
 class LevelSweep:
-    """Exact level-set sums of one vertex field over any batch of thresholds.
+    """One vertex field cut at one batch of thresholds: exact level-set sums.
 
     A cell is crossed by the level t when min <= t < max over its vertices;
-    only those (cell, threshold) pairs are evaluated, and cells wholly above
-    t contribute their full weight through suffix sums over the sorted cell
-    minima. Pairs are evaluated in blocks of at most ``_BLOCK``, so memory
-    stays bounded however many thresholds a batch has, into one per-pair
-    array that a single bincount reduces in cell-index order: a batch
-    returns bitwise the same numbers as one threshold at a time.
+    the (cell, threshold) pairs are enumerated once, at construction, and
+    ``level`` and ``superlevel`` evaluate only those pairs, with any cell
+    weights. Cells wholly above t contribute their full weight through
+    suffix sums over the cell minima in sorted order. Pairs are evaluated
+    in blocks of at most ``_BLOCK``, so memory stays bounded however many
+    thresholds a batch has, into one per-pair array that a single bincount
+    reduces in cell-index order: a batch returns bitwise the same numbers
+    as one threshold at a time.
+
+    The cell sort need not be stable. Tied minima are contiguous in any
+    sorted order and a threshold's suffix starts at a group boundary, so
+    every cell it sums is one it should; the order, and with it the
+    rounding of the suffix sums, depends on the cell minima alone and not
+    on the thresholds.
     """
 
-    def __init__(self, field):
+    def __init__(self, field, ts):
         self.mesh = field.mesh
         self._u = field.values
         self._uc = field.values[self.mesh.cells]
@@ -45,13 +54,24 @@ class LevelSweep:
             c = self._uc[:, 2]
             self._mid = np.maximum(self._lo, np.minimum(self._hi, c))
             self._lo, self._hi = np.minimum(self._lo, c), np.maximum(self._hi, c)
+        self._cell, self._tid, self._ts = self._pairs(ts)
 
     @cached_property
     def _by_min(self):
         # (cell order, sorted minima) by cell minimum; only superlevel reads
         # it, so level()-only sweeps never sort
-        order = np.argsort(self._lo, kind="stable")
+        order = np.argsort(self._lo)
         return order, self._lo[order]
+
+    @cached_property
+    def _denominators(self):
+        # per-cell denominators of the two closed-form area fractions of a
+        # triangle: (a - b)(a - c) above its middle value, (a - c)(b - c)
+        # below it; either is zero on a cell with a tied edge. Computed
+        # under the superlevel kernel's errstate, with its arithmetic
+        a_, b_, c_ = self._hi, self._mid, self._lo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (a_ - b_) * (a_ - c_), (a_ - c_) * (b_ - c_)
 
     def _pairs(self, ts):
         # searchsorted is monotone, so a cell's first and last crossing
@@ -83,13 +103,14 @@ class LevelSweep:
             pts.append(x0 + w[:, None] * (V[cc[rows, oth]] - x0))
         return pts
 
-    def level(self, ts, weights=None):
+    def level(self, weights=None):
         """Sum over cells of weight times level-set measure in the cell.
 
-        The measure is the segment length for n=2 and the crossing count
-        for n=1; the default weight is 1.
+        One sum per threshold of the batch. The measure is the segment
+        length for n=2 and the crossing count for n=1; the default weight
+        is 1.
         """
-        cell, tid, ts = self._pairs(ts)
+        cell, tid, ts = self._cell, self._tid, self._ts
         if self.mesh.dimension == 2:
             size = np.empty(len(cell))
             for b in _blocks(len(cell)):
@@ -101,17 +122,15 @@ class LevelSweep:
             size *= np.asarray(weights, dtype=float)[cell]
         return np.bincount(tid, weights=size, minlength=len(ts))
 
-    def superlevel(self, ts, weights=None):
+    def superlevel(self, weights=None):
         """Sum over cells of weight times the area fraction of {u > t}.
 
-        The default weight is ``mesh.cell_measure``, giving H^n{u > t}.
+        One sum per threshold of the batch. The default weight is
+        ``mesh.cell_measure``, giving H^n{u > t}.
         """
         w = self.mesh.cell_measure if weights is None else np.asarray(weights, dtype=float)
-        # sorted before the pairs are enumerated, in the order a sort at
-        # construction had: measured, a later sort left the heap such that
-        # the `verify` peak RSS sometimes rose by 2.2 MB
         by_min, min_sorted = self._by_min
-        cell, tid, ts = self._pairs(ts)
+        cell, tid, ts = self._cell, self._tid, self._ts
         part = np.empty(len(cell))
         for b in _blocks(len(cell)):
             cb, t = cell[b], ts[tid[b]]
@@ -121,9 +140,10 @@ class LevelSweep:
                 # branch not taken may divide by a zero edge (a == b or
                 # b == c), and its inf or nan is discarded
                 b_ = self._mid[cb]
+                den_upper, den_lower = self._denominators
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    upper = (a_ - t) ** 2 / ((a_ - b_) * (a_ - c_))
-                    lower = 1.0 - (t - c_) ** 2 / ((a_ - c_) * (b_ - c_))
+                    upper = (a_ - t) ** 2 / den_upper[cb]
+                    lower = 1.0 - (t - c_) ** 2 / den_lower[cb]
                 frac = np.where(t >= b_, upper, lower)
             else:
                 frac = (a_ - t) / (a_ - c_)
@@ -165,14 +185,14 @@ def gromov_ratio(field, t, beta):
     _require_interior_level(field, t)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     n = field.mesh.dimension
-    sweep = LevelSweep(field)
-    mu = sweep.superlevel(ts)
+    sweep = LevelSweep(field, ts)
+    mu = sweep.superlevel()
     if not np.all((mu > 0.0) & (mu < total_measure(field.mesh))):
         raise ValueError("superlevel set must be proper and nonempty")
     v = mu / beta
     if np.any(v > SPHERE_MEASURE[n] * (1.0 + 1e-9)):
         raise ValueError("scaled superlevel volume exceeds the model sphere")
-    ratios = sweep.level(ts) / (beta * cap_boundary(cap_radius(v, n), n))
+    ratios = sweep.level() / (beta * cap_boundary(cap_radius(v, n), n))
     return float(ratios[0]) if np.ndim(t) == 0 else ratios
 
 

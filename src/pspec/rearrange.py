@@ -154,7 +154,7 @@ def symmetrize(field, beta):
             stacklevel=2,
         )
     keys = _tie_broken_keys(u)
-    order = np.argsort(-keys, kind="stable")
+    order = np.argsort(-keys)
     keep = u[order] > 0
     # profile values stay exact: the nudge only fixes the order, and any
     # near-tie inversions it introduces are clamped monotone here
@@ -224,7 +224,7 @@ def polya_szego_check(field, beta, p):
     lhs = float(fem.cellw @ g2 ** (p / 2.0))
 
     levels = np.linspace(0.0, float(u.max()), _CHECK_GRID + 1)
-    mu = LevelSweep(field).superlevel(levels[:-1])
+    mu = LevelSweep(field, levels[:-1]).superlevel()
     _, dv, slope = cap_shells(levels, mu, beta, field.mesh.dimension)
     rhs = float((slope**p) @ dv)
     margin = lhs - beta * rhs
@@ -253,7 +253,7 @@ def coarea_check(field):
     if hi <= lo:
         raise ValueError("constant field has no level structure")
     inner = np.linspace(lo, hi, _CHECK_GRID + 2)[1:-1]
-    lens = LevelSweep(field).level(inner)
+    lens = LevelSweep(field, inner).level()
     step = inner[1] - inner[0]
     rhs = float(np.trapezoid(lens, inner) + 0.5 * step * (lens[0] + lens[-1]))
     return CoareaCheck(lhs, rhs, abs(lhs - rhs) / lhs)

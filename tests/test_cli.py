@@ -370,9 +370,9 @@ def test_verify_sweeps_one_battery_once(tmp_path, monkeypatch):
         return fields
 
     class CountingSweep(isoperim.LevelSweep):
-        def __init__(self, field):
+        def __init__(self, field, ts):
             swept.append(field)
-            super().__init__(field)
+            super().__init__(field, ts)
 
     for module in (cli, isoperim):
         monkeypatch.setattr(module, "check_battery", counting_battery)

@@ -3,8 +3,9 @@ import pytest
 
 import pspec.harness as harness
 from pspec.harness import chain_audit, pinching_sweep, sphere_comparison
-from pspec.isoperim import croke_profile
+from pspec.isoperim import LevelSweep, croke_profile, gromov_ratio
 from pspec.manifold import (
+    beta,
     build_ellipsoid,
     build_icosphere,
     build_interval,
@@ -12,7 +13,13 @@ from pspec.manifold import (
     interior_domain,
     spheroid_diameter,
 )
-from pspec.pspectral import SolverOptions, closed_eigen, solve_radial_1d
+from pspec.pspectral import (
+    SolverOptions,
+    closed_eigen,
+    coordinate_field,
+    dirichlet_eigen,
+    solve_radial_1d,
+)
 
 IDENTITY_STEPS = ("distribution_derivative", "mass_transport", "radial_equality")
 INEQUALITY_STEPS = ("energy_slope_bound", "energy_comparison")
@@ -134,6 +141,38 @@ def test_audit_rejects_bad_inputs(ico2):
         chain_audit(hemisphere_domain(ico2), 3.0, SolverOptions(max_iters=1))
     with pytest.raises(ValueError, match="closed"):
         chain_audit(interior_domain(build_interval(20)), 2.0)
+
+
+def test_audit_grid_sums_from_the_shared_sweep_are_the_grid_alone(ico3, rng):
+    # chain_audit cuts its eigenfunction once, at the grid and the tail up
+    # to the maximum, and reads the grid's sums off the front of that batch
+    field = dirichlet_eigen(hemisphere_domain(ico3), 2.0).field
+    umax = float(field.values.max())
+    levels = np.linspace(0.05 * umax, 0.90 * umax, harness._AUDIT_GRID)
+    tail = np.linspace(levels[-1], umax, 17)[1:-1]
+    ext = np.concatenate([levels, tail, [umax]])
+    assert len(levels) == 64
+    shared, alone = LevelSweep(field, ext[:-1]), LevelSweep(field, levels)
+    weights = rng.uniform(0.5, 2.0, len(ico3.cells))
+    for name in ("level", "superlevel"):
+        for w in (None, weights):
+            got = getattr(shared, name)(w)[: len(levels)]
+            assert got.tobytes() == getattr(alone, name)(w).tobytes(), name
+
+
+def test_gromov_ratio_and_audit_enumerate_pairs_once_per_sweep(ico3, monkeypatch):
+    calls = []
+    real_pairs = LevelSweep._pairs
+
+    def counting_pairs(self, ts):
+        calls.append(self)
+        return real_pairs(self, ts)
+
+    monkeypatch.setattr(LevelSweep, "_pairs", counting_pairs)
+    gromov_ratio(coordinate_field(ico3), np.array([-0.3, 0.2, 0.5]), beta(ico3))
+    assert len(calls) == 1
+    chain_audit(hemisphere_domain(ico3), 2.0)
+    assert len(calls) == 2 and calls[1] is not calls[0]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def ico5():
 
 def test_equator_length(ico4):
     z = coordinate_field(ico4)
-    assert LevelSweep(z).level([0.0])[0] == pytest.approx(2 * np.pi, rel=0.01)
+    assert LevelSweep(z, [0.0]).level()[0] == pytest.approx(2 * np.pi, rel=0.01)
 
 
 def test_level_out_of_range_rejected(ico3):
@@ -55,7 +55,7 @@ def test_boundary_error_halves_under_refinement():
     errs = {}
     for level in (4, 6):
         z = coordinate_field(build_icosphere(level))
-        errs[level] = abs(LevelSweep(z).level([0.4])[0] - exact) / exact
+        errs[level] = abs(LevelSweep(z, [0.4]).level()[0] - exact) / exact
     assert errs[6] < 0.5 * errs[4]
 
 
@@ -63,28 +63,27 @@ def test_sign_symmetry_exact(ico3, rng):
     f = random_smooth_field(ico3, rng)
     neg = ScalarField(ico3, -f.values)
     for t in (0.1, -0.3, 0.55):
-        assert LevelSweep(f).level([t])[0] == LevelSweep(neg).level([-t])[0]
+        assert LevelSweep(f, [t]).level()[0] == LevelSweep(neg, [-t]).level()[0]
 
 
 def test_boundary_measure_continuous_in_t(ico4):
     z = coordinate_field(ico4)
     ts = np.linspace(-0.9, 0.9, 200)
-    sweep = LevelSweep(z)
-    lens = np.array([sweep.level([t])[0] for t in ts])
+    lens = LevelSweep(z, ts).level()
     assert np.abs(np.diff(lens)).max() <= 0.05 * lens.max()
 
 
 def test_level_crossings_on_circle():
     m = build_circle(100)
     f = coordinate_field(m, axis=0)  # cos(theta) along the polygon
-    assert LevelSweep(f).level([0.3])[0] == 2.0
+    assert LevelSweep(f, [0.3]).level()[0] == 2.0
 
 
 def test_level_integral_of_ones_is_measure(ico3):
     z = coordinate_field(ico3)
-    sweep = LevelSweep(z)
+    sweep = LevelSweep(z, [0.25])
     ones = np.ones(len(ico3.cells))
-    assert sweep.level([0.25], ones)[0] == pytest.approx(sweep.level([0.25])[0], rel=1e-12)
+    assert sweep.level(ones)[0] == pytest.approx(sweep.level()[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +93,7 @@ def test_level_integral_of_ones_is_measure(ico3):
 def test_superlevel_matches_cap_areas(ico4):
     z = coordinate_field(ico4)
     for t in (-0.5, 0.0, 0.4, 0.8):
-        assert LevelSweep(z).superlevel([t])[0] == pytest.approx(
+        assert LevelSweep(z, [t]).superlevel()[0] == pytest.approx(
             2 * np.pi * (1 - t), rel=0.01
         )
 
@@ -102,23 +101,23 @@ def test_superlevel_matches_cap_areas(ico4):
 def test_superlevel_hemisphere_area_level5(ico5):
     # Archimedes: the hemisphere occupies half of the sphere area
     z = coordinate_field(ico5)
-    assert LevelSweep(z).superlevel([0.0])[0] == pytest.approx(2 * np.pi, rel=0.01)
+    assert LevelSweep(z, [0.0]).superlevel()[0] == pytest.approx(2 * np.pi, rel=0.01)
 
 
 def test_superlevel_extremes(ico3, rng):
     f = random_smooth_field(ico3, rng)
     lo, hi = f.values.min(), f.values.max()
     total = float(ico3.cell_measure.sum())
-    sweep = LevelSweep(f)
-    assert sweep.superlevel([lo - 1.0])[0] == pytest.approx(total, rel=1e-12)
-    assert sweep.superlevel([hi + 1.0])[0] == 0.0
+    below, above = LevelSweep(f, [lo - 1.0, hi + 1.0]).superlevel()
+    assert below == pytest.approx(total, rel=1e-12)
+    assert above == 0.0
 
 
 def test_superlevel_batch_matches_scalar(ico3, rng):
     f = random_smooth_field(ico3, rng)
     ts = np.linspace(f.values.min() + 0.05, f.values.max() - 0.05, 17)
-    batch = LevelSweep(f).superlevel(ts)
-    single = np.array([LevelSweep(f).superlevel([t])[0] for t in ts])
+    batch = LevelSweep(f, ts).superlevel()
+    single = np.array([LevelSweep(f, [t]).superlevel()[0] for t in ts])
     np.testing.assert_array_equal(batch, single)
     assert (np.diff(batch) <= 0).all()
 
@@ -184,18 +183,17 @@ def test_sweep_matches_dense_reference(ico3, rng):
     assert 0.0 in cases[0][1]
     for field, ts in cases:
         ref_len, ref_area = _dense_reference(field, ts)
-        sweep = LevelSweep(field)
-        np.testing.assert_allclose(sweep.level(ts), ref_len, rtol=1e-12)
-        np.testing.assert_allclose(sweep.superlevel(ts), ref_area, rtol=1e-12)
+        sweep = LevelSweep(field, ts)
+        np.testing.assert_allclose(sweep.level(), ref_len, rtol=1e-12)
+        np.testing.assert_allclose(sweep.superlevel(), ref_area, rtol=1e-12)
 
 
 def test_sweep_keeps_input_order_and_duplicates(ico3, rng):
     f = random_smooth_field(ico3, rng)
     ts = np.array([0.3, -0.2, 0.3, 0.0, -0.5, 0.1, -0.2])
-    sweep = LevelSweep(f)
-    for method in (sweep.level, sweep.superlevel):
-        batch = method(ts)
-        single = np.array([method([t])[0] for t in ts])
+    for name in ("level", "superlevel"):
+        batch = getattr(LevelSweep(f, ts), name)()
+        single = np.array([getattr(LevelSweep(f, [t]), name)()[0] for t in ts])
         np.testing.assert_array_equal(batch, single)
         assert batch[0] == batch[2] and batch[1] == batch[6]
 
@@ -217,18 +215,18 @@ def test_sweep_on_circle_counts_crossings_and_arc_length():
         hit = p0 + w[:, None] * (p1 - p0)
         part = np.linalg.norm(np.where(above[:, :1], p0, p1) - hit, axis=1)
         lengths.append(np.where(above.all(1), m.cell_measure, cut * part).sum())
-    sweep = LevelSweep(f)
-    np.testing.assert_array_equal(sweep.level(ts), counts)
+    sweep = LevelSweep(f, ts)
+    np.testing.assert_array_equal(sweep.level(), counts)
     assert max(counts) == 6
-    np.testing.assert_allclose(sweep.superlevel(ts), lengths, rtol=1e-12)
+    np.testing.assert_allclose(sweep.superlevel(), lengths, rtol=1e-12)
 
 
 def test_sweep_default_weights_are_explicit_weights(ico3, rng):
     f = random_smooth_field(ico3, rng)
     ts = np.linspace(f.values.min() + 0.01, f.values.max() - 0.01, 33)
-    sweep = LevelSweep(f)
-    np.testing.assert_array_equal(sweep.level(ts, np.ones(len(ico3.cells))), sweep.level(ts))
-    np.testing.assert_array_equal(sweep.superlevel(ts, ico3.cell_measure), sweep.superlevel(ts))
+    sweep = LevelSweep(f, ts)
+    np.testing.assert_array_equal(sweep.level(np.ones(len(ico3.cells))), sweep.level())
+    np.testing.assert_array_equal(sweep.superlevel(ico3.cell_measure), sweep.superlevel())
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +238,13 @@ class _ReferenceSweep:
     over the cell values, and every per-pair temporary alive at once. The
     blocked kernels must return bitwise the same arrays."""
 
-    def __init__(self, field):
+    def __init__(self, field, ts):
         self.mesh = field.mesh
         self._uc = field.values[self.mesh.cells]
         self._srt = np.sort(self._uc, axis=1)
-        self._by_min = np.argsort(self._srt[:, 0], kind="stable")
+        self._by_min = np.argsort(self._srt[:, 0])
         self._min_sorted = self._srt[self._by_min, 0]
+        self._ts = ts
 
     def _pairs(self, ts):
         ts = np.asarray(ts, dtype=float)
@@ -271,8 +270,8 @@ class _ReferenceSweep:
             pts.append(V[base] + w[:, None] * (V[cc[rows, oth]] - V[base]))
         return np.stack(pts, 1)
 
-    def level(self, ts, weights=None):
-        cell, tid, ts = self._pairs(ts)
+    def level(self, weights=None):
+        cell, tid, ts = self._pairs(self._ts)
         if self.mesh.dimension == 2:
             pts = self._crossings(cell, ts[tid])
             size = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
@@ -282,9 +281,9 @@ class _ReferenceSweep:
             size = size * np.asarray(weights, dtype=float)[cell]
         return np.bincount(tid, weights=size, minlength=len(ts))
 
-    def superlevel(self, ts, weights=None):
+    def superlevel(self, weights=None):
         w = self.mesh.cell_measure if weights is None else np.asarray(weights, dtype=float)
-        cell, tid, ts = self._pairs(ts)
+        cell, tid, ts = self._pairs(self._ts)
         t = ts[tid]
         srt = self._srt[cell]
         if self.mesh.dimension == 2:
@@ -347,26 +346,25 @@ def _sweep_cases(draw):
 @given(_sweep_cases())
 def test_blocked_kernels_bitwise_equal_the_reference(case):
     field, ts, block, weights = case
-    ref = _ReferenceSweep(field)
+    ref = _ReferenceSweep(field, ts)
     with mock.patch.object(isoperim, "_BLOCK", block):
-        sweep = LevelSweep(field)
+        sweep = LevelSweep(field, ts)
         for name in ("level", "superlevel"):
             for w in (None, weights):
-                got, want = getattr(sweep, name)(ts, w), getattr(ref, name)(ts, w)
+                got, want = getattr(sweep, name)(w), getattr(ref, name)(w)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 def test_batch_of_many_blocks_bitwise_equal_the_reference(ico3, rng):
     f = random_smooth_field(ico3, rng)
     ts = np.linspace(f.values.min(), f.values.max(), 258)[1:-1]
-    sweep = LevelSweep(f)
-    cell, _, _ = sweep._pairs(ts)
-    assert len(cell) > 2 * isoperim._BLOCK
-    ref = _ReferenceSweep(f)
+    sweep = LevelSweep(f, ts)
+    assert len(sweep._cell) > 2 * isoperim._BLOCK
+    ref = _ReferenceSweep(f, ts)
     w = rng.uniform(size=len(ico3.cells))
     for name in ("level", "superlevel"):
         for weights in (None, w):
-            got, want = getattr(sweep, name)(ts, weights), getattr(ref, name)(ts, weights)
+            got, want = getattr(sweep, name)(weights), getattr(ref, name)(weights)
             assert got.tobytes() == want.tobytes()
 
 
@@ -385,8 +383,8 @@ def _assert_superlevel_bitwise_without_warnings(field, ts):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for w in (None, weights):
-            got = LevelSweep(field).superlevel(ts, w)
-            want = _ReferenceSweep(field).superlevel(ts, w)
+            got = LevelSweep(field, ts).superlevel(w)
+            want = _ReferenceSweep(field, ts).superlevel(w)
             assert got.tobytes() == want.tobytes()
 
 
@@ -403,10 +401,10 @@ def test_superlevel_with_tied_cell_values_bitwise_equals_the_reference(ico2, rng
     field, top, bottom = _tied_cells_field(ico2, rng)
     ts = np.array([0.2, 0.6, 0.999, -0.3, 0.1, 0.4999])
     _assert_superlevel_bitwise_without_warnings(field, ts)
-    sweep = LevelSweep(field)
+    sweep = LevelSweep(field, ts)
     for cell in (top, bottom):              # each tied cell's own area fraction
         index = np.flatnonzero((ico2.cells == cell).all(1))
-        frac = sweep.superlevel(ts, np.isin(np.arange(len(ico2.cells)), index) * 1.0)
+        frac = sweep.superlevel(np.isin(np.arange(len(ico2.cells)), index) * 1.0)
         lo, hi = min(field.values[cell]), max(field.values[cell])
         inside = (lo <= ts) & (ts < hi)
         assert inside.sum() >= 3
@@ -415,14 +413,13 @@ def test_superlevel_with_tied_cell_values_bitwise_equals_the_reference(ico2, rng
 
 def test_level_batch_memory_is_bounded(ico5):
     # the 256-level coarea grid of z: 71,370 (cell, threshold) pairs, whose
-    # whole-batch temporaries took 18.7 MiB; blocked, the kernel stays below
-    # 6 MiB
+    # whole-batch temporaries took 18.7 MiB; blocked, the pair enumeration
+    # at construction and the kernel together stay below 6 MiB
     z = coordinate_field(ico5)
     inner = np.linspace(z.values.min(), z.values.max(), 258)[1:-1]
-    sweep = LevelSweep(z)
     tracemalloc.start()
     try:
-        sweep.level(inner)
+        LevelSweep(z, inner).level()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -430,27 +427,44 @@ def test_level_batch_memory_is_bounded(ico5):
 
 
 def test_level_only_sweeps_never_sort_the_cells(ico3, monkeypatch):
-    # the cell order by minimum is built on the first superlevel call only
-    sweeps = []
-    real_init = LevelSweep.__init__
+    # the cell order by minimum is built on the first superlevel call only,
+    # and a sweep sorts its cells at most once
+    sweeps, cell_sorts = [], []
+    real_init, real_argsort = LevelSweep.__init__, np.argsort
 
-    def recording_init(self, field):
-        real_init(self, field)
+    def recording_init(self, field, ts):
+        real_init(self, field, ts)
         sweeps.append(self)
 
+    def counting_argsort(a, *args, **kwargs):
+        if len(a) == len(ico3.cells):
+            cell_sorts.append(a)
+        return real_argsort(a, *args, **kwargs)
+
     monkeypatch.setattr(LevelSweep, "__init__", recording_init)
+    monkeypatch.setattr(np, "argsort", counting_argsort)
     z = coordinate_field(ico3)
     coarea_check(z)
-    LevelSweep(z).level([0.1])
-    LevelSweep(z).level([0.1], np.ones(len(ico3.cells)))
+    LevelSweep(z, [0.1]).level()
+    LevelSweep(z, [0.1]).level(np.ones(len(ico3.cells)))
     assert len(sweeps) == 3
-    assert all("_by_min" not in vars(s) for s in sweeps)
+    assert all("_by_min" not in vars(s) and "_denominators" not in vars(s) for s in sweeps)
+    assert cell_sorts == []
 
-    sweep = LevelSweep(z)
-    sweep.superlevel([0.1])
+    sweep = LevelSweep(z, [0.1, -0.4])
+    sweep.superlevel()
+    sweep.superlevel(np.ones(len(ico3.cells)))
+    assert len(cell_sorts) == 1
     order, mins = vars(sweep)["_by_min"]
-    assert np.array_equal(order, np.argsort(sweep._lo, kind="stable"))
     assert np.array_equal(mins, np.sort(sweep._lo))
+
+    # the order depends on the field alone: a second sweep of z at other
+    # thresholds sorts its cells into the same bytes
+    other = LevelSweep(z, [0.3])
+    other.superlevel()
+    assert len(cell_sorts) == 2
+    order2, mins2 = vars(other)["_by_min"]
+    assert order2.tobytes() == order.tobytes() and mins2.tobytes() == mins.tobytes()
 
 
 # ---------------------------------------------------------------------------

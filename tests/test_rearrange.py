@@ -233,7 +233,7 @@ def test_cap_shells_of_z_are_the_caps_of_z(ico4):
     # 6.8e-4 at level 5 for the radii).
     z = coordinate_field(ico4)
     levels = np.linspace(-1.0, 1.0, 65)
-    mu = LevelSweep(z).superlevel(levels[:-1])
+    mu = LevelSweep(z, levels[:-1]).superlevel()
     radii, dv, slope = cap_shells(levels, mu, beta(ico4), 2)
     exact = np.arccos(levels)
     assert radii[-1] == 0.0
