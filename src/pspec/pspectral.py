@@ -3,16 +3,17 @@
 Fields are piecewise linear over mesh cells; the p-Dirichlet energy uses the
 constant per-cell gradient (one sparse operator G) and masses are vertex
 lumped, so the Rayleigh quotient is a ratio of plain weighted sums.
-Shift-invert Lanczos on the linear p = 2 pencil gives, once per mesh and
-free vertex set, a start pinned inside the first eigenvalue cluster; other
+Shift-invert Lanczos on the linear p = 2 pencil gives, once per closed mesh
+or Domain, a start pinned inside the first eigenvalue cluster; other
 exponents are reached from it by geometric continuation in p, running
 (K + M)^-1-preconditioned nonlinear conjugate gradients on log(energy) -
 log(mass) with Armijo backtracking. The closed-manifold problem projects
 onto the zero mean constraint of the p-Laplacian (integral of
 |u|^{p-2} u vanishes) after every step.
 
-solve_radial_1d provides the independent 1-D reference values by shooting.
-Its integrator and the root finder of both jobs are in-module ports of
+solve_radial_1d provides the independent 1-D reference values: the
+interval's in closed form, the hemisphere's by shooting. Its integrator and
+the root finder of both jobs are in-module ports of
 SciPy's DOP853 and brentq, so the package imports neither scipy.integrate
 nor scipy.optimize.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
@@ -120,22 +122,38 @@ class EigenResult:
 
 
 class _Operators:
-    """Cellwise p-energy and lumped p-mass of fields over a set of unknowns:
-    ``grad_op`` G (3 rows per cell, one column per unknown, CSR) maps the
-    unknowns to the ambient gradient of each cell, row 3c + i; ``cellw`` and
-    ``mass`` are the cell and unknown measures."""
+    """Everything a solve over one set of unknowns needs: ``grad_op`` G (3
+    rows per cell, one column per unknown, CSR) maps the unknowns to the
+    ambient gradient of each cell, row 3c + i; ``cellw`` and ``mass`` are the
+    cell and unknown measures; ``closed`` unknowns carry the zero mean
+    constraint. The stiffness K, the K + M factorization and the p = 2
+    start are built on first use and kept."""
 
-    def __init__(self, grad_op, cellw, mass):
+    def __init__(self, grad_op, cellw, mass, closed):
         self.grad_op = grad_op
         self.cellw = cellw
         self.mass = mass
+        self.closed = closed
 
     def restricted(self, cells, free):
         """The same functionals for fields vanishing off ``free``: the rows
         of ``cells``, which must hold every cell touching a free vertex, and
         the ``free`` columns; zero values drop out of the products."""
         rows = (3 * cells[:, None] + np.arange(3)).ravel()
-        return _Operators(self.grad_op[rows][:, free], self.cellw[cells], self.mass[free])
+        return _Operators(self.grad_op[rows][:, free], self.cellw[cells], self.mass[free], False)
+
+    @cached_property
+    def stiffness(self):
+        G = self.grad_op
+        return (G.T @ diags(np.repeat(self.cellw, 3)) @ G).tocsr()
+
+    @cached_property
+    def lu(self):
+        return splu((self.stiffness + diags(self.mass)).tocsc())
+
+    @cached_property
+    def p2_start(self):
+        return _p2_init(self)
 
     def gradients(self, u):
         return (self.grad_op @ u).reshape(-1, 3)
@@ -157,43 +175,33 @@ class _Operators:
         return dE / energy - dM / mass
 
 
-class _FemOps(_Operators):
-    """P1 operators of one mesh over all its vertices, with the stiffness K
-    and the per-mesh caches of the eigensolver."""
-
-    def __init__(self, mesh):
-        V, C = mesh.vertices, mesh.cells
-        x = V[C]
-        if mesh.dimension == 2:
-            e0 = x[:, 2] - x[:, 1]
-            e1 = x[:, 0] - x[:, 2]
-            e2 = x[:, 1] - x[:, 0]
-            nrm = np.cross(e2, -e1)
-            a2 = np.linalg.norm(nrm, axis=1)
-            nhat = nrm / a2[:, None]
-            gp = np.stack(
-                [np.cross(nhat, e0), np.cross(nhat, e1), np.cross(nhat, e2)], axis=2
-            )
-            gp /= a2[:, None, None]
-        else:
-            t = x[:, 1] - x[:, 0]
-            L2 = (t * t).sum(axis=1)
-            gp = np.stack([-t / L2[:, None], t / L2[:, None]], axis=2)
-        nc, k = C.shape                         # gp: (cell, component, local vertex)
-        self.nv = len(V)
-        G = csr_matrix(
-            (gp.ravel(), np.repeat(C, 3, axis=0).ravel(), np.arange(0, 3 * nc * k + 1, k)),
-            shape=(3 * nc, self.nv),
-        )
-        super().__init__(G, mesh.cell_measure, mesh.vertex_measure)
-        self.stiffness = (G.T @ diags(np.repeat(self.cellw, 3)) @ G).tocsr()
-        self.p2_starts = {}                     # free vertex set -> start, info
-        self.closed_lu = None                   # K + M factorization, made on first use
-
-
 def _fem(mesh):
-    if not hasattr(mesh, "_fem_ops"):
-        mesh._fem_ops = _FemOps(mesh)
+    """The P1 operators of a mesh over all its vertices, kept on the mesh."""
+    if hasattr(mesh, "_fem_ops"):
+        return mesh._fem_ops
+    V, C = mesh.vertices, mesh.cells
+    x = V[C]
+    if mesh.dimension == 2:
+        e0 = x[:, 2] - x[:, 1]
+        e1 = x[:, 0] - x[:, 2]
+        e2 = x[:, 1] - x[:, 0]
+        nrm = np.cross(e2, -e1)
+        a2 = np.linalg.norm(nrm, axis=1)
+        nhat = nrm / a2[:, None]
+        gp = np.stack(
+            [np.cross(nhat, e0), np.cross(nhat, e1), np.cross(nhat, e2)], axis=2
+        )
+        gp /= a2[:, None, None]
+    else:
+        t = x[:, 1] - x[:, 0]
+        L2 = (t * t).sum(axis=1)
+        gp = np.stack([-t / L2[:, None], t / L2[:, None]], axis=2)
+    nc, k = C.shape                             # gp: (cell, component, local vertex)
+    G = csr_matrix(
+        (gp.ravel(), np.repeat(C, 3, axis=0).ravel(), np.arange(0, 3 * nc * k + 1, k)),
+        shape=(3 * nc, len(V)),
+    )
+    mesh._fem_ops = _Operators(G, mesh.cell_measure, mesh.vertex_measure, mesh.closed)
     return mesh._fem_ops
 
 
@@ -356,35 +364,19 @@ def nodal_domains(field):
 # eigensolvers
 
 
-def _shifted_lu(fem, free, closed):
-    # a closed mesh factors K + M once and keeps it on its _FemOps, which is
-    # dropped with the mesh's other caches; a Domain factors its interior per
-    # solve, since a cached LU per interior would live as long as the mesh
-    if closed and fem.closed_lu is not None:
-        return fem.closed_lu
-    lu = splu((fem.stiffness + diags(fem.mass)).tocsc()[free][:, free])
-    if closed:
-        fem.closed_lu = lu
-    return lu
-
-
-def _p2_init(fem, free, closed, lu):
-    """The p = 2 start and its diagnostics, cached per free vertex set.
+def _p2_init(ops):
+    """The p = 2 start over the unknowns of ``ops`` and its diagnostics.
 
     The k smallest eigenpairs of (K, M), k = 5 closed and 3 Dirichlet, come
-    from shift-invert Lanczos about sigma = -1 (``eigsh``, ``lu`` of K + M,
-    or None to factor it here, as the inverse, a fixed cos(0), cos(1), ...
-    start) or, below ARPACK's 2k + 1 Lanczos vectors, from dense ``eigh``; a
-    closed mesh drops its constant mode. The start is the M-projection of the
-    cos vector onto eigenvalues within a relative 1e-8 of the smallest (the
-    limit of inverse iteration from it), read-only and shared by all exponents
-    and Domains of one interior. ``p2_converged``: |Kx - lam Mx| <= 1e-8 lam |Mx|.
+    from shift-invert Lanczos about sigma = -1 (``eigsh``, ``ops.lu`` as the
+    inverse, a fixed cos(0), cos(1), ... start) or, below ARPACK's 2k + 1
+    Lanczos vectors, from dense ``eigh``; a closed mesh drops its constant
+    mode. The start is the M-projection of the cos vector onto eigenvalues
+    within a relative 1e-8 of the smallest (the limit of inverse iteration
+    from it); it is read-only, and ``ops.p2_start`` keeps it for every
+    exponent. ``p2_converged``: |Kx - lam Mx| <= 1e-8 lam |Mx|.
     """
-    key = None if closed else free.tobytes()
-    if key in fem.p2_starts:
-        return fem.p2_starts[key]
-    K = fem.stiffness[free][:, free]
-    m = fem.mass[free]
+    K, m, closed = ops.stiffness, ops.mass, ops.closed
     c = np.cos(np.arange(len(m)))
     k = 5 if closed else 3
     solves = 0
@@ -392,12 +384,11 @@ def _p2_init(fem, free, closed, lu):
     def apply_inverse(x):
         nonlocal solves
         solves += 1
-        return lu.solve(x)
+        return ops.lu.solve(x)
 
     if len(m) < 2 * k + 1:
         lam, vecs = eigh(K.toarray(), np.diag(m))
     else:                                   # eigsh sorts eigenpairs ascending
-        lu = _shifted_lu(fem, free, closed) if lu is None else lu
         op = LinearOperator(K.shape, matvec=apply_inverse, dtype=float)
         lam, vecs = eigsh(K, k, M=diags(m), sigma=-1.0, OPinv=op, v0=c)
     lam, vecs = lam[int(closed):], vecs[:, int(closed):]
@@ -407,9 +398,7 @@ def _p2_init(fem, free, closed, lu):
     Kv = K @ v
     lam2 = float(v @ Kv)
     residual = float(np.linalg.norm(Kv - lam2 * m * v) / (lam2 * np.linalg.norm(m * v)))
-    full = np.zeros(fem.nv)
-    full[free] = v
-    full.flags.writeable = False
+    v.flags.writeable = False
     info = {
         "p2_lambda": lam2,
         "p2_iterations": solves,
@@ -417,8 +406,7 @@ def _p2_init(fem, free, closed, lu):
         "p2_residual": residual,
         "p2_cluster": basis.shape[1],
     }
-    fem.p2_starts[key] = full, info
-    return fem.p2_starts[key]
+    return v, info
 
 
 def _continuation_path(p_target, step):
@@ -437,15 +425,15 @@ def _lp_normalize(u, mass, p):
     return u / norm
 
 
-def _descent_stage(ops, u, p, eps, opts, lu, closed, budget, evals):
+def _descent_stage(ops, u, p, eps, opts, budget, evals):
     """Minimize log energy - log mass at fixed (p, eps) by nonlinear CG.
 
     ``u`` holds the values of the unknowns of ``ops``: every vertex of a
     closed mesh, or the free vertices of a Domain, whose ``ops`` carry only
-    the domain's cells. d = -P g + beta d_prev, P = ``lu`` = (K + M)^-1 over
-    the same unknowns, with Gilbert and Nocedal's beta = max(0, min(beta_PR,
-    beta_FR)) in the P inner product; -P g, then -g, replace a d that does
-    not descend. Armijo backtracking picks the step. ``closed`` iterates are
+    the domain's cells. d = -P g + beta d_prev, P = ``ops.lu`` = (K + M)^-1,
+    with Gilbert and Nocedal's beta = max(0, min(beta_PR, beta_FR)) in the P
+    inner product; -P g, then -g, replace a d that does not descend. Armijo
+    backtracking picks the step. Iterates of ``ops.closed`` unknowns are
     re-projected onto the constraint. Accepted iterates have non-increasing
     Rayleigh quotient by construction; the stage stops after `opts.stall`
     consecutive accepted steps with relative change below `opts.tol`, on
@@ -454,7 +442,7 @@ def _descent_stage(ops, u, p, eps, opts, lu, closed, budget, evals):
     """
 
     def feasible(w):
-        if closed:
+        if ops.closed:
             w = _project(w, ops.mass, p, evals)
         return _lp_normalize(w, ops.mass, p)
 
@@ -466,7 +454,7 @@ def _descent_stage(ops, u, p, eps, opts, lu, closed, budget, evals):
     d = np.zeros_like(u)
     gpg_prev = None                         # no previous direction: beta = 0
     while iters < budget:
-        pg = lu.solve(grad)
+        pg = ops.lu.solve(grad)
         gpg = float(grad @ pg)
         beta = 0.0
         if gpg_prev is not None:            # Gilbert-Nocedal PR/FR hybrid
@@ -508,30 +496,27 @@ def _eigen_solve(region, p, opts):
     """The one solver behind closed_eigen (a Mesh) and dirichlet_eigen (a Domain).
 
     A closed mesh frees every vertex and keeps iterates on the constraint; a
-    Domain frees its interior and holds the rest at zero. The K + M LU and
-    the p = 2 start come from the mesh's operators, sliced by the free set.
-    A Domain then descends on the reduced operators of its own cells and
-    free vertices (built per solve, after the LU, and dropped on return), so
-    every step, the sign trim, the L^p normalization and ``grad_norm`` run
-    on interior-length vectors; the result is scattered into a field that
-    vanishes off the interior. ``converged`` is the p = 2 start's flag for
-    p = 2 and the last stage's flag otherwise.
+    Domain frees its interior and holds the rest at zero. Each region has
+    one ``_Operators`` over its unknowns, which owns the K + M LU and the
+    p = 2 start: a mesh's are kept on the mesh, a Domain's (its own cells
+    and interior vertices) on the Domain, which drops its LU after every
+    solve. Every step, the sign trim, the L^p normalization and
+    ``grad_norm`` run on vectors over those unknowns; a Domain's result is
+    scattered into a field that vanishes off the interior. ``converged`` is
+    the p = 2 start's flag for p = 2 and the last stage's flag otherwise.
     """
     p = check_p(p)
     opts = opts or SolverOptions()
     closed = isinstance(region, Mesh)
     mesh = region if closed else region.mesh
-    free = slice(None) if closed else region.interior_indices
-    fem = _fem(mesh)
+    if closed:
+        ops = _fem(mesh)
+    elif hasattr(region, "_fem_ops"):
+        ops = region._fem_ops
+    else:
+        ops = region._fem_ops = _fem(mesh).restricted(region.cells, region.interior_indices)
     descend = abs(p - 2.0) > 1e-12
-    lu = _shifted_lu(fem, free, closed) if descend else None
-    u, start = _p2_init(fem, free, closed, lu)
-    ops = fem
-    if not closed:
-        u = u[free]
-        if descend:
-            ops = fem.restricted(region.cells, free)
-    mass = fem.mass[free]
+    u, start = ops.p2_start
     diag = dict(start, stages=[])
     converged, iterations = start["p2_converged"], start["p2_iterations"]
     residual = 0.0
@@ -542,7 +527,7 @@ def _eigen_solve(region, p, opts):
         budget = opts.max_iters
         lam_prev, p_prev = start["p2_lambda"], 2.0
         for pk, eps in stages:
-            u, info = _descent_stage(ops, u, pk, eps, opts, lu, closed, budget, evals)
+            u, info = _descent_stage(ops, u, pk, eps, opts, budget, evals)
             budget -= info["iters"]
             converged = info["converged"] and budget > 0
             residual = info["residual"]
@@ -566,7 +551,7 @@ def _eigen_solve(region, p, opts):
                 break
         iterations = opts.max_iters - budget
     if closed:
-        u = _project(u, mass, p, evals)
+        u = _project(u, ops.mass, p, evals)
         if descend:
             diag["projection_evals"] = sum(evals)
     if u[np.argmax(np.abs(u))] < 0.0:
@@ -574,14 +559,15 @@ def _eigen_solve(region, p, opts):
     neg = u < 0.0
     if not closed and neg.any() and abs(u[neg].min()) <= 1e-8 * u.max():
         u = np.where(neg, 0.0, u)  # trim sign noise from the constrained ring
-    u = _lp_normalize(u, mass, p)
+    u = _lp_normalize(u, ops.mass, p)
     if descend:
         energy, m_p, g, g2 = ops.energy_mass(u, p, 0.0)
         grad = ops.grad_log_quotient(u, p, 0.0, energy, m_p, g, g2)
-        diag["grad_norm"] = math.sqrt(float(grad @ lu.solve(grad)))
+        diag["grad_norm"] = math.sqrt(float(grad @ ops.lu.solve(grad)))
     if not closed:
-        full = np.zeros(fem.nv)
-        full[free] = u
+        vars(ops).pop("lu", None)           # a Domain keeps its start, not its LU
+        full = np.zeros(len(mesh.vertices))
+        full[region.interior_indices] = u
         u = full
     fld = ScalarField(mesh, u)
     lam = rayleigh_quotient(fld, region, p)
@@ -718,53 +704,36 @@ def _dop853(rhs, r, rend, u, q, rtol, atol):
 
 
 def solve_radial_1d(p, n, problem="hemisphere"):
-    """First eigenvalue of the radial p-Laplacian model problem by shooting.
+    """First eigenvalue of the radial p-Laplacian model problem.
 
     problem = "hemisphere": weight sin^{n-1}(r) on (0, pi/2), Neumann at 0,
     Dirichlet at pi/2. This equals the first nonzero closed eigenvalue of
-    the round unit n-sphere (n for p = 2).
+    the round unit n-sphere (n for p = 2). The eigenvalue is bracketed by a
+    geometric scan of the endpoint value of the shooting solution and
+    polished by Brent's method.
 
-    problem = "interval": unit weight on (0, 1) with Dirichlet ends
-    (pi^2 for p = 2).
-
-    The eigenvalue is bracketed by a geometric scan of the endpoint value
-    of the shooting solution and polished by Brent's method.
+    problem = "interval": unit weight on (0, 1) with Dirichlet ends, in
+    closed form (p - 1) pi_p^p, pi_p = 2 pi / (p sin(pi / p)); pi^2 for p = 2.
     """
     p = check_p(p)
-    if problem == "hemisphere":
-        if not (isinstance(n, (int, np.integer)) and 1 <= n <= 8):
-            raise ValueError("model dimension n must be an integer in [1, 8]")
-    elif problem != "interval":
+    if problem == "interval":
+        return (p - 1.0) * (2.0 * math.pi / (p * math.sin(math.pi / p))) ** p
+    if problem != "hemisphere":
         raise ValueError(f"unknown radial problem {problem!r}")
+    if not (isinstance(n, (int, np.integer)) and 1 <= n <= 8):
+        raise ValueError("model dimension n must be an integer in [1, 8]")
 
     pim1 = 1.0 / (p - 1.0)
-
-    if problem == "hemisphere":
-        r0, rend = 1e-6, 0.5 * np.pi
-
-        def weight(r):
-            return math.sin(r) ** (n - 1)
-
-        def y0(lam):
-            return [1.0, -lam * r0**n / n]
-
-    else:
-        r0, rend = 0.0, 1.0
-
-        def weight(r):
-            return 1.0
-
-        def y0(lam):
-            return [0.0, 1.0]
+    r0, rend = 1e-6, 0.5 * np.pi
 
     def endpoint(lam):
         def rhs(r, u, q):
-            w = weight(r)
+            w = math.sin(r) ** (n - 1)
             du = math.copysign(abs(q / w) ** pim1, q)
             dq = -lam * w * math.copysign(abs(u) ** (p - 1.0), u)
             return du, dq
 
-        return _dop853(rhs, r0, rend, *y0(lam), rtol=1e-11, atol=1e-13)[0]
+        return _dop853(rhs, r0, rend, 1.0, -lam * r0**n / n, rtol=1e-11, atol=1e-13)[0]
 
     lam = 0.05
     g_lo = endpoint(lam)

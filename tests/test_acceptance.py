@@ -190,7 +190,7 @@ def test_criterion_07_energy_never_grows_under_rearrangement(
     )
     b5 = beta(sphere5)
     chk = polya_szego_check(hemi5_p2.field, b5, 2.0)
-    near = b5 * chk.rhs / chk.lhs
+    near = chk.rhs / chk.lhs                # rhs already carries beta
     ok = wmin >= -0.01 and near >= 0.97
     report(
         7,
