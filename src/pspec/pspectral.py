@@ -8,14 +8,13 @@ or Domain, a start pinned inside the first eigenvalue cluster; other
 exponents are reached from it by geometric continuation in p, running
 (K + M)^-1-preconditioned nonlinear conjugate gradients on log(energy) -
 log(mass) with Armijo backtracking. The closed-manifold problem projects
-onto the zero mean constraint of the p-Laplacian (integral of
-|u|^{p-2} u vanishes) after every step.
+onto the zero mean constraint of the p-Laplacian (integral of |u|^{p-2} u
+vanishes) by safeguarded Newton after every step.
 
 solve_radial_1d provides the independent 1-D reference values: the
 interval's in closed form, the hemisphere's by shooting. Its integrator and
-the root finder of both jobs are in-module ports of
-SciPy's DOP853 and brentq, so the package imports neither scipy.integrate
-nor scipy.optimize.
+root finder are in-module ports of SciPy's DOP853 and brentq, so the
+package imports neither scipy.integrate nor scipy.optimize.
 """
 
 from __future__ import annotations
@@ -104,7 +103,7 @@ class EigenResult:
     gradient of log energy - log mass at ``field`` over the free vertices: it
     vanishes at a critical point, which a zero ``residual`` does not show.
     Closed p != 2 solves also record ``diagnostics["projection_evals"]``, the
-    defect evaluations of all their constraint projections.
+    defect evaluations (each D and D') of all their Newton projections.
     """
 
     lam: float
@@ -125,22 +124,30 @@ class _Operators:
     """Everything a solve over one set of unknowns needs: ``grad_op`` G (3
     rows per cell, one column per unknown, CSR) maps the unknowns to the
     ambient gradient of each cell, row 3c + i; ``cellw`` and ``mass`` are the
-    cell and unknown measures; ``closed`` unknowns carry the zero mean
-    constraint. The stiffness K, the K + M factorization and the p = 2
-    start are built on first use and kept."""
+    cell and unknown measures; ``closed`` unknowns of a ``dim``-dimensional
+    mesh carry the zero mean constraint. The adjoint G^T in CSR form, the
+    stiffness K, the K + M factorization and the p = 2 start are built on
+    first use and kept."""
 
-    def __init__(self, grad_op, cellw, mass, closed):
+    def __init__(self, grad_op, cellw, mass, closed, dim):
         self.grad_op = grad_op
         self.cellw = cellw
         self.mass = mass
         self.closed = closed
+        self.dim = dim
 
     def restricted(self, cells, free):
         """The same functionals for fields vanishing off ``free``: the rows
         of ``cells``, which must hold every cell touching a free vertex, and
         the ``free`` columns; zero values drop out of the products."""
         rows = (3 * cells[:, None] + np.arange(3)).ravel()
-        return _Operators(self.grad_op[rows][:, free], self.cellw[cells], self.mass[free], False)
+        G = self.grad_op[rows][:, free]
+        return _Operators(G, self.cellw[cells], self.mass[free], False, self.dim)
+
+    @cached_property
+    def grad_op_t(self):
+        # products bitwise those of the CSC view grad_op.T, in half the time
+        return self.grad_op.T.tocsr()
 
     @cached_property
     def stiffness(self):
@@ -158,19 +165,24 @@ class _Operators:
     def gradients(self, u):
         return (self.grad_op @ u).reshape(-1, 3)
 
-    def energy_mass(self, u, p, eps):
-        g = self.gradients(u)
-        g2 = np.einsum("ci,ci->c", g, g)
-        base = g2 + eps * eps if eps else g2
-        energy = float(self.cellw @ base ** (p / 2.0))
-        mass = float(self.mass @ np.abs(u) ** p)
-        return energy, mass, g, g2
+    def energy_mass(self, u, p, eps, g=None, mass=None):
+        """(energy, mass, g, base, q) of ``u``: cell gradients g and p-mass as
+        given or taken here, base = |g|^2 + eps^2 and q = base^(p/2) per cell."""
+        if g is None:
+            g = self.gradients(u)
+        sq = g * g                          # half the time of an einsum
+        base = sq[:, 0] + sq[:, 1] + sq[:, 2]
+        if eps:
+            base += eps * eps
+        q = base ** (p / 2.0)
+        energy = float(self.cellw @ q)
+        if mass is None:
+            mass = float(self.mass @ np.abs(u) ** p)
+        return energy, mass, g, base, q
 
-    def grad_log_quotient(self, u, p, eps, energy, mass, g, g2):
-        base = g2 + eps * eps if eps else g2
-        with np.errstate(divide="ignore"):
-            gamma = np.where(base > 0.0, base ** ((p - 2.0) / 2.0), 0.0)
-        dE = p * (self.grad_op.T @ ((self.cellw * gamma)[:, None] * g).ravel())
+    def grad_log_quotient(self, u, p, energy, mass, g, base, q):
+        gamma = np.divide(q, base, out=np.zeros_like(q), where=base > 0.0)  # base^((p-2)/2)
+        dE = p * (self.grad_op_t @ ((self.cellw * gamma)[:, None] * g).ravel())
         dM = p * self.mass * np.sign(u) * np.abs(u) ** (p - 1.0)
         return dE / energy - dM / mass
 
@@ -201,7 +213,9 @@ def _fem(mesh):
         (gp.ravel(), np.repeat(C, 3, axis=0).ravel(), np.arange(0, 3 * nc * k + 1, k)),
         shape=(3 * nc, len(V)),
     )
-    mesh._fem_ops = _Operators(G, mesh.cell_measure, mesh.vertex_measure, mesh.closed)
+    mesh._fem_ops = _Operators(
+        G, mesh.cell_measure, mesh.vertex_measure, mesh.closed, mesh.dimension
+    )
     return mesh._fem_ops
 
 
@@ -214,7 +228,7 @@ def rayleigh_quotient(field, region, p):
     """
     p = check_p(p)
     u, fem = _region_values(field, region)
-    energy, mass, _, _ = fem.energy_mass(u, p, 0.0)
+    energy, mass = fem.energy_mass(u, p, 0.0)[:2]
     if mass == 0.0:
         raise ValueError("Rayleigh quotient of the zero field")
     return energy / mass
@@ -239,6 +253,7 @@ def _region_values(field, region):
 # constraint projection and nodal counting
 
 _RTOL = 4.0 * float(np.finfo(float).eps)    # brentq's default relative tolerance
+_MAX_PROJECTION_EVALS = 100
 
 
 def _brentq(f, a, b, xtol, rtol, maxiter=100):
@@ -299,12 +314,15 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100):
 def project_constraint(field, p, evals=None):
     """Subtract the scalar c with integral of |u-c|^{p-2}(u-c) equal zero.
 
-    The defect is strictly decreasing in c and changes sign over the value
-    range [min u, max u], so Brent's method on that bracket converges
-    unconditionally; its absolute tolerance is 4 eps times the range, so
-    the shift is resolved to the field's own precision wherever c lies.
-    Constant fields have no root and are rejected. A list ``evals``, if
-    given, receives the number of defect evaluations.
+    The defect D is strictly decreasing in c and changes sign over [min u,
+    max u]. Newton on D, D'(c) = -(p-1) integral of |u-c|^{p-2}, starts at
+    c = 0 when u changes sign (a field a small move from a feasible one) and
+    mid-range otherwise; a step that leaves the sign bracket, fails to halve
+    the step before last or meets an infinite D' (p < 2, a vertex at c) is
+    a bisection instead. It stops on a step below 4 eps times the range, the
+    field's own precision, and raises RuntimeError after 100 evaluations.
+    Constant fields are rejected. A list ``evals``, if given, receives the
+    number of defect evaluations.
     """
     p = check_p(p)
     return ScalarField(field.mesh, _project(field.values, field.mesh.vertex_measure, p, evals))
@@ -312,23 +330,34 @@ def project_constraint(field, p, evals=None):
 
 def _project(u, m, p, evals=None):
     # project_constraint on arrays: u - c for vertex values u and measures m.
-    # The defect is evaluated into two preallocated buffers: the in-place
-    # ``**=`` takes numpy's scalar-exponent paths as ``**`` does, and
-    # copysign(|d|^(p-1), d) is bitwise sign(d) |d|^(p-1) in the sum
+    # One evaluation gives D(c) = m @ copysign(|u-c|^(p-1), u-c) and the
+    # slope -D'(c) / (p-1) = m @ (|u-c|^(p-1) / |u-c|), which is NaN when a
+    # vertex sits on c; a NaN Newton step fails the bracket test and bisects
     lo, hi = float(u.min()), float(u.max())
     if hi <= lo:
         raise ValueError("constraint projection of a constant field")
-    buffers = np.empty_like(u), np.empty_like(u)
-
-    def defect(c):
-        d, w = buffers
-        np.subtract(u, c, out=d)
-        np.abs(d, out=w)
-        w **= p - 1.0
-        np.copysign(w, d, out=w)
-        return float(m @ w)
-
-    c, calls = _brentq(defect, lo, hi, _RTOL * (hi - lo), _RTOL)
+    tol = _RTOL * (hi - lo)
+    d, a, w = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    c = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
+    step = older = hi - lo
+    with np.errstate(invalid="ignore"):
+        for calls in range(1, _MAX_PROJECTION_EVALS + 1):
+            np.subtract(u, c, out=d)
+            np.abs(d, out=a)
+            np.power(a, p - 1.0, out=w)
+            slope = float(m @ np.divide(w, a, out=a))
+            value = float(m @ np.copysign(w, d, out=w))
+            if value == 0.0:
+                break
+            lo, hi = (c, hi) if value > 0.0 else (lo, c)
+            new = c + value / ((p - 1.0) * slope)
+            if not (lo <= new <= hi and abs(new - c) <= 0.5 * abs(older)):
+                new = 0.5 * (lo + hi)       # bisect
+            older, step, c = step, new - c, new
+            if abs(step) <= tol:
+                break
+        else:
+            raise RuntimeError(f"constraint projection failed to converge, c = {c}")
     if evals is not None:
         evals.append(calls)
     return u - c
@@ -367,18 +396,22 @@ def nodal_domains(field):
 def _p2_init(ops):
     """The p = 2 start over the unknowns of ``ops`` and its diagnostics.
 
-    The k smallest eigenpairs of (K, M), k = 5 closed and 3 Dirichlet, come
-    from shift-invert Lanczos about sigma = -1 (``eigsh``, ``ops.lu`` as the
-    inverse, a fixed cos(0), cos(1), ... start) or, below ARPACK's 2k + 1
-    Lanczos vectors, from dense ``eigh``; a closed mesh drops its constant
-    mode. The start is the M-projection of the cos vector onto eigenvalues
-    within a relative 1e-8 of the smallest (the limit of inverse iteration
-    from it); it is read-only, and ``ops.p2_start`` keeps it for every
-    exponent. ``p2_converged``: |Kx - lam Mx| <= 1e-8 lam |Mx|.
+    The k smallest eigenpairs of (K, M) come from shift-invert Lanczos about
+    sigma = -1 (``eigsh``, ``ops.lu`` as the inverse, a fixed cos(0),
+    cos(1), ... start) or, below ARPACK's 2k + 1 Lanczos vectors, from dense
+    ``eigh``; a closed mesh drops its constant mode. k = n + 2 on a closed
+    n-dimensional mesh (the constant and the (n + 1)-fold first cluster of
+    the round n-sphere) and 3 on a Dirichlet one: a pair beyond the cluster
+    would land in the slow fivefold second cluster of a round surface (93 LU
+    solves at level 4, against 51), and the cluster test needs none. The
+    start is the M-projection of the cos vector onto eigenvalues within a
+    relative 1e-8 of the smallest (the limit of inverse iteration from it);
+    it is read-only, and ``ops.p2_start`` keeps it for every exponent.
+    ``p2_converged``: |Kx - lam Mx| <= 1e-8 lam |Mx|.
     """
     K, m, closed = ops.stiffness, ops.mass, ops.closed
     c = np.cos(np.arange(len(m)))
-    k = 5 if closed else 3
+    k = ops.dim + 2 if closed else 3
     solves = 0
 
     def apply_inverse(x):
@@ -421,8 +454,10 @@ def _continuation_path(p_target, step):
 
 
 def _lp_normalize(u, mass, p):
-    norm = (mass @ np.abs(u) ** p) ** (1.0 / p)
-    return u / norm
+    # (u / norm, norm, the p-mass of u / norm) for the L^p norm of u
+    total = float(mass @ np.abs(u) ** p)
+    norm = total ** (1.0 / p)
+    return u / norm, norm, total / norm**p
 
 
 def _descent_stage(ops, u, p, eps, opts, budget, evals):
@@ -439,6 +474,10 @@ def _descent_stage(ops, u, p, eps, opts, budget, evals):
     consecutive accepted steps with relative change below `opts.tol`, on
     line-search stall, or on budget. Each projection appends its count of
     defect evaluations to ``evals``.
+
+    G d is taken once per direction: the trial (u + t d - c) / norm has the
+    cell gradients (G u + t G d) / norm, as G maps constants to zero, and the
+    normalization's own p-mass. Each stage takes G u afresh at its start.
     """
 
     def feasible(w):
@@ -446,10 +485,10 @@ def _descent_stage(ops, u, p, eps, opts, budget, evals):
             w = _project(w, ops.mass, p, evals)
         return _lp_normalize(w, ops.mass, p)
 
-    u = feasible(u)
-    energy, mass, g, g2 = ops.energy_mass(u, p, eps)
+    u = feasible(u)[0]
+    energy, mass, g, base, q = ops.energy_mass(u, p, eps)
     rq = energy / mass
-    grad = ops.grad_log_quotient(u, p, eps, energy, mass, g, g2)
+    grad = ops.grad_log_quotient(u, p, energy, mass, g, base, q)
     t, streak, iters, rel, converged = 1.0, 0, 0, np.inf, False
     d = np.zeros_like(u)
     gpg_prev = None                         # no previous direction: beta = 0
@@ -466,18 +505,19 @@ def _descent_stage(ops, u, p, eps, opts, budget, evals):
         else:
             break
         pg_prev, gpg_prev = pg, gpg
+        gd = ops.gradients(d)
         t = min(2.0 * t, 4.0)
         for _ in range(_MAX_BACKTRACKS):
-            unew = feasible(u + t * d)
-            e_new, m_new, g_new, g2_new = ops.energy_mass(unew, p, eps)
-            f_new = np.log(e_new) - np.log(m_new)
+            unew, norm, m_new = feasible(u + t * d)
+            trial = ops.energy_mass(unew, p, eps, (g + t * gd) / norm, m_new)
+            f_new = np.log(trial[0]) - np.log(trial[1])
             if f_new <= np.log(rq) + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:  # line search stalled
             converged = rel <= opts.tol * 10.0
             break
-        u, energy, mass, g, g2 = unew, e_new, m_new, g_new, g2_new
+        u, (energy, mass, g, base, q) = unew, trial
         rq_new = energy / mass
         if rq_new > rq * (1.0 + 1e-12):
             raise AssertionError("descent accepted an increasing Rayleigh step")
@@ -488,7 +528,7 @@ def _descent_stage(ops, u, p, eps, opts, budget, evals):
         if streak >= opts.stall:
             converged = True
             break
-        grad = ops.grad_log_quotient(u, p, eps, energy, mass, g, g2)
+        grad = ops.grad_log_quotient(u, p, energy, mass, g, base, q)
     return u, {"iters": iters, "converged": converged, "residual": rel, "rayleigh": rq}
 
 
@@ -559,10 +599,9 @@ def _eigen_solve(region, p, opts):
     neg = u < 0.0
     if not closed and neg.any() and abs(u[neg].min()) <= 1e-8 * u.max():
         u = np.where(neg, 0.0, u)  # trim sign noise from the constrained ring
-    u = _lp_normalize(u, ops.mass, p)
+    u = _lp_normalize(u, ops.mass, p)[0]
     if descend:
-        energy, m_p, g, g2 = ops.energy_mass(u, p, 0.0)
-        grad = ops.grad_log_quotient(u, p, 0.0, energy, m_p, g, g2)
+        grad = ops.grad_log_quotient(u, p, *ops.energy_mass(u, p, 0.0))
         diag["grad_norm"] = math.sqrt(float(grad @ ops.lu.solve(grad)))
     if not closed:
         vars(ops).pop("lu", None)           # a Domain keeps its start, not its LU

@@ -39,7 +39,7 @@ from pspec.pspectral import (
     _eigen_solve,
     _fem,
 )
-from pspec.rearrange import coarea_check
+from pspec.rearrange import coarea_check, polya_szego_check
 
 
 def pi_p(p):
@@ -232,6 +232,86 @@ def test_project_constraint_rejects_constant(ico3):
         project_constraint(ScalarField(ico3, np.ones(len(ico3.vertices))), 2.0)
 
 
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 7.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_project_constraint_matches_bisection_on_scaled_fields(ico2, p, seed):
+    rng = np.random.default_rng(seed)
+    f = ScalarField(ico2, rng.normal(size=len(ico2.vertices)) * 10.0 ** rng.uniform(-3, 3))
+    span = float(f.values.max() - f.values.min())
+    proj = project_constraint(f, p)
+    shift = f.values - proj.values
+    assert np.abs(shift - bisection_shift(f, p)).max() <= 1e-14 * span
+    # the residual in units of the integral of |u - c|^(p-1), scale-free
+    scale = float(ico2.vertex_measure @ np.abs(proj.values) ** (p - 1.0))
+    assert constraint_residual(proj, p) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("p", [1.1, 1.2, 1.5, 3.0, 7.0, 10.0])
+@pytest.mark.parametrize("kind", ["normal", "one_sign", "odd"])
+def test_project_constraint_matches_bisection_on_hard_fields(ico2, p, kind):
+    # one_sign starts mid-range, far from the root; the odd z field has its
+    # root at 0 up to rounding, where the first point c = 0 sits on the
+    # equator's vertices and D' is infinite for p < 2
+    rng = np.random.default_rng(5)
+    values = {
+        "normal": rng.normal(size=len(ico2.vertices)),
+        "one_sign": 3.0 + rng.uniform(0.0, 1.0, len(ico2.vertices)) ** 3,
+        "odd": ico2.vertices[:, 2].copy(),
+    }[kind]
+    f = ScalarField(ico2, values)
+    span = float(values.max() - values.min())
+    evals = []
+    proj = project_constraint(f, p, evals)
+    shift = f.values - proj.values
+    assert np.abs(shift - bisection_shift(f, p)).max() <= 1e-14 * span
+    assert len(evals) == 1 and 1 <= evals[0] <= 100
+
+
+@pytest.mark.parametrize("p", [1.1, 1.2, 1.5, 2.0, 3.0, 10.0])
+def test_projection_lands_on_a_root_at_a_vertex(p):
+    # every |u - 0.5| is 0 or 1, so D(0.5) = 0 exactly and two vertices sit
+    # on the root; the start c = 0 is off it
+    u, m = np.array([-0.5, 0.5, 0.5, 1.5, 0.5, -0.5, 1.5]), np.ones(7)
+    evals = []
+    c = (u - pspectral._project(u, m, p, evals))[0]
+    assert abs(c - 0.5) <= 1e-14 * 2.0
+    assert evals[0] <= 100
+
+
+def test_projection_evals_counts_every_defect_evaluation(ico2, monkeypatch):
+    # each defect evaluation of the projection makes one np.copysign call,
+    # and nothing else in a closed solve calls it
+    evaluated = []
+    real_copysign = np.copysign
+
+    def counting_copysign(*args, **kwargs):
+        evaluated.append(1)
+        return real_copysign(*args, **kwargs)
+
+    monkeypatch.setattr(np, "copysign", counting_copysign)
+    for p in (1.5, 3.0):
+        evaluated.clear()
+        diagnostics = closed_eigen(build_icosphere(2), p).diagnostics
+        assert diagnostics["projection_evals"] == len(evaluated) > 0
+    monkeypatch.undo()
+    assert "projection_evals" not in closed_eigen(ico2, 2.0).diagnostics
+    assert "projection_evals" not in dirichlet_eigen(hemisphere_domain(ico2), 3.0).diagnostics
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_warm_projection_costs_few_evaluations(p, monkeypatch):
+    real_project, calls = pspectral._project, []
+
+    def counting_project(*args):
+        calls.append(1)
+        return real_project(*args)
+
+    monkeypatch.setattr(pspectral, "_project", counting_project)
+    res = closed_eigen(build_ellipsoid(1.2, 3), p)
+    # measured 2.0 at p = 1.5 and 1.0 at p = 3
+    assert res.diagnostics["projection_evals"] <= 2.5 * len(calls)
+
+
 def test_nodal_domains_coordinate_and_constant(ico3):
     z = coordinate_field(ico3)
     count, labels = nodal_domains(z)
@@ -402,8 +482,8 @@ def test_reduced_operator_equals_the_full_one_on_the_interior(case):
     full, red = fem.energy_mass(u, p, eps), ops.energy_mass(u[free], p, eps)
     for a, b in zip(full[:2], red[:2]):     # energy and mass
         assert b == pytest.approx(a, rel=1e-13)
-    grad = fem.grad_log_quotient(u, p, eps, *full)
-    grad_red = ops.grad_log_quotient(u[free], p, eps, *red)
+    grad = fem.grad_log_quotient(u, p, *full)
+    grad_red = ops.grad_log_quotient(u[free], p, *red)
     np.testing.assert_allclose(
         grad_red, grad[free], rtol=1e-13, atol=1e-13 * np.abs(grad).max()
     )
@@ -417,9 +497,9 @@ def test_dirichlet_descent_sees_only_the_domain_cells(ico3, monkeypatch):
     nv, ni = len(ico3.vertices), len(domain.interior_indices)
     real, calls = pspectral._Operators.energy_mass, []
 
-    def counting(self, u, p, eps):
+    def counting(self, u, p, eps, *known):  # known: a trial's cell gradients and mass
         calls.append((len(self.cellw), len(u)))
-        return real(self, u, p, eps)
+        return real(self, u, p, eps, *known)
 
     monkeypatch.setattr(pspectral._Operators, "energy_mass", counting)
     res = dirichlet_eigen(domain, 1.5)
@@ -662,6 +742,53 @@ def test_only_stages_with_a_p_step_report_log_lipschitz(ico2):
     assert stages[-1]["log_lipschitz"] is None
 
 
+def test_adjoint_products_are_bitwise_the_transpose_products():
+    rng = np.random.default_rng(3)
+    mesh3 = build_icosphere(3)
+    hemi = hemisphere_domain(mesh3)
+    for ops in (
+        _fem(build_icosphere(2)),
+        _fem(mesh3),
+        _fem(mesh3).restricted(hemi.cells, hemi.interior_indices),
+    ):
+        x = rng.normal(size=ops.grad_op.shape[0])
+        assert (ops.grad_op_t @ x).tobytes() == (ops.grad_op.T @ x).tobytes()
+
+
+def test_level_set_checks_build_no_adjoint():
+    mesh = build_icosphere(3)
+    z = coordinate_field(mesh)
+    coarea_check(z)
+    polya_szego_check(z, 1.0, 2.0)
+    assert "grad_op_t" not in vars(_fem(mesh))
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [build_icosphere(2), build_icosphere(3), build_ellipsoid(1.2, 3), build_circle(50)],
+    ids=["ico2", "ico3", "ellipsoid", "circle"],
+)
+def test_gradients_of_constants_vanish_on_closed_meshes(mesh):
+    # the descent drops the projection's constant shift from G u
+    fem = _fem(mesh)
+    g = fem.gradients(np.ones(len(mesh.vertices)))
+    assert np.abs(g).max() <= 1e-13 * np.abs(fem.grad_op.data).max()
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_carried_cell_gradients_do_not_drift(p):
+    mesh = build_icosphere(3)
+    for res in (closed_eigen(mesh, p), dirichlet_eigen(hemisphere_domain(mesh), p)):
+        assert res.diagnostics["stages"][-1]["rayleigh"] == pytest.approx(res.lam, rel=1e-12)
+
+
+def test_round_level4_start_asks_for_the_first_cluster_only():
+    # k = 4 closed pairs: the constant and the threefold first cluster
+    diag = closed_eigen(build_icosphere(4), 2.0).diagnostics
+    assert diag["p2_cluster"] == 3 and diag["p2_converged"] is True
+    assert diag["p2_iterations"] <= 51
+
+
 # ---------------------------------------------------------------------------
 # in-module Brent and DOP853 against SciPy
 
@@ -712,31 +839,6 @@ def test_brentq_error_paths_match_scipy():
         _brentq(lambda x: x**3 - 0.3, 0.0, 1.0, 1e-15, _RTOL, maxiter=2)
 
 
-def scipy_projection(field, p):
-    # the projection as it was written on scipy.optimize.brentq
-    u, m = field.values, field.mesh.vertex_measure
-    lo, hi = float(u.min()), float(u.max())
-
-    def defect(c):
-        d = u - c
-        return float(m @ (np.sign(d) * np.abs(d) ** (p - 1.0)))
-
-    c, info = brentq(defect, lo, hi, xtol=4.0 * np.finfo(float).eps * (hi - lo), full_output=True)
-    return u - c, info.function_calls
-
-
-@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 7.0])
-@pytest.mark.parametrize("seed", range(4))
-def test_project_constraint_is_bitwise_the_scipy_projection(ico2, p, seed):
-    rng = np.random.default_rng(seed)
-    f = ScalarField(ico2, rng.normal(size=len(ico2.vertices)) * 10.0 ** rng.uniform(-3, 3))
-    evals = []
-    proj = project_constraint(f, p, evals)
-    ref, calls = scipy_projection(f, p)
-    assert np.array_equal(proj.values, ref)
-    assert evals == [calls]
-
-
 def scipy_radial(p, n):
     # the hemisphere shooting of solve_radial_1d on solve_ivp(..., "DOP853") and brentq
     pim1 = 1.0 / (p - 1.0)
@@ -783,23 +885,3 @@ def test_dop853_fails_on_a_nan_right_hand_side():
     with pytest.raises(RuntimeError, match="radial integration failed"):
         _dop853(lambda r, u, q: harmonic(r, u, q) if r < 0.5 else (math.nan, q),
                 0.0, 1.0, 0.0, 1.0, 1e-11, 1e-13)
-
-
-def test_projection_evals_counts_every_defect_evaluation(ico2, monkeypatch):
-    evaluated = []
-    brentq_in_module = pspectral._brentq
-
-    def counting_brentq(f, *args):
-        def g(x):
-            evaluated.append(x)
-            return f(x)
-
-        return brentq_in_module(g, *args)
-
-    monkeypatch.setattr(pspectral, "_brentq", counting_brentq)
-    for p in (1.5, 3.0):
-        evaluated.clear()
-        diagnostics = closed_eigen(ico2, p).diagnostics
-        assert diagnostics["projection_evals"] == len(evaluated) > 0
-    assert "projection_evals" not in closed_eigen(ico2, 2.0).diagnostics
-    assert "projection_evals" not in dirichlet_eigen(hemisphere_domain(ico2), 3.0).diagnostics
