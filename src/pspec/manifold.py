@@ -1,8 +1,8 @@
 """Discrete manifolds and exact cap geometry on the round model sphere.
 
 Builds icospheres, prolate ellipsoids of revolution, intervals and circles as
-lightweight index meshes carrying lumped vertex measures (one third of the
-incident triangle area in 2-D, half of the incident segment length in 1-D).
+lightweight index meshes carrying lumped vertex measures (1 / (n + 1) of the
+measure of each incident n-simplex), all from one simplex kernel.
 Geodesic caps on the unit sphere S^n, n in {1, 2}, are handled in closed form,
 the cap radius of a given volume included, so volume matching is exact to
 rounding.
@@ -10,6 +10,8 @@ rounding.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -55,19 +57,16 @@ class Mesh:
             raise ValueError(f"cells must be (nc, {dimension + 1})")
         if cells.min(initial=0) < 0 or cells.max(initial=-1) >= len(vertices):
             raise ValueError("cell indices out of range")
+        if not np.all(np.isfinite(vertices)):
+            raise ValueError("vertex coordinates must be finite")
 
         self.dimension = dimension
         self.vertices = vertices
         self.cells = cells
         self.meta = dict(meta) if meta else {}
 
-        x = vertices[cells]
-        if dimension == 2:
-            n = np.cross(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
-            self.cell_measure = 0.5 * np.linalg.norm(n, axis=1)
-        else:
-            self.cell_measure = np.linalg.norm(x[:, 1] - x[:, 0], axis=1)
-        if np.any(self.cell_measure <= 0.0):
+        self.cell_measure = simplex_geometry(np.take(vertices, cells, axis=0))
+        if not np.all(self.cell_measure > 0.0):
             raise ValueError("degenerate cell with nonpositive measure")
 
         nv = len(vertices)
@@ -78,24 +77,18 @@ class Mesh:
         if rel > 1e-12 * self.cell_measure.sum():
             raise AssertionError("lumped vertex measure does not add up")
 
-        raw = _cell_edges(cells) if dimension == 2 else cells
-        self.edges, counts = _unique_edges(raw, nv)
-        self.edge_lengths = np.linalg.norm(
-            vertices[self.edges[:, 0]] - vertices[self.edges[:, 1]], axis=1
-        )
+        # a facet (a cell less one vertex) lies on two cells inside, one on the
+        # boundary; on a surface the facets are the edges, keyed once
+        faces = {w: _unique_edges(cells, nv, w) for w in {2, dimension}}
+        self.edges = faces[2][0]
+        ends = np.take(vertices, self.edges, axis=0)
+        self.edge_lengths = np.linalg.norm(ends[:, 0] - ends[:, 1], axis=1)
 
-        if dimension == 2:
-            if counts.max() > 2:
-                raise ValueError("non-manifold edge (more than two incident cells)")
-            self.closed = bool(counts.min() == 2)
-            bnd = self.edges[counts == 1]
-            self.boundary_vertices = np.unique(bnd)
-        else:
-            deg = np.bincount(cells.ravel(), minlength=nv)
-            if deg.max() > 2:
-                raise ValueError("non-manifold vertex in 1-D mesh")
-            self.closed = bool(deg.min() == 2)
-            self.boundary_vertices = np.flatnonzero(deg == 1)
+        facets, counts = faces[dimension]
+        if counts.max() > 2:
+            raise ValueError("non-manifold facet (more than two incident cells)")
+        self.closed = bool(counts.min() == 2)
+        self.boundary_vertices = np.unique(facets[counts == 1])
 
         ncomp, _ = connected_components(self.adjacency_matrix(), directed=False)
         if ncomp != 1:
@@ -161,26 +154,62 @@ def beta(mesh):
     return total_measure(mesh) / SPHERE_MEASURE[mesh.dimension]
 
 
-def _cell_edges(cells):
-    """The three edges of each triangle, stacked as (01, 12, 20) blocks."""
-    return np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]])
+def simplex_geometry(x, gradients=False):
+    """Measures of the k-simplices x (nc, k + 1, d), k <= d, and with
+    ``gradients`` also their barycentric gradients (nc, d, k + 1).
 
-
-def _unique_edges(pairs, nv, inverse=False):
-    """Distinct undirected edges of (k, 2) vertex pairs, in lexicographic order.
-
-    Each pair is sorted and encoded as the key i * nv + j (i <= j < nv), which
-    orders like the pair itself, so one 1-D ``np.unique`` gives the edges,
-    counts and inverse of ``np.unique(np.sort(pairs, 1), axis=0)``. Returns
-    (edges, counts), or (edges, inverse) with ``inverse``.
+    For W = e_1 ^ ... ^ e_k, e_i = x_i - x_0, |W| = sqrt(det E^T E) and the
+    measure is |W| / k!. With n = *W / |W| and F_i the wedge of the edges of
+    the facet opposite vertex i, walked cyclically from vertex i + 1,
+    grad lambda_i = (-1)^(k (i + 1 + d - k)) *(n ^ F_i) / |W|. In R^3 this is
+    the unit normal of a triangle crossed with the opposite edge over twice
+    the area, with the cross product's own operations, so surface measures
+    and gradients are bitwise those of the cross-product formula.
     """
-    pairs = np.asarray(pairs, dtype=np.int64)
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    keys, extra = np.unique(
-        lo * nv + hi, return_inverse=inverse, return_counts=not inverse
-    )
-    return np.column_stack(np.divmod(keys, nv)), extra
+    k, d = x.shape[1] - 1, x.shape[2]
+    normal = _star_wedge(d, [x[:, i] - x[:, 0] for i in range(1, k + 1)])
+    size = np.sqrt(sum(v * v for _, v in sorted(normal.items())))
+    if not gradients:
+        return size / math.factorial(k)
+    unit, grads = {key: v / size for key, v in normal.items()}, []
+    for i in range(k + 1):
+        ring = [x[:, (i + j) % (k + 1)] for j in range(1, k + 1)]
+        g = _star_wedge(d, [v - ring[0] for v in ring[1:]], unit)
+        grads.append((-1) ** (k * (i + 1 + d - k)) * np.column_stack([g[(c,)] for c in range(d)]))
+    return size / math.factorial(k), np.stack(grads, axis=2) / size[:, None, None]
+
+
+def _star_wedge(d, vectors, form=None):
+    """Hodge dual of form ^ v_1 ^ ... ^ v_m on R^d for (nc, d) vectors v_j; a
+    form is held as {sorted axes: components}, and ``form`` defaults to 1."""
+    factors = [(form or {(): 1.0}).items()] + [[((c,), v[:, c]) for c in range(d)] for v in vectors]
+    out = {}
+    for terms in itertools.product(*factors):
+        axes = sum((a for a, _ in terms), ())
+        rest = tuple(c for c in range(d) if c not in axes)
+        if len(axes) + len(rest) == d:          # no axis repeats
+            sign = (-1) ** sum(a > b for a, b in itertools.combinations(axes + rest, 2))
+            term = sign * math.prod(v for _, v in terms)
+            out[rest] = out[rest] + term if rest in out else term
+    return out
+
+
+def _unique_edges(cells, nv, width=None, inverse=False):
+    """Distinct sorted ``width``-vertex faces of the index rows ``cells`` (the
+    rows themselves by default), stacked in itertools.combinations blocks: as
+    ``np.unique(np.sort(faces, 1), axis=0)``, from one 1-D ``np.unique`` of the
+    keys sum face[j] nv^(width - 1 - j), which order like the sorted faces.
+    Returns (faces, counts), or (faces, inverse) with ``inverse``.
+    """
+    cells = np.asarray(cells, dtype=np.int64)
+    subsets = itertools.combinations(range(cells.shape[1]), width or cells.shape[1])
+    cols = list(np.concatenate([cells[:, list(c)] for c in subsets]).T)
+    for i in range(len(cols) - 1, 0, -1):               # bubble-sort network
+        for j in range(i):
+            cols[j : j + 2] = np.minimum(*cols[j : j + 2]), np.maximum(*cols[j : j + 2])
+    key = functools.reduce(lambda acc, col: acc * nv + col, cols)
+    keys, extra = np.unique(key, return_inverse=inverse, return_counts=not inverse)
+    return np.column_stack([keys // nv**p % nv for p in reversed(range(len(cols)))]), extra
 
 
 def spheroid_diameter(semi_axes):
@@ -283,18 +312,16 @@ def _icosahedron():
 
 
 def _subdivide(verts, faces):
-    edges, inv = _unique_edges(_cell_edges(faces), len(verts), inverse=True)
+    edges, inv = _unique_edges(faces, len(verts), 2, inverse=True)
     mid = 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]])
-    midx = len(verts) + np.arange(len(edges))
-    nf = len(faces)
-    m01, m12, m20 = midx[inv[:nf]], midx[inv[nf : 2 * nf]], midx[inv[2 * nf :]]
+    m01, m02, m12 = (len(verts) + inv).reshape(3, -1)
     v0, v1, v2 = faces[:, 0], faces[:, 1], faces[:, 2]
     new_faces = np.concatenate(
         [
-            np.column_stack([v0, m01, m20]),
+            np.column_stack([v0, m01, m02]),
             np.column_stack([v1, m12, m01]),
-            np.column_stack([v2, m20, m12]),
-            np.column_stack([m01, m12, m20]),
+            np.column_stack([v2, m02, m12]),
+            np.column_stack([m01, m12, m02]),
         ]
     )
     return np.vstack([verts, mid]), new_faces
@@ -480,7 +507,8 @@ def write_off(mesh, path):
 
 
 def read_off(path):
-    """Read a mesh written by write_off."""
+    """Read a mesh written by write_off; a file with fewer vertex or cell rows
+    than its header declares raises ValueError."""
     with open(path) as f:
         tokens_by_line = [ln.split("#", 1)[0].split() for ln in f]
     rows = [t for t in tokens_by_line if t]
@@ -493,6 +521,9 @@ def read_off(path):
         rows = rows[1:]
     nv, nc = int(rows[0][0]), int(rows[0][1])
     rows = rows[1:]
+    if len(rows) < nv + nc:
+        raise ValueError(f"{path}: header declares {nv} vertices and {nc} cells, found "
+                         f"{min(nv, len(rows))} vertex and {max(len(rows) - nv, 0)} cell rows")
     coords = np.array([[float(v) for v in r] for r in rows[:nv]])
     if dimension == 1:
         coords = np.column_stack([coords, np.zeros(nv)])

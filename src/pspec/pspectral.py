@@ -29,7 +29,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .manifold import Domain, Mesh
+from .manifold import Domain, Mesh, simplex_geometry
 
 P_MIN = 1.1
 P_MAX = 10.0
@@ -192,22 +192,7 @@ def _fem(mesh):
     if hasattr(mesh, "_fem_ops"):
         return mesh._fem_ops
     V, C = mesh.vertices, mesh.cells
-    x = V[C]
-    if mesh.dimension == 2:
-        e0 = x[:, 2] - x[:, 1]
-        e1 = x[:, 0] - x[:, 2]
-        e2 = x[:, 1] - x[:, 0]
-        nrm = np.cross(e2, -e1)
-        a2 = np.linalg.norm(nrm, axis=1)
-        nhat = nrm / a2[:, None]
-        gp = np.stack(
-            [np.cross(nhat, e0), np.cross(nhat, e1), np.cross(nhat, e2)], axis=2
-        )
-        gp /= a2[:, None, None]
-    else:
-        t = x[:, 1] - x[:, 0]
-        L2 = (t * t).sum(axis=1)
-        gp = np.stack([-t / L2[:, None], t / L2[:, None]], axis=2)
+    gp = simplex_geometry(np.take(V, C, axis=0), gradients=True)[1]
     nc, k = C.shape                             # gp: (cell, component, local vertex)
     G = csr_matrix(
         (gp.ravel(), np.repeat(C, 3, axis=0).ravel(), np.arange(0, 3 * nc * k + 1, k)),
@@ -748,8 +733,9 @@ def solve_radial_1d(p, n, problem="hemisphere"):
     problem = "hemisphere": weight sin^{n-1}(r) on (0, pi/2), Neumann at 0,
     Dirichlet at pi/2. This equals the first nonzero closed eigenvalue of
     the round unit n-sphere (n for p = 2). The eigenvalue is bracketed by a
-    geometric scan of the endpoint value of the shooting solution and
-    polished by Brent's method.
+    geometric scan (ratio 1.3) of the endpoint value of the shooting
+    solution, from the closed-form n = 1 value over 1.3, and polished by
+    Brent's method.
 
     problem = "interval": unit weight on (0, 1) with Dirichlet ends, in
     closed form (p - 1) pi_p^p, pi_p = 2 pi / (p sin(pi / p)); pi^2 for p = 2.
@@ -774,7 +760,8 @@ def solve_radial_1d(p, n, problem="hemisphere"):
 
         return _dop853(rhs, r0, rend, 1.0, -lam * r0**n / n, rtol=1e-11, atol=1e-13)[0]
 
-    lam = 0.05
+    # below the first eigenvalue, which grows with n: the n = 1 value (p - 1) (pi_p / pi)^p
+    lam = (p - 1.0) * (2.0 / (p * math.sin(math.pi / p))) ** p / 1.3
     g_lo = endpoint(lam)
     if g_lo <= 0.0:
         raise RuntimeError("shooting bracket scan started above the eigenvalue")

@@ -106,6 +106,21 @@ def test_mesh_rejects_degenerate_and_nonmanifold():
         Mesh(2, v, [[0, 1, 2], [3, 4, 5]])
 
 
+@pytest.mark.parametrize(
+    "dimension, v, cells, match",
+    [
+        (2, [[math.nan, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]], "finite"),
+        (2, [[math.inf, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]], "finite"),
+        (1, [[0, 0, 0], [1, 0, -math.inf]], [[0, 1]], "finite"),
+        (2, [[0, 0, 0], [1, 1, 1], [3, 3, 3]], [[0, 1, 2]], "degenerate"),
+        (1, [[0.5, 1, 2], [0.5, 1, 2]], [[0, 1]], "degenerate"),
+    ],
+)
+def test_mesh_rejects_nonfinite_vertices_and_null_cells(dimension, v, cells, match):
+    with pytest.raises(ValueError, match=match):
+        Mesh(dimension, v, cells)
+
+
 def test_lumped_vertex_measure_sums_to_total(ico3):
     assert ico3.vertex_measure.sum() == pytest.approx(
         ico3.cell_measure.sum(), rel=1e-13
@@ -359,6 +374,19 @@ def test_off_rejects_garbage(tmp_path):
         read_off(arity)
 
 
+def test_off_rejects_short_files(tmp_path):
+    # the last 5 of 80 face rows once loaded silently as an open 75-cell mesh
+    path = tmp_path / "m.off"
+    write_off(build_icosphere(1), path)
+    rows = path.read_text().splitlines()
+    path.write_text("\n".join(rows[:-5]) + "\n")
+    with pytest.raises(ValueError, match="42 vertices and 80 cells, found 42 vertex and 75 cell"):
+        read_off(path)
+    path.write_text("\n".join(rows[:12]) + "\n")
+    with pytest.raises(ValueError, match="42 vertices and 80 cells, found 10 vertex and 0 cell"):
+        read_off(path)
+
+
 @pytest.mark.parametrize("aspect", [1.0, 1.005, 1.2, 2.0])
 def test_ellipsoid_curvature_bounds_are_closed_form(aspect):
     # Gaussian curvature of x^2/a^2 + y^2/b^2 + z^2/c^2 = 1 at every vertex;
@@ -391,28 +419,92 @@ def test_ellipsoid_stretches_the_icosphere_bitwise(level):
 
 
 @st.composite
-def _pair_arrays(draw):
+def _row_arrays(draw):
     nv = draw(st.integers(1, 40))
+    width = draw(st.integers(1, 3))
     vertex = st.integers(0, nv - 1)
-    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=60))
-    # repeat some pairs reversed, as the two cells of an interior edge do
-    flips = draw(st.lists(st.sampled_from(pairs), max_size=30)) if pairs else []
-    pairs = pairs + [(j, i) for i, j in flips]
-    return nv, np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    rows = draw(st.lists(st.lists(vertex, min_size=width, max_size=width), max_size=60))
+    # repeat some rows permuted, as the cells on an interior facet do
+    again = draw(st.lists(st.sampled_from(rows), max_size=30)) if rows else []
+    rows = rows + [draw(st.permutations(r)) for r in again]
+    return nv, np.array(rows, dtype=np.int64).reshape(-1, width)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_pair_arrays())
+@given(_row_arrays())
 def test_unique_edges_matches_axis0_unique(case):
-    nv, pairs = case
+    nv, rows = case
     ref, ref_inv, ref_counts = np.unique(
-        np.sort(pairs, axis=1), axis=0, return_inverse=True, return_counts=True
+        np.sort(rows, axis=1), axis=0, return_inverse=True, return_counts=True
     )
-    edges, counts = manifold._unique_edges(pairs, nv)
+    edges, counts = manifold._unique_edges(rows, nv)
     assert edges.dtype == ref.dtype and edges.shape == ref.shape
     assert np.array_equal(edges, ref)
     assert np.array_equal(counts, ref_counts)
-    edges, inv = manifold._unique_edges(pairs, nv, inverse=True)
+    edges, inv = manifold._unique_edges(rows, nv, inverse=True)
     assert np.array_equal(edges, ref)
-    assert inv.shape == (len(pairs),)
+    assert inv.shape == (len(rows),)
     assert np.array_equal(inv, ref_inv.ravel())
+
+
+def test_unique_edges_of_cell_faces_follow_the_combinations_blocks():
+    cells = np.array([[0, 1, 2], [3, 2, 1]])
+    faces, inv = manifold._unique_edges(cells, 4, 2, inverse=True)
+    # blocks (0, 1), (0, 2), (1, 2) of each cell, as itertools.combinations gives them
+    stacked = np.array([[0, 1], [3, 2], [0, 2], [3, 1], [1, 2], [2, 1]])
+    assert np.array_equal(faces[inv], np.sort(stacked, axis=1))
+    assert np.array_equal(faces, [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3]])
+
+
+# ---------------------------------------------------------------------------
+# the simplex kernel
+
+
+def _random_simplices(k, n=200, seed=0):
+    x = np.random.default_rng(seed).normal(size=(n, k + 1, 3))
+    return x, x[:, 1:] - x[:, :1]
+
+
+def test_tetrahedron_kernel_against_the_determinant():
+    x, e = _random_simplices(3)
+    measure, grads = manifold.simplex_geometry(x, gradients=True)
+    det = np.linalg.det(e)                  # rows are the edges x_i - x_0
+    assert np.allclose(measure, np.abs(det) / 6.0, rtol=1e-12, atol=0.0)
+    # grad lambda_i . (x_j - x_0) = delta_ij for i, j >= 1; lambda_0 = 1 - sum
+    dots = np.einsum("nci,njc->nij", grads[:, :, 1:], e)
+    scale = np.abs(grads).max(axis=(1, 2)) * np.abs(e).max(axis=(1, 2))
+    assert np.all(np.abs(dots - np.eye(3)).max(axis=(1, 2)) <= 1e-12 * scale)
+    assert np.all(np.abs(grads.sum(axis=2)).max(axis=1) <= 1e-12 * np.abs(grads).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("k, d", [(1, 1), (1, 4), (2, 2), (2, 4), (3, 4), (4, 4)])
+def test_kernel_in_any_ambient_dimension_against_the_gram_determinant(k, d):
+    x = np.random.default_rng(k + 10 * d).normal(size=(100, k + 1, d))
+    e = x[:, 1:] - x[:, :1]
+    measure, grads = manifold.simplex_geometry(x, gradients=True)
+    gram = np.einsum("nic,njc->nij", e, e)
+    assert np.allclose(measure, np.sqrt(np.linalg.det(gram)) / math.factorial(k), rtol=1e-9)
+    dots = np.einsum("nci,njc->nij", grads[:, :, 1:], e)
+    assert np.allclose(dots, np.eye(k), atol=1e-9)
+    assert np.allclose(grads.sum(axis=2), 0.0, atol=1e-9 * np.abs(grads).max())
+
+
+def test_triangle_kernel_is_the_cross_product_formula_bitwise():
+    x, e = _random_simplices(2)
+    measure, grads = manifold.simplex_geometry(x, gradients=True)
+    n = np.cross(e[:, 0], e[:, 1])
+    area2 = np.linalg.norm(n, axis=1)
+    opposite = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    expected = np.cross(n[:, None] / area2[:, None, None], opposite) / area2[:, None, None]
+    assert np.array_equal(measure, 0.5 * area2)
+    assert np.array_equal(grads, expected.transpose(0, 2, 1))
+
+
+def test_segment_kernel_against_length_and_t_over_t_squared():
+    x, e = _random_simplices(1)
+    t = e[:, 0]
+    measure, grads = manifold.simplex_geometry(x, gradients=True)
+    assert np.allclose(measure, np.sqrt((t * t).sum(axis=1)), rtol=1e-15, atol=0.0)
+    expected = np.stack([-t, t], axis=2) / (t * t).sum(axis=1)[:, None, None]
+    assert np.allclose(grads, expected, rtol=1e-15, atol=0.0)
+    assert np.array_equal(manifold.simplex_geometry(x[:, ::-1]), measure)

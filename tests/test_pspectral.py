@@ -874,7 +874,7 @@ def scipy_radial(p, n):
         assert sol.success
         return float(sol.y[0, -1])
 
-    lam = 0.05
+    lam = (p - 1.0) * (pi_p(p) / np.pi) ** p / 1.3     # solve_radial_1d's bracket start
     while endpoint(lam * 1.3) >= 0.0:
         lam *= 1.3
     return brentq(endpoint, lam, lam * 1.3, xtol=1e-12, rtol=1e-13)
@@ -887,6 +887,21 @@ def scipy_radial(p, n):
 def test_radial_solver_matches_the_scipy_integrator(p, n, problem):
     ref = scipy_radial(p, n)
     assert abs(solve_radial_1d(p, n, problem) - ref) <= 1e-14 * ref
+
+
+def test_radial_bracket_starts_at_the_closed_form_n1_value(monkeypatch):
+    # from lambda = 0.05 the scan took 23, 23 and 24 shootings at p = 1.5, 2, 3
+    shootings = []
+    monkeypatch.setattr(
+        pspectral, "_dop853", lambda *a, **k: shootings.append(1) or _dop853(*a, **k)
+    )
+    for p in (1.5, 2.0, 3.0):
+        shootings.clear()
+        solve_radial_1d(p, 2)
+        assert len(shootings) <= 14, (p, len(shootings))
+    for n in (1, 8):
+        for p in (1.1, 10.0):
+            assert solve_radial_1d(p, n) > (p - 1.0) * (pi_p(p) / np.pi) ** p / 1.3
 
 
 def test_dop853_fails_on_a_nan_right_hand_side():
