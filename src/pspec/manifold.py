@@ -42,7 +42,8 @@ class Mesh:
         Provenance (builder name, level, aspect, curvature bounds, ...).
 
     Derived attributes: ``cell_measure``, ``vertex_measure`` (lumped),
-    ``edges``, ``edge_lengths``, ``closed``, ``boundary_vertices``.
+    ``edges``, ``closed``, ``boundary_vertices``, and ``edge_lengths``,
+    computed on first read.
     The mesh must be connected with strictly positive cell measures.
     """
 
@@ -81,8 +82,6 @@ class Mesh:
         # boundary; on a surface the facets are the edges, keyed once
         faces = {w: _unique_edges(cells, nv, w) for w in {2, dimension}}
         self.edges = faces[2][0]
-        ends = np.take(vertices, self.edges, axis=0)
-        self.edge_lengths = np.linalg.norm(ends[:, 0] - ends[:, 1], axis=1)
 
         facets, counts = faces[dimension]
         if counts.max() > 2:
@@ -94,14 +93,20 @@ class Mesh:
         if ncomp != 1:
             raise ValueError(f"mesh is not connected ({ncomp} components)")
 
+    @functools.cached_property
+    def edge_lengths(self):
+        ends = np.take(self.vertices, self.edges, axis=0)
+        return np.linalg.norm(ends[:, 0] - ends[:, 1], axis=1)
+
     def adjacency_matrix(self):
-        """Symmetric sparse vertex adjacency weighted by edge length."""
+        """Symmetric sparse vertex adjacency with unit weights: an entry is
+        nonzero exactly when an edge joins the two vertices."""
         if not hasattr(self, "_adj"):
             i, j = self.edges[:, 0], self.edges[:, 1]
             nv = len(self.vertices)
             self._adj = csr_matrix(
                 (
-                    np.concatenate([self.edge_lengths, self.edge_lengths]),
+                    np.ones(2 * len(i)),
                     (np.concatenate([i, j]), np.concatenate([j, i])),
                 ),
                 shape=(nv, nv),

@@ -7,7 +7,8 @@ Shift-invert Lanczos on the linear p = 2 pencil gives, once per closed mesh
 or Domain, a start pinned inside the first eigenvalue cluster; other
 exponents are reached from it by geometric continuation in p, running
 (K + M)^-1-preconditioned nonlinear conjugate gradients on log(energy) -
-log(mass) with Armijo backtracking. The closed-manifold problem projects
+log(mass) with an interpolating Armijo line search; warm-up stages short of
+the target p stop on a small gradient. The closed-manifold problem projects
 onto the zero mean constraint of the p-Laplacian (integral of |u|^{p-2} u
 vanishes) by safeguarded Newton after every step.
 
@@ -85,6 +86,8 @@ class SolverOptions:
 
 _EPS_FACTOR = 1e-9          # gradient smoothing, times mean edge length
 _MAX_BACKTRACKS = 40
+_ARMIJO = 1e-4              # sufficient decrease constant c1 of the line search
+_WARMUP_GRAD = 0.04         # grad_norm that ends a stage short of the target p
 _LIPSCHITZ_BUDGET = 4.0     # allowed |d log lambda / d log p| in continuation
 _P2_CLUSTER = 1e-8          # relative width of the first p = 2 eigenvalue cluster
 _P2_RESIDUAL_TOL = 1e-8     # relative residual of a converged p = 2 start
@@ -445,20 +448,30 @@ def _lp_normalize(u, mass, p):
     return u / norm, norm, total / norm**p
 
 
-def _descent_stage(ops, u, p, eps, opts, budget, evals):
+def _descent_stage(ops, u, p, eps, opts, budget, defects, warmup):
     """Minimize log energy - log mass at fixed (p, eps) by nonlinear CG.
 
     ``u`` holds the values of the unknowns of ``ops``: every vertex of a
     closed mesh, or the free vertices of a Domain, whose ``ops`` carry only
     the domain's cells. d = -P g + beta d_prev, P = ``ops.lu`` = (K + M)^-1,
     with Gilbert and Nocedal's beta = max(0, min(beta_PR, beta_FR)) in the P
-    inner product; -P g, then -g, replace a d that does not descend. Armijo
-    backtracking picks the step. Iterates of ``ops.closed`` unknowns are
-    re-projected onto the constraint. Accepted iterates have non-increasing
-    Rayleigh quotient by construction; the stage stops after `opts.stall`
-    consecutive accepted steps with relative change below `opts.tol`, on
-    line-search stall, or on budget. Each projection appends its count of
-    defect evaluations to ``evals``.
+    inner product; -P g, then -g, replace a d that does not descend.
+
+    The line search first tries t = min(2 t_prev, 4). When the parabola
+    through f(0), the slope f'(0) and f(t) curves upward, its minimizer,
+    clipped to [0.1 t, 4 t], is tried too; the lower of the trials that
+    pass Armijo (c1 = 1e-4) is taken, and t is halved until one does. That
+    step nears the line minimum that the PR/FR beta assumes. Iterates of
+    ``ops.closed`` unknowns are re-projected onto the constraint. Accepted
+    iterates have non-increasing Rayleigh quotient by construction.
+
+    A ``warmup`` stage (p short of the target) stops once g^T P g <= 0.04^2:
+    the next p step moves the gradient far more than polishing removes.
+    Every stage stops after `opts.stall` consecutive accepted steps with
+    relative change below `opts.tol`, on line-search stall, or on budget;
+    the info's ``stop`` names the rule ("grad", "stall", "line_search",
+    "budget") and ``evals`` counts the trials. Each projection appends its
+    count of defect evaluations to ``defects``.
 
     G d is taken once per direction: the trial (u + t d - c) / norm has the
     cell gradients (G u + t G d) / norm, as G maps constants to zero, and the
@@ -467,19 +480,30 @@ def _descent_stage(ops, u, p, eps, opts, budget, evals):
 
     def feasible(w):
         if ops.closed:
-            w = _project(w, ops.mass, p, evals)
+            w = _project(w, ops.mass, p, defects)
         return _lp_normalize(w, ops.mass, p)
+
+    def probe(t):
+        nonlocal trials
+        trials += 1
+        unew, norm, m_new = feasible(u + t * d)
+        trial = ops.energy_mass(unew, p, eps, (g + t * gd) / norm, m_new)
+        return np.log(trial[0]) - np.log(trial[1]), t, unew, trial
 
     u = feasible(u)[0]
     energy, mass, g, base, q = ops.energy_mass(u, p, eps)
     rq = energy / mass
     grad = ops.grad_log_quotient(u, p, energy, mass, g, base, q)
-    t, streak, iters, rel, converged = 1.0, 0, 0, np.inf, False
+    t, streak, iters, trials, rel, converged = 1.0, 0, 0, 0, np.inf, False
+    stop = "budget"
     d = np.zeros_like(u)
     gpg_prev = None                         # no previous direction: beta = 0
     while iters < budget:
         pg = ops.lu.solve(grad)
         gpg = float(grad @ pg)
+        if warmup and gpg <= _WARMUP_GRAD**2:
+            converged, stop = True, "grad"
+            break
         beta = 0.0
         if gpg_prev is not None:            # Gilbert-Nocedal PR/FR hybrid
             beta = max(0.0, min(gpg, gpg - float(grad @ pg_prev))) / gpg_prev
@@ -488,21 +512,28 @@ def _descent_stage(ops, u, p, eps, opts, budget, evals):
             if slope < 0.0:
                 break
         else:
+            stop = "line_search"
             break
         pg_prev, gpg_prev = pg, gpg
         gd = ops.gradients(d)
+        f0 = np.log(rq)
         t = min(2.0 * t, 4.0)
         for _ in range(_MAX_BACKTRACKS):
-            unew, norm, m_new = feasible(u + t * d)
-            trial = ops.energy_mass(unew, p, eps, (g + t * gd) / norm, m_new)
-            f_new = np.log(trial[0]) - np.log(trial[1])
-            if f_new <= np.log(rq) + 1e-4 * t * slope:
+            first = probe(t)
+            passed = [first] if first[0] <= f0 + _ARMIJO * t * slope else []
+            curvature = first[0] - f0 - t * slope   # the parabola's s^2 term at s = t
+            if curvature > 0.0:
+                tq = min(max(-0.5 * slope * t * t / curvature, 0.1 * t), 4.0 * t)
+                second = probe(tq)
+                if second[0] <= f0 + _ARMIJO * tq * slope:
+                    passed.append(second)
+            if passed:
                 break
             t *= 0.5
         else:  # line search stalled
-            converged = rel <= opts.tol * 10.0
+            converged, stop = rel <= opts.tol * 10.0, "line_search"
             break
-        u, (energy, mass, g, base, q) = unew, trial
+        _, t, u, (energy, mass, g, base, q) = min(passed, key=lambda trial: trial[0])
         rq_new = energy / mass
         if rq_new > rq * (1.0 + 1e-12):
             raise AssertionError("descent accepted an increasing Rayleigh step")
@@ -511,10 +542,11 @@ def _descent_stage(ops, u, p, eps, opts, budget, evals):
         iters += 1
         streak = streak + 1 if rel < opts.tol else 0
         if streak >= opts.stall:
-            converged = True
+            converged, stop = True, "stall"
             break
         grad = ops.grad_log_quotient(u, p, energy, mass, g, base, q)
-    return u, {"iters": iters, "converged": converged, "residual": rel, "rayleigh": rq}
+    return u, {"iters": iters, "evals": trials, "stop": stop, "converged": converged,
+               "residual": rel, "rayleigh": rq}
 
 
 def _eigen_solve(region, p, opts):
@@ -545,14 +577,14 @@ def _eigen_solve(region, p, opts):
     diag = dict(start, stages=[])
     converged, iterations = start["p2_converged"], start["p2_iterations"]
     residual = 0.0
-    evals = []                              # defect evaluations per projection
+    defects = []                            # defect evaluations per projection
     if descend:
         eps0 = _EPS_FACTOR * float(mesh.edge_lengths.mean())
         stages = [(pk, eps0) for pk in _continuation_path(p, opts.step)] + [(p, 0.0)]
         budget = opts.max_iters
         lam_prev, p_prev = start["p2_lambda"], 2.0
         for pk, eps in stages:
-            u, info = _descent_stage(ops, u, pk, eps, opts, budget, evals)
+            u, info = _descent_stage(ops, u, pk, eps, opts, budget, defects, pk != p)
             budget -= info["iters"]
             converged = info["converged"] and budget > 0
             residual = info["residual"]
@@ -565,6 +597,8 @@ def _eigen_solve(region, p, opts):
                     "p": pk,
                     "eps": eps,
                     "iters": info["iters"],
+                    "evals": info["evals"],
+                    "stop": info["stop"],
                     "rayleigh": lam_k,
                     "log_lipschitz": drift,
                 }
@@ -576,9 +610,9 @@ def _eigen_solve(region, p, opts):
                 break
         iterations = opts.max_iters - budget
     if closed:
-        u = _project(u, ops.mass, p, evals)
+        u = _project(u, ops.mass, p, defects)
         if descend:
-            diag["projection_evals"] = sum(evals)
+            diag["projection_evals"] = sum(defects)
     if u[np.argmax(np.abs(u))] < 0.0:
         u = -u
     neg = u < 0.0

@@ -729,12 +729,13 @@ def test_closed_mesh_factors_once_and_domains_once_per_solve(monkeypatch):
 
 
 def test_round_level4_values():
-    # the steepest-descent stall stop left 1.7235351634044753 and 2.1724364994634
+    # the steepest-descent stall stop left 1.7235351634044753 and 2.1724364994634,
+    # the backtracking line search 1.7235351340045681 at p = 1.5
     mesh = build_icosphere(4)
     lam15, lam3 = closed_eigen(mesh, 1.5).lam, closed_eigen(mesh, 3.0).lam
-    assert lam15 == pytest.approx(1.7235351340045681, rel=1e-9)
+    assert lam15 == pytest.approx(1.7235351311949916, rel=1e-9)
     assert lam3 == pytest.approx(2.1724362752429136, rel=1e-9)
-    assert lam15 < 1.7235351634044753 and lam3 < 2.1724364994634
+    assert lam15 < 1.7235351340045681 and lam3 < 2.1724364994634
 
 
 def test_grad_norm_measures_the_distance_to_a_critical_point(ico3):
@@ -756,6 +757,16 @@ def test_only_stages_with_a_p_step_report_log_lipschitz(ico2):
         assert np.isfinite(stage["log_lipschitz"])
     assert stages[-1]["eps"] == 0.0 and stages[-1]["p"] == stages[-2]["p"]
     assert stages[-1]["log_lipschitz"] is None
+
+
+def test_warmup_stages_stop_on_the_gradient_and_target_stages_on_the_stall(ico2):
+    stages = closed_eigen(ico2, 3.0).diagnostics["stages"]
+    assert [s["stop"] for s in stages if s["p"] != 3.0] == ["grad"]
+    assert stages[-1]["stop"] == "stall"
+    for s in stages:
+        assert s["evals"] >= s["iters"]     # at least one trial per accepted step
+    cut = closed_eigen(ico2, 3.0, SolverOptions(max_iters=1))
+    assert not cut.converged and cut.diagnostics["stages"][-1]["stop"] == "budget"
 
 
 def test_adjoint_products_are_bitwise_the_transpose_products():
