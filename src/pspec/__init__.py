@@ -47,10 +47,8 @@ from .rearrange import (
     symmetrize,
 )
 from .isoperim import (
-    CrokeProfile,
     LevelSweep,
     check_battery,
-    croke_profile,
     domain_bump_battery,
     gromov_ratio,
 )

@@ -22,7 +22,6 @@ from .harness import chain_audit, pinching_sweep
 from .isoperim import (
     battery_ratios,
     check_battery,
-    croke_profile,
     domain_bump_battery,
     gromov_ratio,
 )
@@ -262,7 +261,6 @@ CHECKS = {
     "polya_szego_battery": ("min", -0.01),
     "gromov_battery": ("min", -0.02),
     "gromov_caps": ("max", 0.01),
-    "croke_min_ratio": ("min", -0.02),
     "audit_distribution_derivative": ("abs", 0.03),
     "audit_mass_transport": ("abs", 0.03),
     "audit_energy_slope_bound": ("max", 0.03),
@@ -469,8 +467,7 @@ def _cmd_verify(cfg, outdir):
         _check("polya_szego_battery", {"p": 2.0, "count": cfg.battery_count}, min(margins))
     )
 
-    # one battery serves both Gromov blocks: its thresholds are drawn after
-    # the Polya-Szego bumps, and croke_min_ratio is the minimum of its ratios
+    # the battery's thresholds are drawn after the Polya-Szego bumps
     ratios = battery_ratios(fields, rng, cfg.battery_thresholds, bet)
     blocks.append(_check("gromov_battery", {"count": len(ratios)}, ratios.min() - 1.0))
 
@@ -478,11 +475,6 @@ def _cmd_verify(cfg, outdir):
     cap_ratios = gromov_ratio(z, zlo + np.array([0.25, 0.5, 0.75]) * (zhi - zlo), bet)
     blocks.append(
         _check("gromov_caps", {"ratios": cap_ratios}, float(np.abs(cap_ratios - 1.0).max()))
-    )
-
-    low = float(ratios.min())
-    blocks.append(
-        _check("croke_min_ratio", {"count": len(ratios)}, low - 1.0, lhs=low, rhs=1.0)
     )
 
     report = chain_audit(hemi, cfg.ps[0], cfg.solver_options())
@@ -517,28 +509,6 @@ def _cmd_sweep(cfg, outdir):
                 ok=monotone and len(seq) == len([r for r in records if r.p == p]),
             )
         )
-    # empirical sharpening estimate next to each eigenvalue ratio; reported
-    # side by side, not asserted against each other
-    for a in cfg.sweep_aspects:
-        first = next(r for r in records if r.aspect == float(a))
-        prof = croke_profile(
-            first.mesh,
-            first.beta,
-            count=cfg.battery_count,
-            thresholds=cfg.battery_thresholds,
-            seed=cfg.seed,
-        )
-        for p in cfg.ps:
-            row = next(r for r in records if r.aspect == float(a) and r.p == p)
-            blocks.append(
-                _block(
-                    f"croke_vs_ratio_a{a:g}_p{p:g}",
-                    {"aspect": a, "p": p, "diameter": first.diameter},
-                    lhs=row.ratio,
-                    rhs=prof.min_ratio**p,
-                    ok=not row.failed,
-                )
-            )
     _write_json(outdir / "sweep.json", blocks)
     return blocks
 

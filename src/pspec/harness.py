@@ -14,7 +14,6 @@ import numpy as np
 
 from .isoperim import LevelSweep
 from .manifold import (
-    Mesh,
     beta as measure_ratio,
     build_ellipsoid,
     cap_radius,
@@ -50,10 +49,9 @@ class SweepRecord:
     converged: bool
     failed: bool = False
     error: str = ""
-    mesh: Mesh | None = dc_field(default=None, repr=False, compare=False)  # solved on
 
     def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "mesh"}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _curvature_certificate(mesh):
@@ -90,7 +88,6 @@ def _sweep_record(mesh, p, opts, lam_model, keep_going=False):
         equality_case=False,
         iterations=0,
         converged=False,
-        mesh=mesh,
     )
     try:
         res = closed_eigen(mesh, p, opts)
@@ -273,14 +270,13 @@ def chain_audit(domain, p, opts=None):
 def pinching_sweep(aspects, ps, level=4, opts=None):
     """Eigenvalue ratio against diameter across the ellipsoid family.
 
-    One record per (aspect, p), sorted by diameter then p, each carrying
-    the ellipsoid it was solved on (built once per aspect). A row's
-    ``diameter`` is the exact spheroid diameter of its ellipsoid
-    (:func:`~pspec.manifold.spheroid_diameter`). Solver failures are
-    recorded on the row and do not stop the sweep. The reference
-    eigenvalue is solved once per p. Once an ellipsoid's rows are solved
-    its FEM operators, and with them its K + M factorization, are dropped,
-    so the sweep holds one mesh's caches at a time.
+    One record per (aspect, p), sorted by diameter then p; each ellipsoid
+    is built once per aspect. A row's ``diameter`` is the exact spheroid
+    diameter of its ellipsoid (:func:`~pspec.manifold.spheroid_diameter`).
+    Solver failures are recorded on the row and do not stop the sweep. The
+    reference eigenvalue is solved once per p. Once an ellipsoid's rows are
+    solved its FEM operators, and with them its K + M factorization, are
+    dropped, so the sweep holds one mesh's caches at a time.
     """
     lam_model = {float(p): solve_radial_1d(p, 2, "hemisphere") for p in ps}
     records = []

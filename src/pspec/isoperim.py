@@ -10,7 +10,6 @@ isoperimetric comparison see the same discrete geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -239,20 +238,6 @@ def check_battery(mesh, rng, count):
     return fields[:count]
 
 
-@dataclass
-class CrokeProfile:
-    """Empirical sharpening profile of the isoperimetric ratio.
-
-    ``min_ratio`` over the battery estimates the best constant available on
-    this mesh; diameters below pi should push it strictly above the
-    round-sphere value.
-    """
-
-    min_ratio: float
-    ratios: np.ndarray
-    count: int
-
-
 def battery_ratios(fields, rng, thresholds, beta):
     """Gromov ratios of a field battery, one sweep per field.
 
@@ -266,9 +251,3 @@ def battery_ratios(fields, rng, thresholds, beta):
         ratios.append(gromov_ratio(fld, ts, beta))
     return np.concatenate(ratios)
 
-
-def croke_profile(mesh, beta, count=50, thresholds=3, seed=0):
-    """Minimum Gromov ratio over a random field battery."""
-    rng = np.random.default_rng(seed)
-    ratios = battery_ratios(check_battery(mesh, rng, count), rng, thresholds, beta)
-    return CrokeProfile(float(ratios.min()), ratios, len(ratios))

@@ -42,8 +42,7 @@ class Mesh:
         Provenance (builder name, level, aspect, curvature bounds, ...).
 
     Derived attributes: ``cell_measure``, ``vertex_measure`` (lumped),
-    ``edges``, ``closed``, ``boundary_vertices``, and ``edge_lengths``,
-    computed on first read.
+    ``edges``, ``closed`` and ``boundary_vertices``.
     The mesh must be connected with strictly positive cell measures.
     """
 
@@ -92,11 +91,6 @@ class Mesh:
         ncomp, _ = connected_components(self.adjacency_matrix(), directed=False)
         if ncomp != 1:
             raise ValueError(f"mesh is not connected ({ncomp} components)")
-
-    @functools.cached_property
-    def edge_lengths(self):
-        ends = np.take(self.vertices, self.edges, axis=0)
-        return np.linalg.norm(ends[:, 0] - ends[:, 1], axis=1)
 
     def adjacency_matrix(self):
         """Symmetric sparse vertex adjacency with unit weights: an entry is

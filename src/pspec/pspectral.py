@@ -84,7 +84,6 @@ class SolverOptions:
             raise ValueError(f"step must be positive, got {self.step}")
 
 
-_EPS_FACTOR = 1e-9          # gradient smoothing, times mean edge length
 _MAX_BACKTRACKS = 40
 _ARMIJO = 1e-4              # sufficient decrease constant c1 of the line search
 _WARMUP_GRAD = 0.04         # grad_norm that ends a stage short of the target p
@@ -168,15 +167,13 @@ class _Operators:
     def gradients(self, u):
         return (self.grad_op @ u).reshape(-1, 3)
 
-    def energy_mass(self, u, p, eps, g=None, mass=None):
+    def energy_mass(self, u, p, g=None, mass=None):
         """(energy, mass, g, base, q) of ``u``: cell gradients g and p-mass as
-        given or taken here, base = |g|^2 + eps^2 and q = base^(p/2) per cell."""
+        given or taken here, base = |g|^2 and q = base^(p/2) per cell."""
         if g is None:
             g = self.gradients(u)
         sq = g * g                          # half the time of an einsum
         base = sq[:, 0] + sq[:, 1] + sq[:, 2]
-        if eps:
-            base += eps * eps
         q = base ** (p / 2.0)
         energy = float(self.cellw @ q)
         if mass is None:
@@ -216,7 +213,7 @@ def rayleigh_quotient(field, region, p):
     """
     p = check_p(p)
     u, fem = _region_values(field, region)
-    energy, mass = fem.energy_mass(u, p, 0.0)[:2]
+    energy, mass = fem.energy_mass(u, p)[:2]
     if mass == 0.0:
         raise ValueError("Rayleigh quotient of the zero field")
     return energy / mass
@@ -448,8 +445,8 @@ def _lp_normalize(u, mass, p):
     return u / norm, norm, total / norm**p
 
 
-def _descent_stage(ops, u, p, eps, opts, budget, defects, warmup):
-    """Minimize log energy - log mass at fixed (p, eps) by nonlinear CG.
+def _descent_stage(ops, u, p, opts, budget, defects, warmup):
+    """Minimize log energy - log mass at fixed p by nonlinear CG.
 
     ``u`` holds the values of the unknowns of ``ops``: every vertex of a
     closed mesh, or the free vertices of a Domain, whose ``ops`` carry only
@@ -487,11 +484,11 @@ def _descent_stage(ops, u, p, eps, opts, budget, defects, warmup):
         nonlocal trials
         trials += 1
         unew, norm, m_new = feasible(u + t * d)
-        trial = ops.energy_mass(unew, p, eps, (g + t * gd) / norm, m_new)
+        trial = ops.energy_mass(unew, p, (g + t * gd) / norm, m_new)
         return np.log(trial[0]) - np.log(trial[1]), t, unew, trial
 
     u = feasible(u)[0]
-    energy, mass, g, base, q = ops.energy_mass(u, p, eps)
+    energy, mass, g, base, q = ops.energy_mass(u, p)
     rq = energy / mass
     grad = ops.grad_log_quotient(u, p, energy, mass, g, base, q)
     t, streak, iters, trials, rel, converged = 1.0, 0, 0, 0, np.inf, False
@@ -579,23 +576,21 @@ def _eigen_solve(region, p, opts):
     residual = 0.0
     defects = []                            # defect evaluations per projection
     if descend:
-        eps0 = _EPS_FACTOR * float(mesh.edge_lengths.mean())
-        stages = [(pk, eps0) for pk in _continuation_path(p, opts.step)] + [(p, 0.0)]
         budget = opts.max_iters
         lam_prev, p_prev = start["p2_lambda"], 2.0
-        for pk, eps in stages:
-            u, info = _descent_stage(ops, u, pk, eps, opts, budget, defects, pk != p)
+        # a second stage at the target p restarts the CG directions
+        for pk in _continuation_path(p, opts.step) + [p]:
+            u, info = _descent_stage(ops, u, pk, opts, budget, defects, pk != p)
             budget -= info["iters"]
             converged = info["converged"] and budget > 0
             residual = info["residual"]
             lam_k = info["rayleigh"]
-            # the final eps = 0 stage makes no p step and gets no drift
+            # the final stage makes no p step and gets no drift
             dlogp = abs(np.log(pk / p_prev))
             drift = abs(np.log(lam_k / lam_prev)) / dlogp if dlogp > 1e-12 else None
             diag["stages"].append(
                 {
                     "p": pk,
-                    "eps": eps,
                     "iters": info["iters"],
                     "evals": info["evals"],
                     "stop": info["stop"],
@@ -620,7 +615,7 @@ def _eigen_solve(region, p, opts):
         u = np.where(neg, 0.0, u)  # trim sign noise from the constrained ring
     u = _lp_normalize(u, ops.mass, p)[0]
     if descend:
-        grad = ops.grad_log_quotient(u, p, *ops.energy_mass(u, p, 0.0))
+        grad = ops.grad_log_quotient(u, p, *ops.energy_mass(u, p))
         diag["grad_norm"] = math.sqrt(float(grad @ ops.lu.solve(grad)))
     if not closed:
         vars(ops).pop("lu", None)           # a Domain keeps its start, not its LU

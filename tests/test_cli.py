@@ -288,7 +288,6 @@ VERIFY_BLOCKS = {
     "polya_szego_battery",
     "gromov_battery",
     "gromov_caps",
-    "croke_min_ratio",
     "audit_distribution_derivative",
     "audit_mass_transport",
     "audit_energy_slope_bound",
@@ -339,7 +338,7 @@ def test_checked_blocks_follow_the_table(checked_blocks):
         "min": lambda m, tol: m >= tol,
     }
     checked = [b for b in checked_blocks if b["tolerance"] is not None]
-    assert len(checked) == 16
+    assert len(checked) == 15
     for b in checked:
         sense, tol = check_entry(b["name"])
         assert b["tolerance"] == tol, b["name"]
@@ -349,15 +348,6 @@ def test_checked_blocks_follow_the_table(checked_blocks):
 def test_every_table_entry_is_emitted(checked_blocks):
     emitted = {re.sub(r"[0-9.]+$", "", b["name"]) for b in checked_blocks}
     assert set(CHECKS) <= emitted
-
-
-def test_croke_min_ratio_is_the_gromov_battery_minimum(checked_blocks):
-    blocks = {b["name"]: b for b in checked_blocks}
-    gromov, croke = blocks["gromov_battery"], blocks["croke_min_ratio"]
-    assert croke["lhs"] == 1.0 + gromov["margin"]
-    assert croke["margin"] == gromov["margin"]
-    assert croke["inputs"] == {"count": gromov["inputs"]["count"]}
-    assert croke["inputs"]["count"] == 6 * 3
 
 
 def test_verify_sweeps_one_battery_once(tmp_path, monkeypatch):
@@ -396,15 +386,28 @@ def test_sweep_command_rows(tmp_path):
     assert run(cfg) == 0
     rows = (tmp_path / "w" / "sweep.csv").read_text().splitlines()
     assert rows[0] == "# seed = 0"
-    assert rows[1] == ",".join(
-        f.name for f in dataclasses.fields(harness.SweepRecord) if f.name != "mesh"
-    )
+    assert rows[1] == ",".join(f.name for f in dataclasses.fields(harness.SweepRecord))
     assert rows[1].startswith("aspect,p,lam_mesh,lam_model,ratio,diameter,beta,")
     assert len(rows) == 2 + 2  # one data row per (aspect, p)
     blocks = json.loads((tmp_path / "w" / "sweep.json").read_text())
     names = {b["name"] for b in blocks}
     assert "ratio_monotone_p2" in names
-    assert "croke_vs_ratio_a1.2_p2" in names
+
+
+def test_sweep_draws_no_field_battery(tmp_path, monkeypatch):
+    def no_battery(*args):
+        raise AssertionError("sweep drew a field battery")
+
+    for module in (cli, isoperim):
+        monkeypatch.setattr(module, "check_battery", no_battery)
+        monkeypatch.setattr(module, "gromov_ratio", no_battery)
+    cfg = parse_config(
+        "command = sweep\nsweep.aspects = 1.0, 1.2\nsweep.level = 2\np = 2, 3\n"
+        f"out = {tmp_path / 'w'}"
+    )
+    assert run(cfg) == 0
+    blocks = json.loads((tmp_path / "w" / "sweep.json").read_text())
+    assert [b["name"] for b in blocks] == ["meta", "ratio_monotone_p2", "ratio_monotone_p3"]
 
 
 IMPORT_FOOTPRINT = """
@@ -480,7 +483,6 @@ def test_verify_fails_when_curvature_hypothesis_broken(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "FAIL gromov_battery" in err
-    assert "FAIL croke_min_ratio" in err
 
 
 def test_main_overrides_and_determinism(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 import pspec.harness as harness
 from pspec.harness import chain_audit, pinching_sweep, sphere_comparison
-from pspec.isoperim import LevelSweep, croke_profile, gromov_ratio
+from pspec.isoperim import LevelSweep, gromov_ratio
 from pspec.manifold import (
     beta,
     build_ellipsoid,
@@ -197,22 +197,19 @@ def test_pinching_sweep_small():
 
 def test_pinching_sweep_drops_each_mesh_caches(monkeypatch):
     # the FEM operators live while a mesh's rows are solved
-    built = []
+    solved = []
     real = harness.closed_eigen
 
     def solve(mesh, p, opts=None):
         res = real(mesh, p, opts)
-        built.append(hasattr(mesh, "_fem_ops"))
+        solved.append((mesh, hasattr(mesh, "_fem_ops")))
         return res
 
     monkeypatch.setattr(harness, "closed_eigen", solve)
-    recs = pinching_sweep([1.0, 1.1], [2.0, 3.0], level=2)
-    assert built == [True] * 4
-    for r in recs:
-        assert not hasattr(r.mesh, "_fem_ops")
-    prof = croke_profile(recs[0].mesh, recs[0].beta, count=4)
-    assert prof.count == 12
-    assert not hasattr(recs[0].mesh, "_fem_ops")
+    pinching_sweep([1.0, 1.1], [2.0, 3.0], level=2)
+    assert [held for _, held in solved] == [True] * 4
+    for mesh, _ in solved:
+        assert not hasattr(mesh, "_fem_ops")
 
 
 def test_pinching_sweep_records_failures(monkeypatch):
@@ -259,22 +256,30 @@ def test_converged_sweep_rows_match_tight_solves(level4_sweep):
     tight = SolverOptions(tol=1e-12, stall=20)
     rows = [r for r in level4_sweep if r.p != 2.0]
     assert len(rows) == 6
+    meshes = {a: build_ellipsoid(a, 4) for a in {r.aspect for r in rows}}
     for r in rows:
-        ref = closed_eigen(r.mesh, r.p, tight)
+        ref = closed_eigen(meshes[r.aspect], r.p, tight)
         assert ref.converged
         assert r.lam_mesh == pytest.approx(ref.lam, rel=1e-8), (r.aspect, r.p)
 
 
 def test_sweep_rows_carry_the_exact_spheroid_diameter(level4_sweep):
     for r in level4_sweep:
-        assert r.diameter == spheroid_diameter(r.mesh.meta["semi_axes"])
+        mesh = build_ellipsoid(r.aspect, r.level)
+        assert r.diameter == spheroid_diameter(mesh.meta["semi_axes"])
     assert [r.aspect for r in level4_sweep[::3]] == [1.2, 1.005, 1.0]
     assert level4_sweep[-1].diameter == np.pi
 
 
-def test_sweep_rows_carry_their_mesh(level4_sweep):
-    meshes = {r.aspect: r.mesh for r in level4_sweep}
-    for r in level4_sweep:
-        assert r.mesh is meshes[r.aspect]
-        assert r.mesh.meta["aspect"] == r.aspect and r.mesh.meta["level"] == 4
-    assert "mesh" not in level4_sweep[0].as_dict()
+def test_sweep_builds_each_ellipsoid_once(monkeypatch):
+    built = []
+    real = harness.build_ellipsoid
+
+    def build(aspect, level):
+        built.append((aspect, level))
+        return real(aspect, level)
+
+    monkeypatch.setattr(harness, "build_ellipsoid", build)
+    recs = pinching_sweep([1.0, 1.1], [2.0, 3.0], level=2)
+    assert built == [(1.0, 2), (1.1, 2)]
+    assert sorted({(r.aspect, r.level) for r in recs}) == built

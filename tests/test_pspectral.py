@@ -467,7 +467,7 @@ _REDUCED_MESHES = {
 
 @st.composite
 def _reduced_cases(draw):
-    """A cap domain (interval: its interior), p, eps and a field on it.
+    """A cap domain (interval: its interior), p and a field on it.
 
     Caps are superlevel domains of a random linear field cut between its
     20% and 80% quantiles; fields are random on the interior, zero outside.
@@ -481,21 +481,20 @@ def _reduced_cases(draw):
         lin = mesh.vertices @ rng.normal(size=3)
         domain = superlevel_domain(mesh, lin, np.quantile(lin, rng.uniform(0.2, 0.8)))
     p = draw(st.sampled_from([1.5, 2.0, 3.0]))
-    eps = draw(st.sampled_from([0.0, pspectral._EPS_FACTOR * float(mesh.edge_lengths.mean())]))
     u = np.zeros(len(mesh.vertices))
     u[domain.interior] = rng.normal(size=int(domain.interior.sum()))
-    return domain, p, eps, u
+    return domain, p, u
 
 
 @settings(max_examples=60, deadline=None)
 @given(_reduced_cases())
 def test_reduced_operator_equals_the_full_one_on_the_interior(case):
-    domain, p, eps, u = case
+    domain, p, u = case
     fem = _fem(domain.mesh)
     free = domain.interior_indices
     ops = fem.restricted(domain.cells, free)
     assert ops.grad_op.shape == (3 * len(domain.cells), len(free))
-    full, red = fem.energy_mass(u, p, eps), ops.energy_mass(u[free], p, eps)
+    full, red = fem.energy_mass(u, p), ops.energy_mass(u[free], p)
     for a, b in zip(full[:2], red[:2]):     # energy and mass
         assert b == pytest.approx(a, rel=1e-13)
     grad = fem.grad_log_quotient(u, p, *full)
@@ -513,9 +512,9 @@ def test_dirichlet_descent_sees_only_the_domain_cells(ico3, monkeypatch):
     nv, ni = len(ico3.vertices), len(domain.interior_indices)
     real, calls = pspectral._Operators.energy_mass, []
 
-    def counting(self, u, p, eps, *known):  # known: a trial's cell gradients and mass
+    def counting(self, u, p, *known):  # known: a trial's cell gradients and mass
         calls.append((len(self.cellw), len(u)))
-        return real(self, u, p, eps, *known)
+        return real(self, u, p, *known)
 
     monkeypatch.setattr(pspectral._Operators, "energy_mass", counting)
     res = dirichlet_eigen(domain, 1.5)
@@ -755,7 +754,7 @@ def test_only_stages_with_a_p_step_report_log_lipschitz(ico2):
     assert len(stages) >= 2
     for stage in stages[:-1]:
         assert np.isfinite(stage["log_lipschitz"])
-    assert stages[-1]["eps"] == 0.0 and stages[-1]["p"] == stages[-2]["p"]
+    assert stages[-1]["p"] == stages[-2]["p"]
     assert stages[-1]["log_lipschitz"] is None
 
 
