@@ -1,14 +1,14 @@
 """Experiment drivers tying the solvers to the model-sphere geometry.
 
 Three entry points: a single-mesh eigenvalue comparison against the round
-sphere reference, a five-step audit of the symmetrization energy argument
+sphere reference, a four-step audit of the symmetrization energy argument
 on a computed Dirichlet eigenfunction, and a pinching sweep over the
 ellipsoid family that records the (diameter, eigenvalue ratio) curve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -20,12 +20,7 @@ from .manifold import (
     spheroid_diameter,
 )
 from .pspectral import check_p, closed_eigen, dirichlet_eigen, solve_radial_1d, _fem
-from .rearrange import (
-    cap_shell_integrals,
-    cap_shell_nodes,
-    cap_shells,
-    symmetrize,
-)
+from .rearrange import cap_shells, symmetrize
 
 _CURVATURE_FLOOR = 0.99
 _AUDIT_GRID = 64
@@ -125,38 +120,6 @@ def sphere_comparison(mesh, p, opts=None, lam_model=None):
     return _sweep_record(mesh, p, opts, lam_model)
 
 
-@dataclass
-class AuditStep:
-    """Worst-case signed violation of one step, relative to its left side.
-
-    Positive values mean the step failed by that relative amount somewhere
-    on the grid; identities report the signed deviation of largest
-    magnitude.
-    """
-
-    name: str
-    worst: float
-    violations: np.ndarray = dc_field(repr=False, default=None)
-
-
-@dataclass
-class AuditReport:
-    p: float
-    lam: float
-    levels: np.ndarray
-    steps: list
-
-    def step(self, name):
-        for s in self.steps:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
-    def worst_by_step(self):
-        """Step name -> signed worst value, kept as the acceptance tests' summary API."""
-        return {s.name: s.worst for s in self.steps}
-
-
 def _signed_worst(values):
     values = np.asarray(values)
     return float(values[np.argmax(np.abs(values))])
@@ -165,7 +128,7 @@ def _signed_worst(values):
 def chain_audit(domain, p, opts=None):
     """Audit the energy-comparison argument on a Dirichlet eigenfunction.
 
-    Five steps, each evaluated on a uniform threshold grid spanning 5% to
+    Four steps, each evaluated on a uniform threshold grid spanning 5% to
     90% of the eigenfunction maximum (cumulative quantities are
     differentiated by central differences there; the top decile is kept in
     the cumulative tails but excluded from differentiation, where the
@@ -177,13 +140,14 @@ def chain_audit(domain, p, opts=None):
        p-mass of the rearranged profile over the volume-matched cap.
     3. energy_slope_bound: -d/dt of the superlevel p-energy dominates
        boundary^p / (level integral of 1/|grad u|)^(p-1).
-    4. radial_equality: the same bound holds with equality for the
-       rearranged radial profile, shell by shell.
-    5. energy_comparison: superlevel p-energy dominates beta times the
+    4. energy_comparison: superlevel p-energy dominates beta times the
        rearranged profile's cap p-energy at every grid level.
 
-    Steps 3 and 5 are inequalities (positive worst = violation); steps 1,
-    2 and 4 are identities (worst = largest signed relative deviation).
+    The rearranged profile meets the step-3 bound with equality by
+    construction, since its slope is constant on each shell, so that
+    equality is not checked. Steps 3 and 4 are inequalities (positive
+    worst = violation); steps 1 and 2 are identities (worst = largest
+    signed relative deviation). Returns {step name: worst} in step order.
     """
     check_p(p)
     mesh = domain.mesh
@@ -216,18 +180,10 @@ def chain_audit(domain, p, opts=None):
     bnd = sweep.level()[:_AUDIT_GRID]
     coarea_int = sweep.level(inv_g)[:_AUDIT_GRID]
 
-    radii, dvol, slope = cap_shells(ext, mu, bet, n)
-
-    steps = []
+    _, dvol, slope = cap_shells(ext, mu, bet, n)
 
     dmu = -np.gradient(mu[:_AUDIT_GRID], levels)
-    steps.append(
-        AuditStep(
-            "distribution_derivative",
-            _signed_worst((dmu - coarea_int) / dmu),
-            (dmu - coarea_int) / dmu,
-        )
-    )
+    worst = {"distribution_derivative": _signed_worst((dmu - coarea_int) / dmu)}
 
     # lumped masses above each level from one ascending sort: idx vertices
     # lie at or below the level (idx >= 1, as levels exceed the minimum 0)
@@ -241,30 +197,16 @@ def chain_audit(domain, p, opts=None):
     lhs_mass = mass_tail[idx]
     cap_r = cap_radius((float(m.sum()) - np.cumsum(m[asc])[idx - 1]) / bet, n)
     rhs_mass = bet * prof.lp_mass_within(p, cap_r)
-    rel = (lhs_mass - rhs_mass) / lhs_mass
-    steps.append(AuditStep("mass_transport", _signed_worst(rel), rel))
+    worst["mass_transport"] = _signed_worst((lhs_mass - rhs_mass) / lhs_mass)
 
     denergy = -np.gradient(energy, levels)
     bound = bnd**p / coarea_int ** (p - 1.0)
-    viol = (bound - denergy) / denergy
-    steps.append(AuditStep("energy_slope_bound", float(viol.max()), viol))
-
-    # per-shell equality of the radial bound: slope^p * shell volume vs
-    # slope^(p-1) * quadrature of the cap boundary across the shell
-    gaps = np.zeros(len(slope))
-    act = (slope > 0) & (dvol > 0)
-    half, _, bnd = cap_shell_nodes(radii[1:][act], radii[:-1][act], n)
-    shell_bnd = cap_shell_integrals(half, bnd, 1.0)
-    lhs_shell = slope[act] ** p * dvol[act]
-    rhs_shell = slope[act] ** (p - 1.0) * slope[act] * shell_bnd
-    gaps[act] = (lhs_shell - rhs_shell) / lhs_shell
-    steps.append(AuditStep("radial_equality", _signed_worst(gaps), gaps))
+    worst["energy_slope_bound"] = float(((bound - denergy) / denergy).max())
 
     star_energy = np.concatenate([np.cumsum((slope**p * dvol)[::-1])[::-1], [0.0]])
     rel_e = (bet * star_energy[:_AUDIT_GRID] - energy) / energy
-    steps.append(AuditStep("energy_comparison", float(rel_e.max()), rel_e))
-
-    return AuditReport(p=float(p), lam=res.lam, levels=levels, steps=steps)
+    worst["energy_comparison"] = float(rel_e.max())
+    return worst
 
 
 def pinching_sweep(aspects, ps, level=4, opts=None):

@@ -277,15 +277,13 @@ def test_criterion_11_ratio_monotone_in_diameter(sweep_records):
 
 
 def test_criterion_12_audit_steps_hold_and_shrink(hemi5):
-    worst5 = chain_audit(hemi5, 2.0).worst_by_step()
-    worst6 = chain_audit(hemisphere_domain(build_icosphere(6)), 2.0).worst_by_step()
+    worst5 = chain_audit(hemi5, 2.0)
+    worst6 = chain_audit(hemisphere_domain(build_icosphere(6)), 2.0)
     parts, ok = [], True
     for name, v5 in worst5.items():
         v6 = worst6[name]
         ok &= abs(v5) <= 0.03
-        # identity steps sit at rounding noise on both levels; treat that
-        # floor as converged rather than demanding strict decrease
-        ok &= abs(v6) < abs(v5) or max(abs(v5), abs(v6)) <= 1e-10
+        ok &= abs(v6) < abs(v5)
         parts.append(f"{name} {abs(v5):.1e}/{abs(v6):.1e}")
     report(12, ok, "worst per step at levels 5/6: " + ", ".join(parts))
 

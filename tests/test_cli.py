@@ -153,8 +153,7 @@ def test_main_exit_2_on_out_of_range_aspect_before_any_solve(
 
 @pytest.mark.parametrize(
     "command, key, value",
-    [("verify", "count", "0"), ("verify", "count", "-3"), ("verify", "thresholds", "0"),
-     ("sweep", "count", "0")],
+    [("verify", "count", "0"), ("verify", "count", "-3"), ("verify", "thresholds", "0")],
 )
 def test_main_exit_2_on_empty_battery_before_any_work(
     tmp_path, capsys, monkeypatch, command, key, value
@@ -172,6 +171,32 @@ def test_main_exit_2_on_empty_battery_before_any_work(
     path = write_config(tmp_path, text)
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert f"line 3: battery.{key}" in capsys.readouterr().err
+
+
+def test_battery_is_range_checked_for_verify_alone():
+    # the command may follow the battery line or come from the CLI positional
+    for text, command in [("battery.count = 0\ncommand = verify", None),
+                          ("battery.count = 0", "verify")]:
+        with pytest.raises(ConfigError, match=r"line 1: battery\.count: must be at least 1, got 0"):
+            parse_config(text, command)
+    for command in ("mesh", "eigen", "symmetrize", "sweep", "oracle"):
+        cfg = parse_config("battery.count = 0\nbattery.thresholds = -1", command)
+        assert (cfg.battery_count, cfg.battery_thresholds) == (0, -1)
+
+
+@pytest.mark.parametrize("ps", ["2, 2.0, 3", "2, 2.0000001"])
+def test_main_exit_2_on_exponents_sharing_a_block_name(tmp_path, capsys, monkeypatch, ps):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(cli, "closed_eigen", no_solve)
+    monkeypatch.setattr(cli, "dirichlet_eigen", no_solve)
+    text = f"command = eigen\nmesh.level = 1\np = {ps}"
+    with pytest.raises(ConfigError, match="line 3: p: exponents share the block name p2,"):
+        parse_config(text)
+    path = write_config(tmp_path, text)
+    assert main(["eigen", "--config", path, "--out", str(tmp_path / "e")]) == 2
+    assert "line 3: p: " in capsys.readouterr().err
 
 
 def test_parse_keeps_raw_text():
@@ -282,7 +307,6 @@ def test_symmetrize_command(tmp_path):
 VERIFY_BLOCKS = {
     "meta",
     "coarea_z",
-    "equimeasurability_constant",
     "equimeasurability_z",
     "equimeasurability_random",
     "polya_szego_battery",
@@ -291,7 +315,6 @@ VERIFY_BLOCKS = {
     "audit_distribution_derivative",
     "audit_mass_transport",
     "audit_energy_slope_bound",
-    "audit_radial_equality",
     "audit_energy_comparison",
 }
 
@@ -317,13 +340,18 @@ CHECK_CONFIGS = {
 
 
 @pytest.fixture(scope="module")
-def checked_blocks(tmp_path_factory):
-    blocks = []
+def reports(tmp_path_factory):
+    blocks = {}
     for command, text in CHECK_CONFIGS.items():
         out = tmp_path_factory.mktemp(command)
         assert run(parse_config(f"{text}\nout = {out}")) == 0
-        blocks += json.loads((out / f"{command}.json").read_text())
+        blocks[command] = json.loads((out / f"{command}.json").read_text())
     return blocks
+
+
+@pytest.fixture(scope="module")
+def checked_blocks(reports):
+    return [b for blocks in reports.values() for b in blocks]
 
 
 def check_entry(name):
@@ -338,11 +366,21 @@ def test_checked_blocks_follow_the_table(checked_blocks):
         "min": lambda m, tol: m >= tol,
     }
     checked = [b for b in checked_blocks if b["tolerance"] is not None]
-    assert len(checked) == 15
+    assert len(checked) == 13
     for b in checked:
         sense, tol = check_entry(b["name"])
         assert b["tolerance"] == tol, b["name"]
         assert b["pass"] == rules[sense](b["margin"], tol), b["name"]
+
+
+def test_no_verify_check_is_a_rounding_level_identity(reports):
+    # a margin at rounding level shows a property of the quadrature, which no
+    # mesh or field can make fail; radial_oracle_p2 is a solver check whose
+    # margin sits near 1e-12, so the rule covers verify alone
+    checked = [b for b in reports["verify"] if b["tolerance"] is not None]
+    assert len(checked) == 10
+    for b in checked:
+        assert abs(b["margin"]) >= 1e-9, b["name"]
 
 
 def test_every_table_entry_is_emitted(checked_blocks):
@@ -408,6 +446,17 @@ def test_sweep_draws_no_field_battery(tmp_path, monkeypatch):
     assert run(cfg) == 0
     blocks = json.loads((tmp_path / "w" / "sweep.json").read_text())
     assert [b["name"] for b in blocks] == ["meta", "ratio_monotone_p2", "ratio_monotone_p3"]
+
+
+def test_main_sweep_runs_on_empty_battery(tmp_path, capsys):
+    # sweep reads no battery.* key, so an empty battery is no config error for it
+    text = "command = sweep\nsweep.aspects = 1.0, 1.2\nsweep.level = 2\np = 2\nbattery.count = 0"
+    assert parse_config(text).battery_count == 0
+    path = write_config(tmp_path, text)
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "w")]) == 0
+    assert "battery" not in capsys.readouterr().err
+    blocks = json.loads((tmp_path / "w" / "sweep.json").read_text())
+    assert [b["name"] for b in blocks] == ["meta", "ratio_monotone_p2"]
 
 
 IMPORT_FOOTPRINT = """

@@ -21,7 +21,7 @@ from pspec.pspectral import (
     solve_radial_1d,
 )
 
-IDENTITY_STEPS = ("distribution_derivative", "mass_transport", "radial_equality")
+IDENTITY_STEPS = ("distribution_derivative", "mass_transport")
 INEQUALITY_STEPS = ("energy_slope_bound", "energy_comparison")
 
 
@@ -103,37 +103,26 @@ def audit_l4():
 
 
 def test_audit_report_shape(audit_l4):
-    assert audit_l4.p == 2.0
-    assert audit_l4.lam == pytest.approx(2.0, rel=0.02)
-    assert len(audit_l4.levels) == 64
-    assert [s.name for s in audit_l4.steps] == list(IDENTITY_STEPS[:2]) + [
+    assert list(audit_l4) == [
+        "distribution_derivative",
+        "mass_transport",
         "energy_slope_bound",
-        "radial_equality",
         "energy_comparison",
     ]
-    with pytest.raises(KeyError):
-        audit_l4.step("nonexistent")
 
 
 def test_audit_steps_within_tolerance(audit_l4):
-    worst = audit_l4.worst_by_step()
     for name in IDENTITY_STEPS:
-        assert abs(worst[name]) <= 0.03, name
+        assert abs(audit_l4[name]) <= 0.03, name
     for name in INEQUALITY_STEPS:
-        assert worst[name] <= 0.03, name
-
-
-def test_audit_radial_equality_is_identity(audit_l4):
-    assert abs(audit_l4.step("radial_equality").worst) <= 1e-10
-    assert np.abs(audit_l4.step("radial_equality").violations).max() <= 1e-10
+        assert audit_l4[name] <= 0.03, name
 
 
 def test_audit_other_exponent(ico3):
     # coarser mesh, looser bound; the chain itself must still hold
-    report = chain_audit(hemisphere_domain(ico3), 1.5)
-    assert abs(report.step("mass_transport").worst) <= 0.03
-    assert report.step("energy_comparison").worst <= 0.03
-    assert abs(report.step("radial_equality").worst) <= 1e-10
+    worst = chain_audit(hemisphere_domain(ico3), 1.5)
+    assert abs(worst["mass_transport"]) <= 0.03
+    assert worst["energy_comparison"] <= 0.03
 
 
 def test_audit_rejects_bad_inputs(ico2):
