@@ -52,4 +52,4 @@ from .isoperim import (
     domain_bump_battery,
     gromov_ratio,
 )
-from .harness import SweepRecord, chain_audit, pinching_sweep, sphere_comparison
+from .harness import SweepRecord, chain_audit, pinching_sweep

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, astuple, dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .isoperim import (
 )
 from .manifold import (
     MAX_ASPECT,
+    MAX_LEVEL,
     beta as measure_ratio,
     build_circle,
     build_ellipsoid,
@@ -115,8 +116,6 @@ def _parse_choice(*options):
 
 def _parse_ps(s):
     vals = tuple(check_p(tok) for tok in s.split(","))
-    if not vals:
-        raise ValueError("empty p list")
     # reports name one block per exponent, f"..._p{p:g}"
     names = [f"p{p:g}" for p in vals]
     dup = next((name for name in names if names.count(name) > 1), None)
@@ -125,13 +124,23 @@ def _parse_ps(s):
     return vals
 
 
+def _bounded(kind, name, lo, hi):
+    # a builder's bound, checked before any solve or output directory
+    def parse(s):
+        v = kind(s)
+        if not lo <= v <= hi:
+            raise ValueError(f"{name} must be in [{lo}, {hi}], got {v:g}")
+        return v
+
+    return parse
+
+
+_parse_level = _bounded(int, "subdivision level", 0, MAX_LEVEL)
+_parse_aspect = _bounded(float, "aspect", 1, MAX_ASPECT)
+
+
 def _parse_aspects(s):
-    # build_ellipsoid's bound, checked before the sweep solves any aspect
-    vals = tuple(float(tok) for tok in s.split(","))
-    for a in vals:
-        if not 1.0 <= a <= MAX_ASPECT:
-            raise ValueError(f"aspect must be in [1, {MAX_ASPECT}], got {a:g}")
-    return vals
+    return tuple(_parse_aspect(tok) for tok in s.split(","))
 
 
 def _solver_option(name, kind):
@@ -154,9 +163,9 @@ def _parse_seed(s):
 _KEYS = {
     "command": ("command", _parse_choice(*COMMANDS)),
     "mesh.kind": ("mesh_kind", _parse_choice("icosphere", "ellipsoid", "interval", "circle")),
-    "mesh.level": ("mesh_level", int),
+    "mesh.level": ("mesh_level", _parse_level),
     "mesh.radius": ("mesh_radius", float),
-    "mesh.aspect": ("mesh_aspect", float),
+    "mesh.aspect": ("mesh_aspect", _parse_aspect),
     "mesh.normalize": ("mesh_normalize", _parse_bool),
     "mesh.segments": ("mesh_segments", int),
     "eigen.domain": ("eigen_domain", _parse_choice("auto", "closed", "hemisphere")),
@@ -168,7 +177,7 @@ _KEYS = {
     "seed": ("seed", _parse_seed),
     "out": ("out", str),
     "sweep.aspects": ("sweep_aspects", _parse_aspects),
-    "sweep.level": ("sweep_level", int),
+    "sweep.level": ("sweep_level", _parse_level),
     "battery.count": ("battery_count", int),
     "battery.thresholds": ("battery_thresholds", int),
     "oracle.n": ("oracle_n", int),
@@ -427,7 +436,7 @@ def _cmd_verify(cfg, outdir):
     blocks = [_meta_block(cfg)]
 
     cc = coarea_check(z)
-    blocks.append(_check("coarea_z", {}, cc.rel_err, cc.lhs, cc.rhs))
+    blocks.append(_check("coarea_z", {}, abs(cc.rel_gap), cc.lhs, cc.rhs))
 
     worst = _worst_equimeasurability_gap(z, bet, cfg.ps)
     fields = check_battery(mesh, rng, cfg.battery_count)
@@ -447,7 +456,7 @@ def _cmd_verify(cfg, outdir):
 
     hemi = hemisphere_domain(mesh)
     margins = [
-        polya_szego_check(f, bet, 2.0).rel_margin
+        polya_szego_check(f, bet, 2.0).rel_gap
         for f in domain_bump_battery(hemi, rng, cfg.battery_count)
     ]
     blocks.append(
@@ -475,8 +484,8 @@ def _cmd_sweep(cfg, outdir):
     records = pinching_sweep(
         cfg.sweep_aspects, cfg.ps, cfg.sweep_level, cfg.solver_options()
     )
-    header = list(records[0].as_dict())
-    rows = [tuple(r.as_dict().values()) for r in records]
+    header = list(asdict(records[0]))
+    rows = [astuple(r) for r in records]
     _write_csv(outdir / "sweep.csv", header, rows, cfg.seed)
 
     blocks = [_meta_block(cfg)]

@@ -1,14 +1,14 @@
 """Experiment drivers tying the solvers to the model-sphere geometry.
 
-Three entry points: a single-mesh eigenvalue comparison against the round
-sphere reference, a four-step audit of the symmetrization energy argument
+Two entry points: a four-step audit of the symmetrization energy argument
 on a computed Dirichlet eigenfunction, and a pinching sweep over the
-ellipsoid family that records the (diameter, eigenvalue ratio) curve.
+ellipsoid family that compares each closed eigenvalue with the round
+sphere reference and records the (diameter, eigenvalue ratio) curve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .manifold import (
 from .pspectral import check_p, closed_eigen, dirichlet_eigen, solve_radial_1d, _fem
 from .rearrange import cap_shells, symmetrize
 
-_CURVATURE_FLOOR = 0.99
 _AUDIT_GRID = 64
 
 
@@ -45,41 +44,31 @@ class SweepRecord:
     failed: bool = False
     error: str = ""
 
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def _curvature_certificate(mesh):
-    if "min_curvature" not in mesh.meta:
-        raise ValueError("mesh carries no curvature certificate in meta")
-    return float(mesh.meta["min_curvature"])
-
 
 def _is_round_unit(mesh):
     return mesh.meta.get("min_curvature") == mesh.meta.get("max_curvature") == 1.0
 
 
-def _sweep_record(mesh, p, opts, lam_model, keep_going=False):
-    """Solve the closed eigenvalue of one family point into its record.
+def _sweep_record(mesh, p, opts, lam_model):
+    """Solve the closed eigenvalue of one ellipsoid into its record.
 
-    The diameter, beta and curvature certificate come from the mesh: the
-    diameter is the exact one of ``meta["semi_axes"]``
-    (:func:`~pspec.manifold.spheroid_diameter`). With ``keep_going`` a
-    solver exception becomes a failed row carrying the exception type and
-    message; otherwise it propagates.
+    The aspect, level, beta and curvature certificate come from the mesh
+    that :func:`~pspec.manifold.build_ellipsoid` built; the diameter is the
+    exact one of its ``meta["semi_axes"]``
+    (:func:`~pspec.manifold.spheroid_diameter`). A solver exception becomes
+    a failed row carrying the exception type and message.
     """
-    if "semi_axes" not in mesh.meta:
-        raise ValueError("mesh carries no semi_axes in meta, so its diameter is unknown")
+    meta = mesh.meta
     row = SweepRecord(
-        aspect=float(mesh.meta.get("aspect", 1.0)),
+        aspect=meta["aspect"],
         p=float(p),
         lam_mesh=float("nan"),
         lam_model=lam_model,
         ratio=float("nan"),
-        diameter=spheroid_diameter(mesh.meta["semi_axes"]),
+        diameter=spheroid_diameter(meta["semi_axes"]),
         beta=measure_ratio(mesh),
-        level=int(mesh.meta.get("level", -1)),
-        min_curvature=_curvature_certificate(mesh),
+        level=meta["level"],
+        min_curvature=meta["min_curvature"],
         equality_case=False,
         iterations=0,
         converged=False,
@@ -87,8 +76,6 @@ def _sweep_record(mesh, p, opts, lam_model, keep_going=False):
     try:
         res = closed_eigen(mesh, p, opts)
     except Exception as exc:  # noqa: BLE001 - a sweep must survive rows
-        if not keep_going:
-            raise
         return replace(row, failed=True, error=f"{type(exc).__name__}: {exc}")
     return replace(
         row,
@@ -98,26 +85,6 @@ def _sweep_record(mesh, p, opts, lam_model, keep_going=False):
         iterations=res.iterations,
         converged=res.converged,
     )
-
-
-def sphere_comparison(mesh, p, opts=None, lam_model=None):
-    """Closed first eigenvalue of the mesh against the round-sphere value.
-
-    Requires a curvature certificate with minimum >= 0.99 and the
-    ``semi_axes`` that give the diameter, as the builder icospheres and
-    ellipsoids carry; the reference value comes from the radial shooting
-    solver. Ratios at or above 1 (minus mesh tolerance) confirm the
-    comparison; the equality flag marks the round unit sphere.
-    """
-    check_p(p)
-    min_curv = _curvature_certificate(mesh)
-    if min_curv < _CURVATURE_FLOOR:
-        raise ValueError(
-            f"curvature minimum {min_curv:.4f} is below {_CURVATURE_FLOOR}"
-        )
-    if lam_model is None:
-        lam_model = solve_radial_1d(p, mesh.dimension, "hemisphere")
-    return _sweep_record(mesh, p, opts, lam_model)
 
 
 def _signed_worst(values):
@@ -210,23 +177,24 @@ def chain_audit(domain, p, opts=None):
 
 
 def pinching_sweep(aspects, ps, level=4, opts=None):
-    """Eigenvalue ratio against diameter across the ellipsoid family.
+    """Closed eigenvalues of the ellipsoid family against the round sphere.
 
     One record per (aspect, p), sorted by diameter then p; each ellipsoid
-    is built once per aspect. A row's ``diameter`` is the exact spheroid
-    diameter of its ellipsoid (:func:`~pspec.manifold.spheroid_diameter`).
-    Solver failures are recorded on the row and do not stop the sweep. The
-    reference eigenvalue is solved once per p. Once an ellipsoid's rows are
-    solved its FEM operators, and with them its K + M factorization, are
-    dropped, so the sweep holds one mesh's caches at a time.
+    is built once per aspect, with minimum curvature 1. A row's ``ratio``
+    is its eigenvalue over the radial shooting solver's round-sphere value
+    (solved once per p), at or above 1 up to mesh error; the aspect-1.0
+    row, the round unit sphere, is the equality case. A row's ``diameter``
+    is its ellipsoid's exact one (:func:`~pspec.manifold.spheroid_diameter`).
+    Solver failures are recorded on the row and do not stop the sweep. Once
+    an ellipsoid's rows are solved its FEM operators, and with them its
+    K + M factorization, are dropped, so the sweep holds one mesh's caches
+    at a time.
     """
     lam_model = {float(p): solve_radial_1d(p, 2, "hemisphere") for p in ps}
     records = []
     for a in aspects:
         mesh = build_ellipsoid(a, level)
-        records.extend(
-            _sweep_record(mesh, p, opts, lam_model[float(p)], keep_going=True) for p in ps
-        )
+        records.extend(_sweep_record(mesh, p, opts, lam_model[float(p)]) for p in ps)
         mesh.__dict__.pop("_fem_ops", None)
     records.sort(key=lambda r: (r.diameter, r.p))
     return records

@@ -177,7 +177,9 @@ def symmetrize(field, beta):
 
 
 @dataclass
-class EquimeasurabilityCheck:
+class CheckResult:
+    """Two sides of one check and their signed gap (lhs - rhs) / lhs."""
+
     lhs: float
     rhs: float
     rel_gap: float
@@ -190,15 +192,7 @@ def lp_equimeasurability(field, profile, beta, p):
     m = field.mesh.vertex_measure
     lhs = float(m @ np.where(u > 0, u, 0.0) ** p)
     rhs = beta * profile.lp_mass(p)
-    return EquimeasurabilityCheck(lhs, rhs, (lhs - rhs) / lhs)
-
-
-@dataclass
-class EnergyComparisonCheck:
-    lhs: float
-    rhs: float
-    margin: float
-    rel_margin: float
+    return CheckResult(lhs, rhs, (lhs - rhs) / lhs)
 
 
 def polya_szego_check(field, beta, p):
@@ -209,9 +203,9 @@ def polya_szego_check(field, beta, p):
     uniform level grid. The shells match interpolated superlevel measures,
     not lumped ones: their t-derivative is the coarea integrand of the
     interpolant, so the slopes stay free of vertex-mass granularity noise.
-    margin = lhs - beta*rhs must be nonnegative up to mesh error;
-    rel_margin divides by lhs, so a constant field, whose lhs is rounding
-    noise, is rejected.
+    The rhs is beta times that energy, so rel_gap must be nonnegative up
+    to mesh error; it divides by lhs, so a constant field, whose lhs is
+    rounding noise, is rejected.
     """
     u = field.values
     if not (u > 0).any():
@@ -226,16 +220,8 @@ def polya_szego_check(field, beta, p):
     levels = np.linspace(0.0, float(u.max()), _CHECK_GRID + 1)
     mu = LevelSweep(field, levels[:-1]).superlevel()
     _, dv, slope = cap_shells(levels, mu, beta, field.mesh.dimension)
-    rhs = float((slope**p) @ dv)
-    margin = lhs - beta * rhs
-    return EnergyComparisonCheck(lhs, beta * rhs, margin, margin / lhs)
-
-
-@dataclass
-class CoareaCheck:
-    lhs: float
-    rhs: float
-    rel_err: float
+    rhs = beta * float((slope**p) @ dv)
+    return CheckResult(lhs, rhs, (lhs - rhs) / lhs)
 
 
 def coarea_check(field):
@@ -256,4 +242,4 @@ def coarea_check(field):
     lens = LevelSweep(field, inner).level()
     step = inner[1] - inner[0]
     rhs = float(np.trapezoid(lens, inner) + 0.5 * step * (lens[0] + lens[-1]))
-    return CoareaCheck(lhs, rhs, abs(lhs - rhs) / lhs)
+    return CheckResult(lhs, rhs, (lhs - rhs) / lhs)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pspec.cli import main
-from pspec.harness import chain_audit, pinching_sweep, sphere_comparison
+from pspec.harness import chain_audit, pinching_sweep
 from pspec.isoperim import (
     battery_ratios,
     check_battery,
@@ -93,13 +93,14 @@ def hemi5_p2(hemi5):
 
 
 @pytest.fixture(scope="module")
-def round4_comparisons(sphere4):
-    return {p: sphere_comparison(sphere4, p) for p in PS}
+def sweep_records():
+    return pinching_sweep(SWEEP_ASPECTS, PS, level=4)
 
 
 @pytest.fixture(scope="module")
-def sweep_records():
-    return pinching_sweep(SWEEP_ASPECTS, PS, level=4)
+def round4_rows(sweep_records):
+    # the aspect-1.0 ellipsoid is the level-4 icosphere, vertex for vertex
+    return {r.p: r for r in sweep_records if r.aspect == 1.0}
 
 
 def test_criterion_01_interval_solver_matches_shooting():
@@ -126,12 +127,10 @@ def test_criterion_02_closed_sphere_first_eigenvalue(closed5_p2):
     report(2, ok, f"lam={res.lam:.5f} (rel={rel:.1e}), {count} nodal domains, {dt:.0f}s")
 
 
-def test_criterion_03_hemisphere_matches_closed(
-    round4_comparisons, hemi4, closed5_p2, hemi5_p2
-):
+def test_criterion_03_hemisphere_matches_closed(round4_rows, hemi4, closed5_p2, hemi5_p2):
     pairs = {2.0: (hemi5_p2.lam, closed5_p2[0].lam)}
     for p in (1.5, 3.0):
-        pairs[p] = (dirichlet_eigen(hemi4, p).lam, round4_comparisons[p].lam_mesh)
+        pairs[p] = (dirichlet_eigen(hemi4, p).lam, round4_rows[p].lam_mesh)
     parts, ok = [], True
     for p in PS:
         half, full = pairs[p]
@@ -154,11 +153,11 @@ def test_criterion_05_coarea_identity_on_height(sphere5):
     chk = coarea_check(coordinate_field(sphere5))
     ref = np.pi**2
     ok = (
-        abs(chk.rel_err) <= 0.01
+        abs(chk.rel_gap) <= 0.01
         and abs(chk.lhs - ref) / ref <= 0.01
         and abs(chk.rhs - ref) / ref <= 0.01
     )
-    report(5, ok, f"lhs={chk.lhs:.5f} rhs={chk.rhs:.5f} vs {ref:.5f}, rel_err={chk.rel_err:+.1e}")
+    report(5, ok, f"lhs={chk.lhs:.5f} rhs={chk.rhs:.5f} vs {ref:.5f}, rel_gap={chk.rel_gap:+.1e}")
 
 
 def test_criterion_06_equimeasurability_battery(sphere4):
@@ -186,7 +185,7 @@ def test_criterion_07_energy_never_grows_under_rearrangement(
     bumps = [(f, beta(sphere4)) for f in domain_bump_battery(hemi4, rng, 50)]
     bumps += [(f, beta(ell4)) for f in domain_bump_battery(cap, rng, 50)]
     wmin = min(
-        polya_szego_check(f, b, p).rel_margin for f, b in bumps for p in PS
+        polya_szego_check(f, b, p).rel_gap for f, b in bumps for p in PS
     )
     b5 = beta(sphere5)
     chk = polya_szego_check(hemi5_p2.field, b5, 2.0)
@@ -239,10 +238,10 @@ def test_criterion_09_ratio_sharpens_below_diameter_pi(sphere4, ell4):
     )
 
 
-def test_criterion_10_model_sphere_comparison(round4_comparisons, sweep_records):
+def test_criterion_10_model_sphere_comparison(round4_rows, sweep_records):
     parts, ok = [], True
     for p in PS:
-        rec = round4_comparisons[p]
+        rec = round4_rows[p]
         ok &= (
             rec.converged
             and rec.equality_case

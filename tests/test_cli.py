@@ -14,7 +14,7 @@ import pytest
 import pspec
 from pspec import cli, harness, isoperim, pspectral, rearrange
 from pspec.cli import CHECKS, ConfigError, RunConfig, main, parse_config, run
-from pspec.manifold import MAX_ASPECT, read_off
+from pspec.manifold import MAX_ASPECT, MAX_LEVEL, read_off
 from pspec.pspectral import SolverOptions
 
 
@@ -149,6 +149,42 @@ def test_main_exit_2_on_out_of_range_aspect_before_any_solve(
     assert "sweep.aspects" in capsys.readouterr().err
     bounds = parse_config(f"command = sweep\nsweep.aspects = 1, {MAX_ASPECT}")
     assert bounds.sweep_aspects == (1.0, MAX_ASPECT)
+
+
+@pytest.mark.parametrize(
+    "command, key, value, bound",
+    [("sweep", "sweep.level", "9", "subdivision level must be in [0, 8]"),
+     ("sweep", "sweep.level", "-1", "subdivision level must be in [0, 8]"),
+     ("eigen", "mesh.level", "9", "subdivision level must be in [0, 8]"),
+     ("eigen", "mesh.aspect", "2.5", "aspect must be in [1, "),
+     ("eigen", "mesh.aspect", "0.9", "aspect must be in [1, "),
+     ("eigen", "mesh.aspect", "nan", "aspect must be in [1, ")],
+)
+def test_main_exit_2_on_out_of_range_level_or_aspect_before_any_solve(
+    tmp_path, capsys, monkeypatch, command, key, value, bound
+):
+    # sweep.level = 9 once solved the radial reference for every p and made
+    # the output directory before the builder rejected the level
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    for module, name in [(cli, "pinching_sweep"), (cli, "closed_eigen"),
+                         (cli, "dirichlet_eigen"), (cli, "solve_radial_1d"),
+                         (harness, "closed_eigen"), (harness, "solve_radial_1d")]:
+        monkeypatch.setattr(module, name, no_solve)
+    text = f"command = {command}\nmesh.kind = ellipsoid\n{key} = {value}"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value).startswith(f"line 3: {key}: {bound}")
+    path = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 3: {key}: {bound}")
+    assert not out.exists()
+    bounds = parse_config(f"command = sweep\nmesh.level = 0\nsweep.level = {MAX_LEVEL}\n"
+                          f"mesh.aspect = {MAX_ASPECT}")
+    assert (bounds.mesh_level, bounds.sweep_level, bounds.mesh_aspect) == (0, MAX_LEVEL, MAX_ASPECT)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pspec.harness as harness
-from pspec.harness import chain_audit, pinching_sweep, sphere_comparison
+from pspec.harness import chain_audit, pinching_sweep
 from pspec.isoperim import LevelSweep, gromov_ratio
 from pspec.manifold import (
     beta,
@@ -26,71 +26,22 @@ INEQUALITY_STEPS = ("energy_slope_bound", "energy_comparison")
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue comparison records
-
-
-def test_comparison_round_sphere(ico3):
-    rec = sphere_comparison(ico3, 2.0)
-    assert rec.converged
-    assert rec.equality_case
-    assert rec.lam_model == pytest.approx(2.0, abs=1e-6)
-    assert rec.ratio == pytest.approx(1.0, rel=0.02)
-    assert rec.diameter == np.pi
-
-
-def test_comparison_stretched_family_above_one():
-    m = build_ellipsoid(1.2, 3)
-    for p in (2.0, 3.0):
-        rec = sphere_comparison(m, p)
-        assert rec.diameter == spheroid_diameter(m.meta["semi_axes"])
-        assert rec.ratio > 1.0
-        assert not rec.equality_case
-        assert rec.min_curvature >= 0.99
-
-
-def test_comparison_custom_reference(ico2):
-    rec = sphere_comparison(ico2, 2.0, lam_model=1.0)
-    assert rec.ratio == rec.lam_mesh
-
-
-def test_comparison_requires_curvature_certificate():
-    flat = build_ellipsoid(1.5, 2, normalize=False)
-    with pytest.raises(ValueError, match="curvature"):
-        sphere_comparison(flat, 2.0)
-    from pspec.manifold import Mesh
-
-    bare = Mesh(2, *_icosahedron_arrays())
-    with pytest.raises(ValueError, match="certificate"):
-        sphere_comparison(bare, 2.0)
-    shapeless = Mesh(2, *_icosahedron_arrays(), {"min_curvature": 1.0, "max_curvature": 1.0})
-    with pytest.raises(ValueError, match="semi_axes"):
-        sphere_comparison(shapeless, 2.0)
-
-
-def test_scaled_sphere_loses_its_curvature_certificate(ico2):
-    # radius 2 gives K = 1/4, below the floor
-    with pytest.raises(ValueError, match="curvature minimum 0.2500"):
-        sphere_comparison(ico2.scaled(2.0), 2.0)
+# equality cases
 
 
 def test_scaled_up_half_sphere_is_an_equality_case():
     half = build_icosphere(2, 0.5)
-    assert sphere_comparison(half, 2.0).diameter == 0.5 * np.pi
-    rec = sphere_comparison(half.scaled(2.0), 2.0)
-    assert rec.min_curvature == 1.0
-    assert rec.equality_case
-    assert rec.diameter == np.pi
+    assert not harness._is_round_unit(half)
+    assert spheroid_diameter(half.meta["semi_axes"]) == 0.5 * np.pi
+    full = half.scaled(2.0)
+    assert full.meta["min_curvature"] == 1.0
+    assert harness._is_round_unit(full)
+    assert spheroid_diameter(full.meta["semi_axes"]) == np.pi
 
 
 def test_unnormalized_round_ellipsoid_is_an_equality_case():
     assert harness._is_round_unit(build_ellipsoid(1.0, 2, normalize=False))
-    assert not harness._is_round_unit(build_icosphere(2, 0.5))
     assert not harness._is_round_unit(build_interval(5))
-
-
-def _icosahedron_arrays():
-    m = build_icosphere(1)
-    return m.vertices, m.cells
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +119,48 @@ def test_gromov_ratio_and_audit_enumerate_pairs_once_per_sweep(ico3, monkeypatch
 # family sweep
 
 
-def test_pinching_sweep_small():
-    recs = pinching_sweep([1.0, 1.2], [2.0], level=3)
-    assert len(recs) == 2
-    assert recs[0].diameter <= recs[1].diameter  # sorted by diameter
-    assert recs[0].aspect == 1.2 and recs[1].aspect == 1.0
-    assert recs[0].ratio > recs[1].ratio
-    assert recs[1].equality_case and not recs[0].equality_case
+@pytest.fixture(scope="module")
+def small_sweep():
+    return pinching_sweep([1.0, 1.2], [2.0, 3.0], level=3)
+
+
+def test_pinching_sweep_small(small_sweep):
+    recs = small_sweep
+    assert [(r.aspect, r.p) for r in recs] == [(1.2, 2.0), (1.2, 3.0), (1.0, 2.0), (1.0, 3.0)]
+    assert recs[1].diameter <= recs[2].diameter  # sorted by diameter
     for r in recs:
         assert not r.failed
         assert r.converged
-        assert r.lam_model == pytest.approx(solve_radial_1d(2.0, 2, "hemisphere"))
-        assert r.ratio >= 0.98
-        d = r.as_dict()
-        assert d["aspect"] == r.aspect and d["error"] == ""
+        assert r.lam_model == pytest.approx(solve_radial_1d(r.p, 2, "hemisphere"))
+        assert r.min_curvature == 1.0 and r.error == ""
+    assert recs[0].ratio > recs[2].ratio
+
+
+def test_comparison_round_sphere(small_sweep):
+    # the aspect-1.0 ellipsoid is the icosphere, and its rows are those solves
+    sphere = build_icosphere(3)
+    round_ellipsoid = build_ellipsoid(1.0, 3)
+    assert round_ellipsoid.vertices.tobytes() == sphere.vertices.tobytes()
+    assert round_ellipsoid.cells.tobytes() == sphere.cells.tobytes()
+    for rnd in small_sweep[2:]:
+        assert rnd.aspect == 1.0
+        assert rnd.converged
+        assert rnd.equality_case
+        assert rnd.ratio == pytest.approx(1.0, rel=0.02)
+        assert rnd.diameter == np.pi
+        res = closed_eigen(sphere, rnd.p)
+        assert (rnd.lam_mesh, rnd.iterations) == (res.lam, res.iterations)
+    assert small_sweep[2].lam_model == pytest.approx(2.0, abs=1e-6)
+
+
+def test_comparison_stretched_family_above_one(small_sweep):
+    m = build_ellipsoid(1.2, 3)
+    for stretched in small_sweep[:2]:
+        assert stretched.aspect == 1.2
+        assert stretched.diameter == spheroid_diameter(m.meta["semi_axes"])
+        assert stretched.ratio > 1.0
+        assert not stretched.equality_case
+        assert stretched.min_curvature >= 0.99
 
 
 def test_pinching_sweep_drops_each_mesh_caches(monkeypatch):
