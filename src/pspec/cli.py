@@ -68,7 +68,6 @@ class RunConfig:
     command: str = ""
     mesh_kind: str = "icosphere"
     mesh_level: int = 4
-    mesh_radius: float = 1.0
     mesh_aspect: float = 1.0
     mesh_normalize: bool = True
     mesh_segments: int = 400
@@ -77,7 +76,6 @@ class RunConfig:
     solver_tol: float = 1e-9
     solver_stall: int = 10
     solver_max_iters: int = 50000
-    solver_step: float = 0.25
     seed: int = 0
     out: str = "out"
     sweep_aspects: tuple = (1.0, 1.05, 1.1, 1.15, 1.2)
@@ -93,7 +91,6 @@ class RunConfig:
             tol=self.solver_tol,
             stall=self.solver_stall,
             max_iters=self.solver_max_iters,
-            step=self.solver_step,
         )
 
 
@@ -164,7 +161,6 @@ _KEYS = {
     "command": ("command", _parse_choice(*COMMANDS)),
     "mesh.kind": ("mesh_kind", _parse_choice("icosphere", "ellipsoid", "interval", "circle")),
     "mesh.level": ("mesh_level", _parse_level),
-    "mesh.radius": ("mesh_radius", float),
     "mesh.aspect": ("mesh_aspect", _parse_aspect),
     "mesh.normalize": ("mesh_normalize", _parse_bool),
     "mesh.segments": ("mesh_segments", int),
@@ -173,7 +169,6 @@ _KEYS = {
     "solver.tol": ("solver_tol", _solver_option("tol", float)),
     "solver.stall": ("solver_stall", _solver_option("stall", int)),
     "solver.max_iters": ("solver_max_iters", _solver_option("max_iters", int)),
-    "solver.step": ("solver_step", _solver_option("step", float)),
     "seed": ("seed", _parse_seed),
     "out": ("out", str),
     "sweep.aspects": ("sweep_aspects", _parse_aspects),
@@ -309,17 +304,15 @@ def _write_csv(path, header, rows, seed):
     path.write_text(buf.getvalue())
 
 
-def _build_mesh(cfg, level=None):
+def _build_mesh(cfg):
     kind = cfg.mesh_kind
     if kind == "icosphere":
-        return build_icosphere(level if level is not None else cfg.mesh_level, cfg.mesh_radius)
+        return build_icosphere(cfg.mesh_level)
     if kind == "ellipsoid":
-        return build_ellipsoid(
-            cfg.mesh_aspect, level if level is not None else cfg.mesh_level, cfg.mesh_normalize
-        )
+        return build_ellipsoid(cfg.mesh_aspect, cfg.mesh_level, cfg.mesh_normalize)
     if kind == "interval":
         return build_interval(cfg.mesh_segments)
-    return build_circle(cfg.mesh_segments, cfg.mesh_radius)
+    return build_circle(cfg.mesh_segments)
 
 
 def _primary_coordinate(mesh):
@@ -403,14 +396,14 @@ def _cmd_symmetrize(cfg, outdir):
     mesh = _build_mesh(cfg)
     if not mesh.closed:
         raise ValueError("symmetrize command expects a closed mesh")
-    bet = measure_ratio(mesh)
     fld = _primary_coordinate(mesh)
-    prof = symmetrize(fld, bet)
+    prof = symmetrize(fld)
     rows = [(float(r), float(v)) for r, v in prof.rows()]
     _write_csv(outdir / "profile.csv", ["colatitude", "value"], rows, cfg.seed)
     blocks = [_meta_block(cfg)]
+    bet = measure_ratio(mesh)
     for p in cfg.ps:
-        chk = lp_equimeasurability(fld, prof, bet, p)
+        chk = lp_equimeasurability(fld, prof, p)
         blocks.append(
             _check(
                 f"equimeasurability_p{p:g}", {"p": p, "beta": bet}, chk.rel_gap, chk.lhs, chk.rhs
@@ -420,17 +413,16 @@ def _cmd_symmetrize(cfg, outdir):
     return blocks
 
 
-def _worst_equimeasurability_gap(field, beta, ps):
+def _worst_equimeasurability_gap(field, ps):
     # the profile, with its cached quadrature, is dropped on return
-    prof = symmetrize(field, beta)
-    return max(abs(lp_equimeasurability(field, prof, beta, p).rel_gap) for p in ps)
+    prof = symmetrize(field)
+    return max(abs(lp_equimeasurability(field, prof, p).rel_gap) for p in ps)
 
 
 def _cmd_verify(cfg, outdir):
     mesh = _build_mesh(cfg)
     if not (mesh.closed and mesh.dimension == 2):
         raise ValueError("verify command expects a closed surface mesh")
-    bet = measure_ratio(mesh)
     rng = np.random.default_rng(cfg.seed)
     z = _primary_coordinate(mesh)
     blocks = [_meta_block(cfg)]
@@ -438,13 +430,13 @@ def _cmd_verify(cfg, outdir):
     cc = coarea_check(z)
     blocks.append(_check("coarea_z", {}, abs(cc.rel_gap), cc.lhs, cc.rhs))
 
-    worst = _worst_equimeasurability_gap(z, bet, cfg.ps)
+    worst = _worst_equimeasurability_gap(z, cfg.ps)
     fields = check_battery(mesh, rng, cfg.battery_count)
     worst_rand = 0.0
     for f in fields:
         v = f.values
         g = ScalarField(mesh, v - v.min() + 0.1 if v.min() <= 0 else v)
-        worst_rand = max(worst_rand, _worst_equimeasurability_gap(g, bet, cfg.ps))
+        worst_rand = max(worst_rand, _worst_equimeasurability_gap(g, cfg.ps))
     blocks.append(_check("equimeasurability_z", {"ps": list(cfg.ps)}, worst))
     blocks.append(
         _check(
@@ -456,7 +448,7 @@ def _cmd_verify(cfg, outdir):
 
     hemi = hemisphere_domain(mesh)
     margins = [
-        polya_szego_check(f, bet, 2.0).rel_gap
+        polya_szego_check(f, 2.0).rel_gap
         for f in domain_bump_battery(hemi, rng, cfg.battery_count)
     ]
     blocks.append(
@@ -464,11 +456,11 @@ def _cmd_verify(cfg, outdir):
     )
 
     # the battery's thresholds are drawn after the Polya-Szego bumps
-    ratios = battery_ratios(fields, rng, cfg.battery_thresholds, bet)
+    ratios = battery_ratios(fields, rng, cfg.battery_thresholds)
     blocks.append(_check("gromov_battery", {"count": len(ratios)}, ratios.min() - 1.0))
 
     zlo, zhi = z.values.min(), z.values.max()
-    cap_ratios = gromov_ratio(z, zlo + np.array([0.25, 0.5, 0.75]) * (zhi - zlo), bet)
+    cap_ratios = gromov_ratio(z, zlo + np.array([0.25, 0.5, 0.75]) * (zhi - zlo))
     blocks.append(
         _check("gromov_caps", {"ratios": cap_ratios}, float(np.abs(cap_ratios - 1.0).max()))
     )

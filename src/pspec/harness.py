@@ -147,7 +147,7 @@ def chain_audit(domain, p, opts=None):
     bnd = sweep.level()[:_AUDIT_GRID]
     coarea_int = sweep.level(inv_g)[:_AUDIT_GRID]
 
-    _, dvol, slope = cap_shells(ext, mu, bet, n)
+    _, dvol, slope = cap_shells(ext, mu, mesh)
 
     dmu = -np.gradient(mu[:_AUDIT_GRID], levels)
     worst = {"distribution_derivative": _signed_worst((dmu - coarea_int) / dmu)}
@@ -159,7 +159,7 @@ def chain_audit(domain, p, opts=None):
     mass_tail = np.concatenate(
         [np.cumsum((m[asc] * np.abs(u[asc]) ** p)[::-1])[::-1], [0.0]]
     )
-    prof = symmetrize(field, bet)
+    prof = symmetrize(field)
     idx = np.searchsorted(u[asc], levels, side="right")
     lhs_mass = mass_tail[idx]
     cap_r = cap_radius((float(m.sum()) - np.cumsum(m[asc])[idx - 1]) / bet, n)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .manifold import SPHERE_MEASURE, cap_boundary, cap_radius, total_measure
+from .manifold import SPHERE_MEASURE, beta, cap_boundary, cap_radius, total_measure
 from .pspectral import ScalarField, coordinate_field
 
 
@@ -173,12 +173,12 @@ def _require_interior_level(field, t):
         )
 
 
-def gromov_ratio(field, t, beta):
+def gromov_ratio(field, t):
     """Boundary measure of {u > t} over the matched-cap bound.
 
-    The denominator is beta times the boundary of the model-sphere cap
-    whose beta-scaled volume matches the superlevel measure. Ratios below 1
-    violate the comparison at mesh resolution. An array of thresholds gives
+    The denominator is the mesh's beta times the boundary of the model-sphere
+    cap whose beta-scaled volume matches the superlevel measure. Ratios below
+    1 violate the comparison at mesh resolution. An array of thresholds gives
     an array of ratios from one sweep of the field; a scalar gives a float.
     """
     _require_interior_level(field, t)
@@ -188,10 +188,8 @@ def gromov_ratio(field, t, beta):
     mu = sweep.superlevel()
     if not np.all((mu > 0.0) & (mu < total_measure(field.mesh))):
         raise ValueError("superlevel set must be proper and nonempty")
-    v = mu / beta
-    if np.any(v > SPHERE_MEASURE[n] * (1.0 + 1e-9)):
-        raise ValueError("scaled superlevel volume exceeds the model sphere")
-    ratios = sweep.level() / (beta * cap_boundary(cap_radius(v, n), n))
+    bet = beta(field.mesh)
+    ratios = sweep.level() / (bet * cap_boundary(cap_radius(mu / bet, n), n))
     return float(ratios[0]) if np.ndim(t) == 0 else ratios
 
 
@@ -238,7 +236,7 @@ def check_battery(mesh, rng, count):
     return fields[:count]
 
 
-def battery_ratios(fields, rng, thresholds, beta):
+def battery_ratios(fields, rng, thresholds):
     """Gromov ratios of a field battery, one sweep per field.
 
     Each field gets ``thresholds`` levels drawn from rng, uniform over the
@@ -248,6 +246,6 @@ def battery_ratios(fields, rng, thresholds, beta):
     for fld in fields:
         lo, hi = _field_range(fld)
         ts = lo + (hi - lo) * rng.uniform(0.15, 0.85, thresholds)
-        ratios.append(gromov_ratio(fld, ts, beta))
+        ratios.append(gromov_ratio(fld, ts))
     return np.concatenate(ratios)
 

@@ -248,7 +248,7 @@ def cap_volume(r, n):
     if np.any(r < -1e-12) or np.any(r > np.pi + 1e-12):
         raise ValueError("cap radius outside [0, pi]")
     out = 4.0 * np.pi * np.sin(0.5 * r) ** 2 if n == 2 else 2.0 * r
-    return float(out) if np.isscalar(r) or out.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def cap_boundary(r, n):
@@ -262,7 +262,7 @@ def cap_boundary(r, n):
     else:
         interior = (r > 0.0) & (r < np.pi)
         out = np.where(interior, 2.0, 0.0)
-    return float(out) if np.isscalar(r) or out.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def cap_radius(v, n):

@@ -69,22 +69,19 @@ class SolverOptions:
     tol: float = 1e-9           # relative Rayleigh change per iteration
     stall: int = 10             # consecutive quiet iterations to declare done
     max_iters: int = 50000      # total accepted descent steps per solve
-    step: float = 0.25          # geometric continuation step in p
 
     def __post_init__(self):
-        # a zero step never advances the continuation in p, and a zero stall
-        # declares every solve converged after its first step
+        # a zero stall declares every solve converged after its first step
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if not self.stall >= 1:
             raise ValueError(f"stall must be at least 1, got {self.stall}")
         if not self.max_iters >= 0:
             raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
-        if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step}")
 
 
 _MAX_BACKTRACKS = 40
+_P_STEP = 0.25              # geometric continuation step in p
 _ARMIJO = 1e-4              # sufficient decrease constant c1 of the line search
 _WARMUP_GRAD = 0.04         # grad_norm that ends a stage short of the target p
 _LIPSCHITZ_BUDGET = 4.0     # allowed |d log lambda / d log p| in continuation
@@ -427,11 +424,11 @@ def _p2_init(ops):
     return v, info
 
 
-def _continuation_path(p_target, step):
-    """Geometric p schedule from 2 to the target, ratio at most 1 + step."""
+def _continuation_path(p_target):
+    """Geometric p schedule from 2 to the target, ratio at most 1 + _P_STEP."""
     path = []
     p = 2.0
-    ratio = 1.0 + step
+    ratio = 1.0 + _P_STEP
     while abs(np.log(p_target / p)) > 1e-12:
         p = min(p * ratio, p_target) if p_target > p else max(p / ratio, p_target)
         path.append(p)
@@ -579,7 +576,7 @@ def _eigen_solve(region, p, opts):
         budget = opts.max_iters
         lam_prev, p_prev = start["p2_lambda"], 2.0
         # a second stage at the target p restarts the CG directions
-        for pk in _continuation_path(p, opts.step) + [p]:
+        for pk in _continuation_path(p) + [p]:
             u, info = _descent_stage(ops, u, pk, opts, budget, defects, pk != p)
             budget -= info["iters"]
             converged = info["converged"] and budget > 0

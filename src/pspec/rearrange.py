@@ -2,9 +2,9 @@
 
 A vertex field is symmetrized by transporting its superlevel measures
 onto concentric geodesic caps of the model unit sphere, after dividing the
-measure by the volume ratio beta. The checks in this module confirm the
-two defining properties numerically: scaled p-mass is preserved, and the
-p-Dirichlet energy does not increase beyond the beta factor.
+measure by its mesh's volume ratio beta. The checks in this module confirm
+the two defining properties numerically: scaled p-mass is preserved, and
+the p-Dirichlet energy does not increase beyond the beta factor.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .manifold import SPHERE_MEASURE, cap_boundary, cap_radius, cap_volume
+from .manifold import beta, cap_boundary, cap_radius, cap_volume
 from .isoperim import LevelSweep
 from .pspectral import _fem
 
@@ -35,34 +35,19 @@ def _tie_broken_keys(values):
     return values + np.arange(len(values)) * (_TIE_SCALE * scale)
 
 
-def cap_shell_nodes(a, b, n):
-    """8-point Gauss nodes on the model-sphere cap shells a < r < b.
-
-    Returns the shells' half-widths, the nodes (one row per shell) and the
-    cap boundary measure at the nodes, the weight of polar coordinates on
-    the model S^n.
-    """
-    half = 0.5 * (b - a)
-    r = 0.5 * (a + b)[:, None] + half[:, None] * _GAUSS_NODES
-    return half, r, cap_boundary(r, n)
-
-
-def cap_shell_integrals(half, bnd, f):
-    """Integral of f over each shell, from its values at cap_shell_nodes."""
-    return half * ((f * bnd) @ _GAUSS_WEIGHTS)
-
-
-def cap_shells(levels, measures, beta, n):
+def cap_shells(levels, measures, mesh):
     """Cap rearrangement of a field on a level grid.
 
     ``measures`` are the superlevel measures at ``levels[:-1]`` (ascending;
-    the last level is the field maximum, where the measure vanishes).
-    Divided by beta, each is matched to a cap of the model S^n. Returns the
-    cap radii, one per level and decreasing to 0, the volumes of the shells
-    between successive caps, and the rearranged profile's slope on each
-    shell (level step over radius step; 0 on a shell of zero width).
+    the last level is the field maximum, where the measure vanishes) of a
+    field on ``mesh``. Divided by the mesh's beta, each is matched to a cap
+    of the model S^n. Returns the cap radii, one per level and decreasing
+    to 0, the volumes of the shells between successive caps, and the
+    rearranged profile's slope on each shell (level step over radius step;
+    0 on a shell of zero width).
     """
-    radii = np.append(cap_radius(np.minimum(measures / beta, SPHERE_MEASURE[n]), n), 0.0)
+    n = mesh.dimension
+    radii = np.append(cap_radius(measures / beta(mesh), n), 0.0)
     vol = cap_volume(radii, n)
     dr = radii[:-1] - radii[1:]
     ok = dr > 0
@@ -94,10 +79,11 @@ class RadialProfile:
         return np.interp(r, self.knots, self.values)
 
     def _quadrature(self, a, b):
-        # half-widths, profile values and cap boundary weights at the Gauss
-        # nodes of the shells a < r < b
-        half, r, bnd = cap_shell_nodes(a, b, self.dimension)
-        return half, self.value_at(r), bnd
+        # half-widths, profile values and cap boundary weights at the
+        # 8-point Gauss nodes of the shells a < r < b
+        half = 0.5 * (b - a)
+        r = 0.5 * (a + b)[:, None] + half[:, None] * _GAUSS_NODES
+        return half, self.value_at(r), cap_boundary(r, self.dimension)
 
     @cached_property
     def _gauss(self):
@@ -110,7 +96,7 @@ class RadialProfile:
     @staticmethod
     def _masses(p, quadrature):
         half, vals, bnd = quadrature
-        return cap_shell_integrals(half, bnd, vals**p)
+        return half * ((vals**p * bnd) @ _GAUSS_WEIGHTS)
 
     def lp_mass(self, p):
         """Integral of value^p over the model sphere (polar coordinates)."""
@@ -135,22 +121,24 @@ class RadialProfile:
         return np.column_stack([self.knots, self.values])
 
 
-def symmetrize(field, beta):
+def symmetrize(field):
     """Decreasing cap rearrangement of the positive part of a field.
 
-    Vertex masses are divided by beta before matching cap volumes on the
-    model sphere; the field must have a positive part and the scaled
-    measure must fit inside the model sphere.
+    Vertex masses are divided by beta of the field's mesh before matching
+    cap volumes on the model sphere; the field must have a positive part. A
+    mesh with beta above 1 draws a warning.
     """
     u = field.values
     m = field.mesh.vertex_measure
     n = field.mesh.dimension
     if not (u > 0).any():
         raise ValueError("field has no positive part to rearrange")
-    if beta > 1.0 + 1e-12:
+    bet = beta(field.mesh)
+    if bet > 1.0 + 1e-12:
         warnings.warn(
-            f"measure ratio {beta} exceeds 1; scaled volumes may overflow "
-            "the model sphere",
+            f"measure ratio {bet} exceeds 1: the mesh is larger than the unit "
+            "model sphere, so Bishop's bound fails and the Ric >= n - 1 "
+            "comparisons need not hold",
             stacklevel=2,
         )
     keys = _tie_broken_keys(u)
@@ -159,14 +147,7 @@ def symmetrize(field, beta):
     # profile values stay exact: the nudge only fixes the order, and any
     # near-tie inversions it introduces are clamped monotone here
     vals = np.minimum.accumulate(u[order][keep])
-    cum = np.cumsum(m[order][keep]) / beta
-    full = SPHERE_MEASURE[n]
-    if cum[-1] > full * (1.0 + 1e-9):
-        raise ValueError(
-            "scaled positive-part measure exceeds the model sphere; "
-            "check the measure ratio"
-        )
-    radii = cap_radius(np.minimum(cum, full), n)
+    radii = cap_radius(np.cumsum(m[order][keep]) / bet, n)
     prof = RadialProfile(
         dimension=n,
         knots=np.concatenate([[0.0], radii]),
@@ -185,19 +166,20 @@ class CheckResult:
     rel_gap: float
 
 
-def lp_equimeasurability(field, profile, beta, p):
-    """Compare p-masses: positive part of the field vs beta times the cap
-    rearrangement on the model sphere. rel_gap is signed, relative to lhs."""
+def lp_equimeasurability(field, profile, p):
+    """Compare p-masses: positive part of the field vs beta of its mesh
+    times the cap rearrangement on the model sphere. rel_gap is signed,
+    relative to lhs."""
     u = field.values
     m = field.mesh.vertex_measure
     lhs = float(m @ np.where(u > 0, u, 0.0) ** p)
-    rhs = beta * profile.lp_mass(p)
+    rhs = beta(field.mesh) * profile.lp_mass(p)
     return CheckResult(lhs, rhs, (lhs - rhs) / lhs)
 
 
-def polya_szego_check(field, beta, p):
+def polya_szego_check(field, p):
     """Energy comparison: p-Dirichlet energy of the positive part vs beta
-    times the energy of its cap rearrangement.
+    of its mesh times the energy of its cap rearrangement.
 
     The rearranged energy integrates |slope|^p over the cap shells of a
     uniform level grid. The shells match interpolated superlevel measures,
@@ -219,8 +201,8 @@ def polya_szego_check(field, beta, p):
 
     levels = np.linspace(0.0, float(u.max()), _CHECK_GRID + 1)
     mu = LevelSweep(field, levels[:-1]).superlevel()
-    _, dv, slope = cap_shells(levels, mu, beta, field.mesh.dimension)
-    rhs = beta * float((slope**p) @ dv)
+    _, dv, slope = cap_shells(levels, mu, field.mesh)
+    rhs = beta(field.mesh) * float((slope**p) @ dv)
     return CheckResult(lhs, rhs, (lhs - rhs) / lhs)
 
 

@@ -21,7 +21,6 @@ from pspec.isoperim import (
     random_smooth_field,
 )
 from pspec.manifold import (
-    beta,
     build_ellipsoid,
     build_icosphere,
     build_interval,
@@ -161,7 +160,6 @@ def test_criterion_05_coarea_identity_on_height(sphere5):
 
 
 def test_criterion_06_equimeasurability_battery(sphere4):
-    b = beta(sphere4)
     rng = np.random.default_rng(SEED)
     z = coordinate_field(sphere4)
     fields = [
@@ -171,24 +169,20 @@ def test_criterion_06_equimeasurability_battery(sphere4):
     fields += [random_smooth_field(sphere4, rng) for _ in range(20)]
     worst = 0.0
     for f in fields:
-        prof = symmetrize(f, b)
+        prof = symmetrize(f)
         for p in PS:
-            worst = max(worst, abs(lp_equimeasurability(f, prof, b, p).rel_gap))
+            worst = max(worst, abs(lp_equimeasurability(f, prof, p).rel_gap))
     report(6, worst <= 0.01, f"22 fields x 3 exponents, worst |rel_gap|={worst:.1e}")
 
 
 def test_criterion_07_energy_never_grows_under_rearrangement(
-    sphere4, hemi4, ell4, sphere5, hemi5_p2
+    sphere4, hemi4, ell4, hemi5_p2
 ):
     rng = np.random.default_rng(SEED)
     cap = superlevel_domain(ell4, coordinate_field(ell4).values, 0.25)
-    bumps = [(f, beta(sphere4)) for f in domain_bump_battery(hemi4, rng, 50)]
-    bumps += [(f, beta(ell4)) for f in domain_bump_battery(cap, rng, 50)]
-    wmin = min(
-        polya_szego_check(f, b, p).rel_gap for f, b in bumps for p in PS
-    )
-    b5 = beta(sphere5)
-    chk = polya_szego_check(hemi5_p2.field, b5, 2.0)
+    bumps = domain_bump_battery(hemi4, rng, 50) + domain_bump_battery(cap, rng, 50)
+    wmin = min(polya_szego_check(f, p).rel_gap for f in bumps for p in PS)
+    chk = polya_szego_check(hemi5_p2.field, 2.0)
     near = chk.rhs / chk.lhs                # rhs already carries beta
     ok = wmin >= -0.01 and near >= 0.97
     report(
@@ -202,18 +196,16 @@ def test_criterion_07_energy_never_grows_under_rearrangement(
 def test_criterion_08_isoperimetric_ratio_battery(sphere4, ell4):
     parts, ok = [], True
     for name, mesh in (("sphere", sphere4), ("ellipsoid", ell4)):
-        b = beta(mesh)
         rng = np.random.default_rng(SEED)
         ratios = []
         for f in check_battery(mesh, rng, 50):
             lo, hi = float(f.values.min()), float(f.values.max())
             t = lo + (hi - lo) * rng.uniform(0.15, 0.85)
-            ratios.append(gromov_ratio(f, t, b))
+            ratios.append(gromov_ratio(f, t))
         ok &= min(ratios) >= 0.98
         parts.append(f"{name} min={min(ratios):.4f}")
     z = coordinate_field(sphere4)
-    b = beta(sphere4)
-    caps = [gromov_ratio(z, t, b) for t in (-0.5, 0.0, 0.5)]
+    caps = [gromov_ratio(z, t) for t in (-0.5, 0.0, 0.5)]
     ok &= all(abs(r - 1.0) <= 0.01 for r in caps)
     parts.append("caps " + "/".join(f"{r:.4f}" for r in caps))
     report(8, ok, "50 superlevel domains each: " + ", ".join(parts))
@@ -222,7 +214,7 @@ def test_criterion_08_isoperimetric_ratio_battery(sphere4, ell4):
 def _battery_min_ratio(mesh):
     # smallest Gromov ratio of 50 battery fields at 3 thresholds each
     rng = np.random.default_rng(SEED)
-    return float(battery_ratios(check_battery(mesh, rng, 50), rng, 3, beta(mesh)).min())
+    return float(battery_ratios(check_battery(mesh, rng, 50), rng, 3).min())
 
 
 def test_criterion_09_ratio_sharpens_below_diameter_pi(sphere4, ell4):

@@ -99,27 +99,14 @@ def test_parse_value_validation():
 
 @pytest.mark.parametrize(
     "key, value",
-    [("step", "0"), ("step", "-0.25"), ("stall", "0"), ("tol", "0"), ("tol", "-1e-9"),
-     ("max_iters", "-1")],
+    [("stall", "0"), ("tol", "0"), ("tol", "-1e-9"), ("max_iters", "-1")],
 )
 def test_parse_rejects_solver_values_that_never_finish(key, value):
-    # step <= 0 never advances the continuation in p; stall 0 declares every
-    # solve converged after one step
+    # stall 0 declares every solve converged after one step
     with pytest.raises(ConfigError, match=rf"line 2: solver\.{key}: {key} must be"):
         parse_config(f"command = eigen\nsolver.{key} = {value}")
     with pytest.raises(ValueError, match=f"{key} must be"):
-        SolverOptions(**{key: float(value) if key in ("step", "tol") else int(value)})
-
-
-def test_main_exit_2_on_zero_step_before_any_solve(tmp_path, capsys, monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a solve started")
-
-    monkeypatch.setattr(cli, "closed_eigen", no_solve)
-    monkeypatch.setattr(cli, "dirichlet_eigen", no_solve)
-    path = write_config(tmp_path, "command = eigen\nmesh.level = 1\nsolver.step = 0")
-    assert main(["eigen", "--config", path, "--out", str(tmp_path / "e")]) == 2
-    assert "solver.step" in capsys.readouterr().err
+        SolverOptions(**{key: float(value) if key == "tol" else int(value)})
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -5,7 +5,6 @@ import pspec.harness as harness
 from pspec.harness import chain_audit, pinching_sweep
 from pspec.isoperim import LevelSweep, gromov_ratio
 from pspec.manifold import (
-    beta,
     build_ellipsoid,
     build_icosphere,
     build_interval,
@@ -109,7 +108,7 @@ def test_gromov_ratio_and_audit_enumerate_pairs_once_per_sweep(ico3, monkeypatch
         return real_pairs(self, ts)
 
     monkeypatch.setattr(LevelSweep, "_pairs", counting_pairs)
-    gromov_ratio(coordinate_field(ico3), np.array([-0.3, 0.2, 0.5]), beta(ico3))
+    gromov_ratio(coordinate_field(ico3), np.array([-0.3, 0.2, 0.5]))
     assert len(calls) == 1
     chain_audit(hemisphere_domain(ico3), 2.0)
     assert len(calls) == 2 and calls[1] is not calls[0]

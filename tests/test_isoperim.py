@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import pspec.isoperim as isoperim
 from pspec.manifold import (
-    beta,
     build_circle,
     build_icosphere,
     build_interval,
@@ -47,7 +46,7 @@ def test_level_out_of_range_rejected(ico3):
     z = coordinate_field(ico3)
     for t in (1.0, 1.5, -1.0, -2.0):
         with pytest.raises(ValueError, match="strictly inside"):
-            gromov_ratio(z, t, beta(ico3))
+            gromov_ratio(z, t)
 
 
 def test_boundary_error_halves_under_refinement():
@@ -473,27 +472,23 @@ def test_level_only_sweeps_never_sort_the_cells(ico3, monkeypatch):
 
 def test_gromov_caps_at_equality(ico4):
     z = coordinate_field(ico4)
-    b = beta(ico4)
     for t in (-0.5, 0.0, 0.5):
-        assert gromov_ratio(z, t, b) == pytest.approx(1.0, abs=0.01)
+        assert gromov_ratio(z, t) == pytest.approx(1.0, abs=0.01)
 
 
 def test_gromov_degenerate_rejected(ico3):
     z = coordinate_field(ico3)
     with pytest.raises(ValueError):
-        gromov_ratio(z, 1.2, beta(ico3))
-    with pytest.raises(ValueError):
-        gromov_ratio(z, 0.0, 0.01)  # scaled volume overflows the model sphere
+        gromov_ratio(z, 1.2)
 
 
 def test_gromov_ratio_batch_equals_scalar_calls(ico3):
-    b = beta(ico3)
     for f in check_battery(ico3, np.random.default_rng(5), 4):
         lo, hi = float(f.values.min()), float(f.values.max())
         ts = lo + (hi - lo) * np.array([0.15, 0.4, 0.4, 0.85, 0.6])
-        batch = gromov_ratio(f, ts, b)
+        batch = gromov_ratio(f, ts)
         assert isinstance(batch, np.ndarray) and batch.shape == ts.shape
-        assert batch.tolist() == [gromov_ratio(f, t, b) for t in ts]
+        assert batch.tolist() == [gromov_ratio(f, t) for t in ts]
 
 
 def test_gromov_ratio_batch_checks_every_threshold(ico3):
@@ -501,25 +496,24 @@ def test_gromov_ratio_batch_checks_every_threshold(ico3):
     lo, hi = float(z.values.min()), float(z.values.max())
     for bad in (lo, hi, hi + 0.1, np.nan):
         with pytest.raises(ValueError, match="strictly inside"):
-            gromov_ratio(z, np.array([-0.5, bad, 0.5]), beta(ico3))
+            gromov_ratio(z, np.array([-0.5, bad, 0.5]))
 
 
 def test_gromov_ratio_scalar_returns_float(ico3):
     z = coordinate_field(ico3)
-    assert type(gromov_ratio(z, 0.25, beta(ico3))) is float
-    assert type(gromov_ratio(z, np.float64(0.25), beta(ico3))) is float
+    assert type(gromov_ratio(z, 0.25)) is float
+    assert type(gromov_ratio(z, np.float64(0.25))) is float
 
 
 def test_gromov_battery_on_ellipsoid():
     m = build_ellipsoid_cached()
-    b = beta(m)
     rng = np.random.default_rng(0)
     ratios = []
     for f in check_battery(m, rng, 10):
         lo, hi = float(f.values.min()), float(f.values.max())
         for _ in range(2):
             t = lo + (hi - lo) * rng.uniform(0.15, 0.85)
-            ratios.append(gromov_ratio(f, t, b))
+            ratios.append(gromov_ratio(f, t))
     assert min(ratios) >= 0.98
 
 
@@ -567,7 +561,7 @@ def test_domain_bumps_vanish_outside(ico3, rng):
 def _battery_ratios(mesh):
     # 20 battery fields at 3 thresholds each, all drawn from seed 0
     rng = np.random.default_rng(0)
-    return battery_ratios(check_battery(mesh, rng, 20), rng, 3, beta(mesh))
+    return battery_ratios(check_battery(mesh, rng, 20), rng, 3)
 
 
 def test_croke_profile_round_sphere(ico3):

@@ -785,7 +785,7 @@ def test_level_set_checks_build_no_adjoint():
     mesh = build_icosphere(3)
     z = coordinate_field(mesh)
     coarea_check(z)
-    polya_szego_check(z, 1.0, 2.0)
+    polya_szego_check(z, 2.0)
     assert "grad_op_t" not in vars(_fem(mesh))
 
 

@@ -3,16 +3,17 @@ import pytest
 
 from pspec.manifold import (
     beta,
+    build_ellipsoid,
+    build_icosphere,
     cap_boundary,
     cap_radius,
     cap_volume,
     hemisphere_domain,
 )
-from pspec.isoperim import LevelSweep, domain_bump_battery
+from pspec.isoperim import LevelSweep, domain_bump_battery, gromov_ratio
 from pspec.pspectral import ScalarField, coordinate_field, dirichlet_eigen
 from pspec.rearrange import (
-    cap_shell_integrals,
-    cap_shell_nodes,
+    RadialProfile,
     cap_shells,
     coarea_check,
     lp_equimeasurability,
@@ -52,7 +53,7 @@ def test_symmetrize_distinct_values_against_reference(ico2, rng):
     u = rng.uniform(0.5, 3.0, size=len(ico2.vertices))  # positive, no ties
     assert len(np.unique(u)) == len(u)
     b = beta(ico2)
-    prof = symmetrize(ScalarField(ico2, u), b)
+    prof = symmetrize(ScalarField(ico2, u))
 
     order = np.argsort(-u)
     radii = cap_radius(np.cumsum(ico2.vertex_measure[order]) / b, 2)
@@ -63,7 +64,7 @@ def test_symmetrize_distinct_values_against_reference(ico2, rng):
 
 def test_symmetrize_constant_covers_model_sphere(ico3):
     c = 1.3
-    prof = symmetrize(ScalarField(ico3, np.full(len(ico3.vertices), c)), beta(ico3))
+    prof = symmetrize(ScalarField(ico3, np.full(len(ico3.vertices), c)))
     # the inverse cap map is flat at the far pole, so rounding in the
     # accumulated mass costs sqrt(eps) in the radius
     assert prof.support_radius == pytest.approx(np.pi, abs=1e-6)
@@ -75,7 +76,7 @@ def test_symmetrize_idempotent_on_radial_data(ico4):
     # z+ is already a decreasing cap function; its profile must reproduce
     # cos(r) on the upper cap within one mesh edge
     zp = positive_part(coordinate_field(ico4))
-    prof = symmetrize(zp, beta(ico4))
+    prof = symmetrize(zp)
     r = np.linspace(0.01, np.pi - 0.01, 300)
     dev = np.abs(prof.value_at(r) - np.maximum(np.cos(r), 0.0)).max()
     ends = ico4.vertices[ico4.edges]
@@ -84,7 +85,7 @@ def test_symmetrize_idempotent_on_radial_data(ico4):
 
 def test_symmetrize_profile_monotone_and_max(ico3, rng):
     f = ScalarField(ico3, rng.normal(size=len(ico3.vertices)))
-    prof = symmetrize(f, beta(ico3))
+    prof = symmetrize(f)
     assert (np.diff(prof.knots) >= 0).all()
     assert (np.diff(prof.values) <= 0).all()
     assert prof.values[0] == f.values.max()
@@ -92,19 +93,15 @@ def test_symmetrize_profile_monotone_and_max(ico3, rng):
 
 def test_symmetrize_rejects_nonpositive(ico3):
     with pytest.raises(ValueError):
-        symmetrize(ScalarField(ico3, -np.ones(len(ico3.vertices))), 1.0)
+        symmetrize(ScalarField(ico3, -np.ones(len(ico3.vertices))))
 
 
 def test_symmetrize_beta_above_one_warns(ico3):
-    zp = positive_part(coordinate_field(ico3))
-    with pytest.warns(UserWarning):
-        symmetrize(zp, 1.2)
-
-
-def test_symmetrize_overflow_error(ico3):
-    c = ScalarField(ico3, np.ones(len(ico3.vertices)))
-    with pytest.raises(ValueError, match="exceeds the model sphere"):
-        symmetrize(c, 0.5)
+    big = ico3.scaled(1.2)
+    assert beta(big) > 1.0
+    zp = positive_part(coordinate_field(big))
+    with pytest.warns(UserWarning, match="larger than the unit model sphere"):
+        symmetrize(zp)
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +110,13 @@ def test_symmetrize_overflow_error(ico3):
 
 def test_equimeasurability_constant_exact(ico3):
     c = ScalarField(ico3, np.full(len(ico3.vertices), 0.7))
-    b = beta(ico3)
-    chk = lp_equimeasurability(c, symmetrize(c, b), b, 2.0)
+    chk = lp_equimeasurability(c, symmetrize(c), 2.0)
     assert abs(chk.rel_gap) <= 1e-10
 
 
 def test_equimeasurability_zplus_analytic(ico4):
     zp = positive_part(coordinate_field(ico4))
-    b = beta(ico4)
-    chk = lp_equimeasurability(zp, symmetrize(zp, b), b, 2.0)
+    chk = lp_equimeasurability(zp, symmetrize(zp), 2.0)
     assert abs(chk.rel_gap) <= 0.01
     assert chk.lhs == pytest.approx(2 * np.pi / 3, rel=0.01)
 
@@ -129,9 +124,8 @@ def test_equimeasurability_zplus_analytic(ico4):
 @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0])
 def test_equimeasurability_random_small_gap(ico3, p):
     f = quadratic_field(ico3)
-    b = beta(ico3)
-    prof = symmetrize(f, b)
-    chk = lp_equimeasurability(f, prof, b, p)
+    prof = symmetrize(f)
+    chk = lp_equimeasurability(f, prof, p)
     assert abs(chk.rel_gap) <= 0.01
     assert prof.lp_mass(p) == gauss_lp_mass(prof, p)
 
@@ -140,16 +134,34 @@ def test_equimeasurability_gap_shrinks_under_refinement(ico3, ico4):
     gaps = []
     for m in (ico3, ico4):
         f = quadratic_field(m)
-        b = beta(m)
-        gaps.append(abs(lp_equimeasurability(f, symmetrize(f, b), b, 3.0).rel_gap))
+        gaps.append(abs(lp_equimeasurability(f, symmetrize(f), 3.0).rel_gap))
     assert gaps[1] < gaps[0]
 
 
 def test_eigenfunction_equimeasurability(ico3):
     res = dirichlet_eigen(hemisphere_domain(ico3), 2.0)
-    b = beta(ico3)
-    chk = lp_equimeasurability(res.field, symmetrize(res.field, b), b, 2.0)
+    chk = lp_equimeasurability(res.field, symmetrize(res.field), 2.0)
     assert abs(chk.rel_gap) <= 0.01
+
+
+@pytest.mark.parametrize(
+    "mesh", [build_icosphere(3), build_ellipsoid(1.2, 3)], ids=["ico3", "ellipsoid"]
+)
+def test_scaling_the_mesh_by_two_is_exact(mesh):
+    # doubling every length is exact in binary: level measures double,
+    # superlevel measures and beta quadruple, the matched caps stay put
+    f = quadratic_field(mesh)
+    big = mesh.scaled(2.0)
+    g = ScalarField(big, f.values)
+    lo, hi = float(f.values.min()), float(f.values.max())
+    ts = lo + (hi - lo) * np.array([0.25, 0.5, 0.75])
+    assert (gromov_ratio(g, ts) == gromov_ratio(f, ts) / 2.0).all()
+    with pytest.warns(UserWarning, match="larger than the unit model sphere"):
+        prof_big = symmetrize(g)
+    prof = symmetrize(f)
+    for p in (1.5, 2.0, 3.0):
+        gap = lp_equimeasurability(f, prof, p).rel_gap
+        assert lp_equimeasurability(g, prof_big, p).rel_gap == gap
 
 
 def gauss_lp_mass_within(prof, p, r_upper):
@@ -166,7 +178,7 @@ def gauss_lp_mass_within(prof, p, r_upper):
 @pytest.fixture(scope="module")
 def quadratic_profile(ico3):
     f = quadratic_field(ico3)
-    return symmetrize(f, beta(ico3))
+    return symmetrize(f)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -204,16 +216,15 @@ def test_lp_mass_within_scalar_and_array(quadratic_profile):
 
 def test_lp_mass_is_independent_of_call_order(ico3):
     f = quadratic_field(ico3)
-    b = beta(ico3)
     orders = [(3.0, 1.5, 2.0), (2.0, 3.0, 1.5), (1.5, 2.0, 3.0)]
     seen = []
     for order in orders:
-        prof = symmetrize(f, b)
+        prof = symmetrize(f)
         seen.append({p: (prof.lp_mass(p), prof.lp_mass_within(p, 1.0)) for p in order})
     assert seen[0] == seen[1] == seen[2]
     for p, (mass, _) in seen[0].items():
-        assert mass == gauss_lp_mass(symmetrize(f, b), p)
-    prof = symmetrize(f, b)
+        assert mass == gauss_lp_mass(symmetrize(f), p)
+    prof = symmetrize(f)
     prof.lp_mass(2.0)
     for arr in prof._gauss:
         assert not arr.flags.writeable
@@ -235,7 +246,7 @@ def test_cap_shells_of_z_are_the_caps_of_z(ico4):
     z = coordinate_field(ico4)
     levels = np.linspace(-1.0, 1.0, 65)
     mu = LevelSweep(z, levels[:-1]).superlevel()
-    radii, dv, slope = cap_shells(levels, mu, beta(ico4), 2)
+    radii, dv, slope = cap_shells(levels, mu, ico4)
     exact = np.arccos(levels)
     assert radii[-1] == 0.0
     assert np.abs(radii - exact).max() <= 3e-3
@@ -243,10 +254,10 @@ def test_cap_shells_of_z_are_the_caps_of_z(ico4):
     assert dv.sum() == pytest.approx(4.0 * np.pi, rel=1e-13)
 
 
-def test_cap_shells_zero_width_shell_has_zero_slope():
+def test_cap_shells_zero_width_shell_has_zero_slope(ico2):
     # no mass between levels 1 and 2: the shell collapses to one radius
     radii, dv, slope = cap_shells(
-        np.array([0.0, 1.0, 2.0, 3.0]), np.array([2.0, 1.0, 1.0]), 1.0, 2
+        np.array([0.0, 1.0, 2.0, 3.0]), np.array([2.0, 1.0, 1.0]), ico2
     )
     assert radii[1] == radii[2] and radii[3] == 0.0
     assert dv[1] == 0.0 and slope[1] == 0.0
@@ -254,14 +265,12 @@ def test_cap_shells_zero_width_shell_has_zero_slope():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_cap_shell_integrals_of_one_are_shell_volumes(n):
+def test_profile_masses_of_one_are_shell_volumes(n):
     # the integral of 1 over a shell is its volume; measured 3.5e-15 for n = 2
     edges = np.linspace(0.0, np.pi, 50)
-    half, nodes, bnd = cap_shell_nodes(edges[:-1], edges[1:], n)
-    assert nodes.shape == (49, 8)
-    assert ((nodes > edges[:-1, None]) & (nodes < edges[1:, None])).all()
+    one = RadialProfile(dimension=n, knots=edges, values=np.ones(len(edges)))
     np.testing.assert_allclose(
-        cap_shell_integrals(half, bnd, 1.0), np.diff(cap_volume(edges, n)), rtol=0, atol=1e-14
+        one._masses(1.0, one._gauss), np.diff(cap_volume(edges, n)), rtol=0, atol=1e-14
     )
 
 
@@ -271,7 +280,7 @@ def test_cap_shell_integrals_of_one_are_shell_volumes(n):
 
 def test_polya_szego_equality_on_radial_field(ico4):
     zp = positive_part(coordinate_field(ico4))
-    chk = polya_szego_check(zp, beta(ico4), 2.0)
+    chk = polya_szego_check(zp, 2.0)
     assert abs(chk.rel_gap) <= 0.01
     assert chk.lhs > 0 and chk.rhs > 0
 
@@ -280,9 +289,8 @@ def test_polya_szego_equality_on_radial_field(ico4):
 def test_polya_szego_bump_battery(ico3, p):
     rng = np.random.default_rng(7)
     hemi = hemisphere_domain(ico3)
-    b = beta(ico3)
     margins = [
-        polya_szego_check(f, b, p).rel_gap
+        polya_szego_check(f, p).rel_gap
         for f in domain_bump_battery(hemi, rng, 10)
     ]
     assert min(margins) >= -0.01
@@ -291,7 +299,7 @@ def test_polya_szego_bump_battery(ico3, p):
 def test_polya_szego_eigenfunction_near_equality(ico4):
     res = dirichlet_eigen(hemisphere_domain(ico4), 2.0)
     b = beta(ico4)
-    chk = polya_szego_check(res.field, b, 2.0)
+    chk = polya_szego_check(res.field, 2.0)
     assert chk.rel_gap >= -0.01
     assert 0.97 <= b * chk.rhs / chk.lhs <= 1.0
 
@@ -300,7 +308,7 @@ def test_polya_szego_rejects_constant(ico2):
     # lhs of a constant field is rounding noise (1.1e-30 at 0.5), and the
     # relative margin divided by it read -4.39e24
     with pytest.raises(ValueError, match="constant"):
-        polya_szego_check(ScalarField(ico2, np.full(len(ico2.vertices), 0.5)), beta(ico2), 2.0)
+        polya_szego_check(ScalarField(ico2, np.full(len(ico2.vertices), 0.5)), 2.0)
 
 
 # ---------------------------------------------------------------------------
