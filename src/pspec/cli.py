@@ -175,7 +175,7 @@ _KEYS = {
     "sweep.level": ("sweep_level", _parse_level),
     "battery.count": ("battery_count", int),
     "battery.thresholds": ("battery_thresholds", int),
-    "oracle.n": ("oracle_n", int),
+    "oracle.n": ("oracle_n", _bounded(int, "model dimension n", 1, 8)),
     "oracle.problem": ("oracle_problem", _parse_choice("hemisphere", "interval")),
 }
 
@@ -371,7 +371,6 @@ def _cmd_eigen(cfg, outdir):
         res = solve(region, p, opts)
         inputs = {"p": p, "domain": mode, "iterations": res.iterations}
         inputs["p2_converged"] = res.diagnostics["p2_converged"]
-        inputs["lipschitz_warning"] = res.diagnostics.get("lipschitz_warning", False)
         for key in ("grad_norm", "projection_evals"):
             if key in res.diagnostics:
                 inputs[key] = res.diagnostics[key]

@@ -4,12 +4,11 @@ Fields are piecewise linear over mesh cells; the p-Dirichlet energy uses the
 constant per-cell gradient (one sparse operator G) and masses are vertex
 lumped, so the Rayleigh quotient is a ratio of plain weighted sums.
 Shift-invert Lanczos on the linear p = 2 pencil gives, once per closed mesh
-or Domain, a start pinned inside the first eigenvalue cluster; other
-exponents are reached from it by geometric continuation in p, running
-(K + M)^-1-preconditioned nonlinear conjugate gradients on log(energy) -
-log(mass) with an interpolating Armijo line search; warm-up stages short of
-the target p stop on a small gradient. The closed-manifold problem projects
-onto the zero mean constraint of the p-Laplacian (integral of |u|^{p-2} u
+or Domain, a start pinned inside the first eigenvalue cluster; every other
+exponent descends from it at the target p, running (K + M)^-1-preconditioned
+nonlinear conjugate gradients on log(energy) - log(mass) with an
+interpolating Armijo line search. The closed-manifold problem projects onto
+the zero mean constraint of the p-Laplacian (integral of |u|^{p-2} u
 vanishes) by safeguarded Newton after every step.
 
 solve_radial_1d provides the independent 1-D reference values: the
@@ -81,10 +80,7 @@ class SolverOptions:
 
 
 _MAX_BACKTRACKS = 40
-_P_STEP = 0.25              # geometric continuation step in p
 _ARMIJO = 1e-4              # sufficient decrease constant c1 of the line search
-_WARMUP_GRAD = 0.04         # grad_norm that ends a stage short of the target p
-_LIPSCHITZ_BUDGET = 4.0     # allowed |d log lambda / d log p| in continuation
 _P2_CLUSTER = 1e-8          # relative width of the first p = 2 eigenvalue cluster
 _P2_RESIDUAL_TOL = 1e-8     # relative residual of a converged p = 2 start
 
@@ -424,17 +420,6 @@ def _p2_init(ops):
     return v, info
 
 
-def _continuation_path(p_target):
-    """Geometric p schedule from 2 to the target, ratio at most 1 + _P_STEP."""
-    path = []
-    p = 2.0
-    ratio = 1.0 + _P_STEP
-    while abs(np.log(p_target / p)) > 1e-12:
-        p = min(p * ratio, p_target) if p_target > p else max(p / ratio, p_target)
-        path.append(p)
-    return path
-
-
 def _lp_normalize(u, mass, p):
     # (u / norm, norm, the p-mass of u / norm) for the L^p norm of u
     total = float(mass @ np.abs(u) ** p)
@@ -442,7 +427,7 @@ def _lp_normalize(u, mass, p):
     return u / norm, norm, total / norm**p
 
 
-def _descent_stage(ops, u, p, opts, budget, defects, warmup):
+def _descent_stage(ops, u, p, opts, budget, defects):
     """Minimize log energy - log mass at fixed p by nonlinear CG.
 
     ``u`` holds the values of the unknowns of ``ops``: every vertex of a
@@ -459,13 +444,11 @@ def _descent_stage(ops, u, p, opts, budget, defects, warmup):
     ``ops.closed`` unknowns are re-projected onto the constraint. Accepted
     iterates have non-increasing Rayleigh quotient by construction.
 
-    A ``warmup`` stage (p short of the target) stops once g^T P g <= 0.04^2:
-    the next p step moves the gradient far more than polishing removes.
-    Every stage stops after `opts.stall` consecutive accepted steps with
+    A stage stops after `opts.stall` consecutive accepted steps with
     relative change below `opts.tol`, on line-search stall, or on budget;
-    the info's ``stop`` names the rule ("grad", "stall", "line_search",
-    "budget") and ``evals`` counts the trials. Each projection appends its
-    count of defect evaluations to ``defects``.
+    the info's ``stop`` names the rule ("stall", "line_search", "budget")
+    and ``evals`` counts the trials. Each projection appends its count of
+    defect evaluations to ``defects``.
 
     G d is taken once per direction: the trial (u + t d - c) / norm has the
     cell gradients (G u + t G d) / norm, as G maps constants to zero, and the
@@ -495,9 +478,6 @@ def _descent_stage(ops, u, p, opts, budget, defects, warmup):
     while iters < budget:
         pg = ops.lu.solve(grad)
         gpg = float(grad @ pg)
-        if warmup and gpg <= _WARMUP_GRAD**2:
-            converged, stop = True, "grad"
-            break
         beta = 0.0
         if gpg_prev is not None:            # Gilbert-Nocedal PR/FR hybrid
             beta = max(0.0, min(gpg, gpg - float(grad @ pg_prev))) / gpg_prev
@@ -574,30 +554,12 @@ def _eigen_solve(region, p, opts):
     defects = []                            # defect evaluations per projection
     if descend:
         budget = opts.max_iters
-        lam_prev, p_prev = start["p2_lambda"], 2.0
-        # a second stage at the target p restarts the CG directions
-        for pk in _continuation_path(p) + [p]:
-            u, info = _descent_stage(ops, u, pk, opts, budget, defects, pk != p)
+        for _ in range(2):                  # the second stage restarts the CG directions
+            u, info = _descent_stage(ops, u, p, opts, budget, defects)
             budget -= info["iters"]
-            converged = info["converged"] and budget > 0
-            residual = info["residual"]
-            lam_k = info["rayleigh"]
-            # the final stage makes no p step and gets no drift
-            dlogp = abs(np.log(pk / p_prev))
-            drift = abs(np.log(lam_k / lam_prev)) / dlogp if dlogp > 1e-12 else None
-            diag["stages"].append(
-                {
-                    "p": pk,
-                    "iters": info["iters"],
-                    "evals": info["evals"],
-                    "stop": info["stop"],
-                    "rayleigh": lam_k,
-                    "log_lipschitz": drift,
-                }
-            )
-            if drift is not None and drift > _LIPSCHITZ_BUDGET:
-                diag["lipschitz_warning"] = True
-            lam_prev, p_prev = lam_k, pk
+            converged = info.pop("converged") and budget > 0
+            residual = info.pop("residual")
+            diag["stages"].append(dict(p=p, **info))
             if not converged:
                 break
         iterations = opts.max_iters - budget

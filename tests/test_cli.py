@@ -145,13 +145,16 @@ def test_main_exit_2_on_out_of_range_aspect_before_any_solve(
      ("eigen", "mesh.level", "9", "subdivision level must be in [0, 8]"),
      ("eigen", "mesh.aspect", "2.5", "aspect must be in [1, "),
      ("eigen", "mesh.aspect", "0.9", "aspect must be in [1, "),
-     ("eigen", "mesh.aspect", "nan", "aspect must be in [1, ")],
+     ("eigen", "mesh.aspect", "nan", "aspect must be in [1, "),
+     ("oracle", "oracle.n", "9", "model dimension n must be in [1, 8]"),
+     ("oracle", "oracle.n", "0", "model dimension n must be in [1, 8]")],
 )
 def test_main_exit_2_on_out_of_range_level_or_aspect_before_any_solve(
     tmp_path, capsys, monkeypatch, command, key, value, bound
 ):
     # sweep.level = 9 once solved the radial reference for every p and made
-    # the output directory before the builder rejected the level
+    # the output directory before the builder rejected the level; oracle.n = 9
+    # did the same, and the interval oracle, which never reads n, wrote n = 0
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve started")
 
@@ -160,6 +163,8 @@ def test_main_exit_2_on_out_of_range_level_or_aspect_before_any_solve(
                          (harness, "closed_eigen"), (harness, "solve_radial_1d")]:
         monkeypatch.setattr(module, name, no_solve)
     text = f"command = {command}\nmesh.kind = ellipsoid\n{key} = {value}"
+    if value == "0":
+        text += "\noracle.problem = interval"
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     assert str(info.value).startswith(f"line 3: {key}: {bound}")
@@ -297,20 +302,6 @@ def test_eigen_command_reports_projection_evals_of_closed_descents(tmp_path):
     assert run(parse_config(f"{text}mesh.kind = interval\nout = {tmp_path / 'i'}")) == 0
     blocks = json.loads((tmp_path / "i" / "eigen.json").read_text())
     assert not any("projection_evals" in b["inputs"] for b in blocks if b["name"] != "meta")
-
-
-def test_eigen_command_reports_lipschitz_warning(tmp_path, monkeypatch):
-    text = "command = eigen\nmesh.kind = interval\nmesh.segments = 60\np = 2, 3\n"
-    assert run(parse_config(f"{text}out = {tmp_path / 'a'}")) == 0
-    blocks = {b["name"]: b for b in json.loads((tmp_path / "a" / "eigen.json").read_text())}
-    assert blocks["eigen_p2"]["inputs"]["lipschitz_warning"] is False
-    assert blocks["eigen_p3"]["inputs"]["lipschitz_warning"] is False
-    # with no allowed drift every continuation stage with a p step warns
-    monkeypatch.setattr(pspectral, "_LIPSCHITZ_BUDGET", 0.0)
-    assert run(parse_config(f"{text}out = {tmp_path / 'b'}")) == 0
-    blocks = {b["name"]: b for b in json.loads((tmp_path / "b" / "eigen.json").read_text())}
-    assert blocks["eigen_p2"]["inputs"]["lipschitz_warning"] is False
-    assert blocks["eigen_p3"]["inputs"]["lipschitz_warning"] is True
 
 
 def test_symmetrize_command(tmp_path):

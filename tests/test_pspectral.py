@@ -749,23 +749,50 @@ def test_grad_norm_measures_the_distance_to_a_critical_point(ico3):
     assert 0.0 < closed_eigen(build_icosphere(4), 3.0).diagnostics["grad_norm"] < 1e-6
 
 
-def test_only_stages_with_a_p_step_report_log_lipschitz(ico2):
-    stages = closed_eigen(ico2, 3.0).diagnostics["stages"]
-    assert len(stages) >= 2
-    for stage in stages[:-1]:
-        assert np.isfinite(stage["log_lipschitz"])
-    assert stages[-1]["p"] == stages[-2]["p"]
-    assert stages[-1]["log_lipschitz"] is None
+def test_p_descends_at_the_target_from_the_p2_start(ico2, monkeypatch):
+    calls = []
+    stage = pspectral._descent_stage
 
+    def recorded(ops, u, p, *args):
+        calls.append((ops, u.copy(), p))
+        return stage(ops, u, p, *args)
 
-def test_warmup_stages_stop_on_the_gradient_and_target_stages_on_the_stall(ico2):
-    stages = closed_eigen(ico2, 3.0).diagnostics["stages"]
-    assert [s["stop"] for s in stages if s["p"] != 3.0] == ["grad"]
-    assert stages[-1]["stop"] == "stall"
-    for s in stages:
-        assert s["evals"] >= s["iters"]     # at least one trial per accepted step
+    monkeypatch.setattr(pspectral, "_descent_stage", recorded)
+    for region, p, solve in (
+        (ico2, 3.0, closed_eigen),
+        (hemisphere_domain(ico2), 1.5, dirichlet_eigen),
+    ):
+        calls.clear()
+        res = solve(region, p)
+        assert [c[2] for c in calls] == [p, p]
+        ops = calls[0][0]
+        assert np.array_equal(calls[0][1], ops.p2_start[0])
+        stages = res.diagnostics["stages"]
+        assert [s["p"] for s in stages] == [p, p]
+        assert stages[-1]["stop"] == "stall"
+        for s in stages:
+            assert s["evals"] >= s["iters"]     # at least one trial per accepted step
     cut = closed_eigen(ico2, 3.0, SolverOptions(max_iters=1))
     assert not cut.converged and cut.diagnostics["stages"][-1]["stop"] == "budget"
+
+
+@pytest.mark.parametrize(
+    "closed, p, lam",
+    [
+        (True, 5.0, 1.8187720601231283),
+        (True, 8.0, 0.9696331429473406),
+        (True, 10.0, 0.5641427124616686),
+        (False, 8.0, 0.9867236068699761),
+        (False, 10.0, 0.5817978338139208),
+    ],
+    ids=["closed-p5", "closed-p8", "closed-p10", "hemisphere-p8", "hemisphere-p10"],
+)
+def test_high_p_level3_values(ico3, closed, p, lam):
+    # closed level-3 icosphere and its hemisphere, far from the p = 2 start
+    region = ico3 if closed else hemisphere_domain(ico3)
+    res = (closed_eigen if closed else dirichlet_eigen)(region, p)
+    assert res.converged
+    assert res.lam == pytest.approx(lam, rel=1e-9)
 
 
 def test_adjoint_products_are_bitwise_the_transpose_products():
