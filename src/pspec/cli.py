@@ -73,9 +73,6 @@ class RunConfig:
     mesh_segments: int = 400
     eigen_domain: str = "auto"
     ps: tuple = (2.0,)
-    solver_tol: float = 1e-9
-    solver_stall: int = 10
-    solver_max_iters: int = 50000
     seed: int = 0
     out: str = "out"
     sweep_aspects: tuple = (1.0, 1.05, 1.1, 1.15, 1.2)
@@ -85,13 +82,6 @@ class RunConfig:
     oracle_n: int = 2
     oracle_problem: str = "hemisphere"
     raw_text: str = dc_field(default="", repr=False)
-
-    def solver_options(self):
-        return SolverOptions(
-            tol=self.solver_tol,
-            stall=self.solver_stall,
-            max_iters=self.solver_max_iters,
-        )
 
 
 def _parse_bool(s):
@@ -140,16 +130,6 @@ def _parse_aspects(s):
     return tuple(_parse_aspect(tok) for tok in s.split(","))
 
 
-def _solver_option(name, kind):
-    # SolverOptions checks the value, so a bad one fails at parse time
-    def parse(s):
-        value = kind(s)
-        SolverOptions(**{name: value})
-        return value
-
-    return parse
-
-
 def _parse_seed(s):
     v = int(s)
     if not 0 <= v < 2**64:
@@ -166,9 +146,6 @@ _KEYS = {
     "mesh.segments": ("mesh_segments", int),
     "eigen.domain": ("eigen_domain", _parse_choice("auto", "closed", "hemisphere")),
     "p": ("ps", _parse_ps),
-    "solver.tol": ("solver_tol", _solver_option("tol", float)),
-    "solver.stall": ("solver_stall", _solver_option("stall", int)),
-    "solver.max_iters": ("solver_max_iters", _solver_option("max_iters", int)),
     "seed": ("seed", _parse_seed),
     "out": ("out", str),
     "sweep.aspects": ("sweep_aspects", _parse_aspects),
@@ -356,7 +333,6 @@ def _cmd_mesh(cfg, outdir):
 
 def _cmd_eigen(cfg, outdir):
     mesh = _build_mesh(cfg)
-    opts = cfg.solver_options()
     mode = cfg.eigen_domain
     if mode == "auto":
         mode = "closed" if mesh.closed else "interior"
@@ -368,7 +344,7 @@ def _cmd_eigen(cfg, outdir):
     blocks = [_meta_block(cfg)]
     rows = []
     for p in cfg.ps:
-        res = solve(region, p, opts)
+        res = solve(region, p)
         inputs = {"p": p, "domain": mode, "iterations": res.iterations}
         inputs["p2_converged"] = res.diagnostics["p2_converged"]
         for key in ("grad_norm", "projection_evals"):
@@ -380,7 +356,7 @@ def _cmd_eigen(cfg, outdir):
                 inputs,
                 lhs=res.lam,
                 margin=res.residual,
-                tolerance=opts.tol,
+                tolerance=SolverOptions().tol,
                 ok=res.converged,
             )
         )
@@ -464,7 +440,7 @@ def _cmd_verify(cfg, outdir):
         _check("gromov_caps", {"ratios": cap_ratios}, float(np.abs(cap_ratios - 1.0).max()))
     )
 
-    for name, worst in chain_audit(hemi, cfg.ps[0], cfg.solver_options()).items():
+    for name, worst in chain_audit(hemi, cfg.ps[0]).items():
         blocks.append(_check(f"audit_{name}", {"p": cfg.ps[0]}, worst))
 
     _write_json(outdir / "verify.json", blocks)
@@ -472,9 +448,7 @@ def _cmd_verify(cfg, outdir):
 
 
 def _cmd_sweep(cfg, outdir):
-    records = pinching_sweep(
-        cfg.sweep_aspects, cfg.ps, cfg.sweep_level, cfg.solver_options()
-    )
+    records = pinching_sweep(cfg.sweep_aspects, cfg.ps, cfg.sweep_level)
     header = list(asdict(records[0]))
     rows = [astuple(r) for r in records]
     _write_csv(outdir / "sweep.csv", header, rows, cfg.seed)

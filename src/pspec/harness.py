@@ -13,12 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .isoperim import LevelSweep
-from .manifold import (
-    beta as measure_ratio,
-    build_ellipsoid,
-    cap_radius,
-    spheroid_diameter,
-)
+from .manifold import beta as measure_ratio, build_ellipsoid, spheroid_diameter
 from .pspectral import check_p, closed_eigen, dirichlet_eigen, solve_radial_1d, _fem
 from .rearrange import cap_shells, symmetrize
 
@@ -49,7 +44,7 @@ def _is_round_unit(mesh):
     return mesh.meta.get("min_curvature") == mesh.meta.get("max_curvature") == 1.0
 
 
-def _sweep_record(mesh, p, opts, lam_model):
+def _sweep_record(mesh, p, lam_model):
     """Solve the closed eigenvalue of one ellipsoid into its record.
 
     The aspect, level, beta and curvature certificate come from the mesh
@@ -74,7 +69,7 @@ def _sweep_record(mesh, p, opts, lam_model):
         converged=False,
     )
     try:
-        res = closed_eigen(mesh, p, opts)
+        res = closed_eigen(mesh, p)
     except Exception as exc:  # noqa: BLE001 - a sweep must survive rows
         return replace(row, failed=True, error=f"{type(exc).__name__}: {exc}")
     return replace(
@@ -92,7 +87,7 @@ def _signed_worst(values):
     return float(values[np.argmax(np.abs(values))])
 
 
-def chain_audit(domain, p, opts=None):
+def chain_audit(domain, p):
     """Audit the energy-comparison argument on a Dirichlet eigenfunction.
 
     Four steps, each evaluated on a uniform threshold grid spanning 5% to
@@ -120,13 +115,12 @@ def chain_audit(domain, p, opts=None):
     mesh = domain.mesh
     if not mesh.closed or mesh.dimension != 2:
         raise ValueError("audit expects a domain of a closed surface mesh")
-    res = dirichlet_eigen(domain, p, opts)
+    res = dirichlet_eigen(domain, p)
     if not res.converged:
         raise ValueError("audit requires a converged eigenfunction")
     field = res.field
     u = field.values
     bet = measure_ratio(mesh)
-    n = mesh.dimension
     umax = float(u.max())
 
     levels = np.linspace(0.05 * umax, 0.90 * umax, _AUDIT_GRID)
@@ -153,17 +147,16 @@ def chain_audit(domain, p, opts=None):
     worst = {"distribution_derivative": _signed_worst((dmu - coarea_int) / dmu)}
 
     # lumped masses above each level from one ascending sort: idx vertices
-    # lie at or below the level (idx >= 1, as levels exceed the minimum 0)
+    # lie at or below the level. The rearranged profile puts the len(u) - idx
+    # vertices above it on the cap out to its knot of that index
     m = mesh.vertex_measure
     asc = np.argsort(u, kind="stable")
     mass_tail = np.concatenate(
         [np.cumsum((m[asc] * np.abs(u[asc]) ** p)[::-1])[::-1], [0.0]]
     )
-    prof = symmetrize(field)
     idx = np.searchsorted(u[asc], levels, side="right")
     lhs_mass = mass_tail[idx]
-    cap_r = cap_radius((float(m.sum()) - np.cumsum(m[asc])[idx - 1]) / bet, n)
-    rhs_mass = bet * prof.lp_mass_within(p, cap_r)
+    rhs_mass = bet * symmetrize(field).knot_lp_masses(p)[len(u) - idx]
     worst["mass_transport"] = _signed_worst((lhs_mass - rhs_mass) / lhs_mass)
 
     denergy = -np.gradient(energy, levels)
@@ -176,7 +169,7 @@ def chain_audit(domain, p, opts=None):
     return worst
 
 
-def pinching_sweep(aspects, ps, level=4, opts=None):
+def pinching_sweep(aspects, ps, level=4):
     """Closed eigenvalues of the ellipsoid family against the round sphere.
 
     One record per (aspect, p), sorted by diameter then p; each ellipsoid
@@ -194,7 +187,7 @@ def pinching_sweep(aspects, ps, level=4, opts=None):
     records = []
     for a in aspects:
         mesh = build_ellipsoid(a, level)
-        records.extend(_sweep_record(mesh, p, opts, lam_model[float(p)]) for p in ps)
+        records.extend(_sweep_record(mesh, p, lam_model[float(p)]) for p in ps)
         mesh.__dict__.pop("_fem_ops", None)
     records.sort(key=lambda r: (r.diameter, r.p))
     return records

@@ -2,9 +2,9 @@
 
 Every level-set quantity goes through :class:`LevelSweep`, which cuts one
 field at one batch of thresholds: the crossed cells are found once per
-batch, level sets are cut by linear interpolation along cell edges, and
-superlevel measures integrate the same piecewise-linear interpolant exactly,
-so boundary and bulk stay mutually consistent: the two sides of the
+batch, superlevel measures integrate the piecewise-linear interpolant
+exactly, and level-set measures are the t-derivative of the same closed
+form, so boundary and bulk stay mutually consistent: the two sides of the
 isoperimetric comparison see the same discrete geometry.
 """
 
@@ -32,7 +32,13 @@ class LevelSweep:
     in blocks of at most ``_BLOCK``, so memory stays bounded however many
     thresholds a batch has, into one per-pair array that a single bincount
     reduces in cell-index order: a batch returns bitwise the same numbers
-    as one threshold at a time.
+    as one threshold at a time. A NaN threshold, or weights that are not
+    one per cell, raise ValueError; infinite thresholds cross no cell.
+
+    On a triangle the interpolant's area fraction above t is a closed form
+    in t, and the level segment's length is |grad u| times the cell area
+    times minus its t-derivative (the coarea formula on one cell), so both
+    kernels evaluate the same branch of the same formula.
 
     The cell sort need not be stable. Tied minima are contiguous in any
     sorted order and a threshold's suffix starts at a group boundary, so
@@ -76,6 +82,8 @@ class LevelSweep:
         # searchsorted is monotone, so a cell's first and last crossing
         # thresholds are read off its min and max vertex
         ts = np.asarray(ts, dtype=float)
+        if np.isnan(ts).any():
+            raise ValueError("thresholds must not be NaN")
         order = np.argsort(ts, kind="stable")
         pos = np.searchsorted(ts[order], self._u, side="left")
         cols = np.stack([pos[c] for c in self.mesh.cells.T])
@@ -86,39 +94,47 @@ class LevelSweep:
         idx -= np.repeat(np.cumsum(count) - count - first, count)
         return cell, order[idx], ts
 
-    def _crossings(self, cell, t):
-        # the two crossed edges of each crossed triangle run from its lone
-        # vertex (alone on its side of t: the max vertex when t >= mid, else
-        # the min vertex) to the other two; returns their interpolated points
-        cc, uc = self.mesh.cells[cell], self._uc[cell]
-        rows = np.arange(len(cell))
-        lone = np.where(t >= self._mid[cell], np.argmax(uc, 1), np.argmin(uc, 1))
-        V = self.mesh.vertices
-        u0, x0 = uc[rows, lone], V[cc[rows, lone]]
-        pts = []
-        for k in (1, 2):
-            oth = (lone + k) % 3
-            w = (t - u0) / (uc[rows, oth] - u0)
-            pts.append(x0 + w[:, None] * (V[cc[rows, oth]] - x0))
-        return pts
+    def _cell_weights(self, weights):
+        w = np.asarray(weights, dtype=float)
+        if w.shape != self._lo.shape:
+            raise ValueError(
+                f"weights must hold one value per cell, shape {self._lo.shape}, got {w.shape}"
+            )
+        return w
 
     def level(self, weights=None):
         """Sum over cells of weight times level-set measure in the cell.
 
         One sum per threshold of the batch. The measure is the segment
         length for n=2 and the crossing count for n=1; the default weight
-        is 1.
+        is 1. A segment's length is the cell area times |grad u| times
+        minus the t-derivative of the area fraction that ``superlevel``
+        selects: K (hi - t) / ((hi - mid)(hi - lo)) when t >= mid, else
+        K (t - lo) / ((hi - lo)(mid - lo)), where K = |(u2 - u0)(x1 - x0)
+        - (u1 - u0)(x2 - x0)|, twice the cell area times |grad u|, comes
+        from the cell's own vertices.
         """
         cell, tid, ts = self._cell, self._tid, self._ts
         if self.mesh.dimension == 2:
             size = np.empty(len(cell))
             for b in _blocks(len(cell)):
-                p0, p1 = self._crossings(cell[b], ts[tid[b]])
-                size[b] = np.linalg.norm(p1 - p0, axis=1)
+                cb, t = cell[b], ts[tid[b]]
+                c_, b_, a_ = self._lo[cb], self._mid[cb], self._hi[cb]
+                u0, u1, u2 = self._uc[cb].T
+                x0, x1, x2 = self.mesh.vertices[self.mesh.cells[cb]].transpose(1, 0, 2)
+                k = np.linalg.norm(
+                    (u2 - u0)[:, None] * (x1 - x0) - (u1 - u0)[:, None] * (x2 - x0), axis=1
+                )
+                # the superlevel kernel's branches and denominators; the
+                # branch not taken may divide by a zero edge
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    upper = (a_ - t) / ((a_ - b_) * (a_ - c_))
+                    lower = (t - c_) / ((a_ - c_) * (b_ - c_))
+                size[b] = np.where(t >= b_, upper, lower) * k
         else:
             size = np.ones(len(cell))
         if weights is not None:
-            size *= np.asarray(weights, dtype=float)[cell]
+            size *= self._cell_weights(weights)[cell]
         return np.bincount(tid, weights=size, minlength=len(ts))
 
     def superlevel(self, weights=None):
@@ -127,7 +143,7 @@ class LevelSweep:
         One sum per threshold of the batch. The default weight is
         ``mesh.cell_measure``, giving H^n{u > t}.
         """
-        w = self.mesh.cell_measure if weights is None else np.asarray(weights, dtype=float)
+        w = self.mesh.cell_measure if weights is None else self._cell_weights(weights)
         by_min, min_sorted = self._by_min
         cell, tid, ts = self._cell, self._tid, self._ts
         part = np.empty(len(cell))

@@ -61,60 +61,48 @@ class RadialProfile:
     """Non-increasing radial function on model-sphere caps.
 
     Piecewise linear in the cap radius: ``knots`` ascend from 0, ``values``
-    never increase. value_at is the monotone interpolant; the integral
-    helpers weight by the cap boundary measure, i.e. they integrate over the
-    model sphere in polar coordinates.
+    never increase. value_at is the monotone interpolant; the p-mass helpers
+    integrate value^p weighted by the cap boundary measure, i.e. over the
+    model sphere in polar coordinates, by one 8-point Gauss rule on every
+    knot interval.
     """
 
     dimension: int
     knots: np.ndarray
     values: np.ndarray
 
-    @property
-    def support_radius(self):
-        return float(self.knots[-1])
-
     def value_at(self, r):
         r = np.minimum(r, self.knots[-1])
         return np.interp(r, self.knots, self.values)
 
-    def _quadrature(self, a, b):
-        # half-widths, profile values and cap boundary weights at the
-        # 8-point Gauss nodes of the shells a < r < b
-        half = 0.5 * (b - a)
-        r = 0.5 * (a + b)[:, None] + half[:, None] * _GAUSS_NODES
-        return half, self.value_at(r), cap_boundary(r, self.dimension)
-
     @cached_property
     def _gauss(self):
-        # every knot interval's nodes, evaluated once and shared by every p
-        half, vals, bnd = self._quadrature(self.knots[:-1], self.knots[1:])
-        for arr in (half, vals, bnd):
+        # half-widths, profile values and cap boundary weights at the Gauss
+        # nodes of every knot interval, evaluated once and shared by every p
+        a, b = self.knots[:-1], self.knots[1:]
+        half = 0.5 * (b - a)
+        r = 0.5 * (a + b)[:, None] + half[:, None] * _GAUSS_NODES
+        nodes = half, self.value_at(r), cap_boundary(r, self.dimension)
+        for arr in nodes:
             arr.setflags(write=False)
-        return half, vals, bnd
+        return nodes
 
-    @staticmethod
-    def _masses(p, quadrature):
-        half, vals, bnd = quadrature
+    def _interval_masses(self, p):
+        half, vals, bnd = self._gauss
         return half * ((vals**p * bnd) @ _GAUSS_WEIGHTS)
 
     def lp_mass(self, p):
         """Integral of value^p over the model sphere (polar coordinates)."""
-        return float(self._masses(p, self._gauss).sum())
+        return float(self._interval_masses(p).sum())
 
-    def lp_mass_within(self, p, r_upper):
-        """Same integral restricted to the cap of radius r_upper.
+    def knot_lp_masses(self, p):
+        """Integral of value^p over the cap of radius ``knots[k]``, for every k.
 
-        An array of radii gives an array of masses: whole knot intervals
-        below each radius come from one cumulative sum, and only the
-        interval the radius cuts is integrated again. A scalar gives a float.
+        Cumulative sums of the knot intervals' masses, from 0 at the first
+        knot; the cap of the k largest vertex values of a symmetrized field
+        reaches out to ``knots[k]``.
         """
-        r = np.clip(np.asarray(r_upper, dtype=float), 0.0, self.support_radius)
-        flat = r.reshape(-1)
-        k = np.searchsorted(self.knots[1:], flat, side="right")
-        whole = np.concatenate([[0.0], np.cumsum(self._masses(p, self._gauss))])
-        out = whole[k] + self._masses(p, self._quadrature(self.knots[k], flat))
-        return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
+        return np.concatenate([[0.0], np.cumsum(self._interval_masses(p))])
 
     def rows(self):
         """(radius, value) pairs for tabular output."""

@@ -6,12 +6,16 @@ purpose:
     PYTHONPATH=src python tests/golden/record.py
 
 Each ``<command>.cfg`` here is run through ``pspec.cli.main`` and the JSON
-and CSV reports it writes replace the files in ``<command>/``. List every
-field that moved in CHANGES.md.
+and CSV reports it writes replace the files in ``<command>/``. For every
+report it rewrites, it prints each field whose value changed, as
+``where: old -> new`` (exact comparison); list them in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import csv
+import json
+import math
 import shutil
 import tempfile
 from pathlib import Path
@@ -32,6 +36,66 @@ def reports(outdir):
     return {p.name: p for p in sorted(outdir.iterdir()) if p.suffix in REPORT_SUFFIXES}
 
 
+def _cell(s):
+    # CSV numbers are printed with %.12g, so an int column and a float
+    # column look alike: every number reads as a float
+    try:
+        return float(s)
+    except ValueError:
+        return s
+
+
+def load_report(path):
+    """A report as nested dicts and lists of its fields.
+
+    A JSON report maps ``"blocks"`` to its block names in order and each
+    name to its block. A CSV report maps ``"seed"`` and ``"header"`` to its
+    first two lines and ``"line <n>"`` to data line n: its cells by column,
+    or the list of its cells when its width is not the header's.
+    """
+    if path.suffix == ".json":
+        blocks = json.loads(path.read_text())
+        return {"blocks": [b["name"] for b in blocks], **{b["name"]: b for b in blocks}}
+    seed, header, *rows = csv.reader(path.read_text().splitlines())
+    fields = {"seed": seed, "header": header}
+    for lineno, row in enumerate(rows, start=3):
+        cells = [_cell(s) for s in row]
+        fields[f"line {lineno}"] = dict(zip(header, cells)) if len(row) == len(header) else cells
+    return fields
+
+
+def changed_fields(new, old, same, where=()):
+    """Yield (where, new, old) for every field in which two reports differ.
+
+    ``new`` and ``old`` are :func:`load_report` trees; ``where`` is the
+    tuple of keys and indices down to the field. Dicts whose key sets
+    differ yield their sorted keys at ``where + ("keys",)``, lists of
+    different lengths their lengths at ``where + ("length",)``; any other
+    pair differs when ``same(where, new, old)`` is false.
+    """
+    if isinstance(new, dict) and isinstance(old, dict):
+        if new.keys() != old.keys():
+            yield where + ("keys",), sorted(new), sorted(old)
+            return
+        for key in old:
+            yield from changed_fields(new[key], old[key], same, where + (key,))
+    elif isinstance(new, list) and isinstance(old, list):
+        if len(new) != len(old):
+            yield where + ("length",), len(new), len(old)
+            return
+        for i, (n, o) in enumerate(zip(new, old)):
+            yield from changed_fields(n, o, same, where + (i,))
+    elif not same(where, new, old):
+        yield where, new, old
+
+
+def exactly_same(where, new, old):
+    """Equal value and type, NaN equal to NaN."""
+    if type(new) is not type(old):
+        return False
+    return new == old or (type(new) is float and math.isnan(new) and math.isnan(old))
+
+
 def record():
     for cfg in sorted(GOLDEN.glob("*.cfg")):
         with tempfile.TemporaryDirectory() as tmp:
@@ -39,9 +103,20 @@ def record():
             if code not in (0, 1):
                 raise SystemExit(f"{cfg.name}: pspec exited {code}")
             dest = GOLDEN / cfg.stem
+            old = reports(dest) if dest.is_dir() else {}
+            new = reports(Path(tmp))
+            for name in sorted(old.keys() - new.keys()):
+                print(f"removed {cfg.stem}/{name}")
+            for name, path in new.items():
+                if name not in old:
+                    print(f"added {cfg.stem}/{name}")
+                    continue
+                trees = load_report(path), load_report(old[name])
+                for where, n, o in changed_fields(*trees, exactly_same):
+                    print(f"{cfg.stem}/{name}/{'/'.join(map(str, where))}: {o!r} -> {n!r}")
             shutil.rmtree(dest, ignore_errors=True)
             dest.mkdir()
-            for name, path in reports(Path(tmp)).items():
+            for name, path in new.items():
                 shutil.copyfile(path, dest / name)
                 print(f"recorded {cfg.stem}/{name}")
 

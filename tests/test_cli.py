@@ -33,22 +33,21 @@ def test_parse_minimal_config_fills_defaults():
     assert cfg.command == "eigen"
     assert cfg.mesh_level == 5
     assert cfg.ps == (2.0,)
-    assert cfg.solver_tol == RunConfig().solver_tol
-    assert cfg.solver_max_iters == RunConfig().solver_max_iters
     assert cfg.out == "out"
     assert cfg.seed == 0
 
 
-def test_every_solver_option_is_a_config_key():
-    # a SolverOptions field that no solver_* config field sets is dead
-    options = {f.name for f in dataclasses.fields(SolverOptions)}
-    prefix = "solver_"
-    keys = {
-        f.name[len(prefix):]
-        for f in dataclasses.fields(RunConfig)
-        if f.name.startswith(prefix)
-    }
-    assert options == keys
+def test_no_solver_option_is_a_config_key(tmp_path, capsys):
+    # every command solves with SolverOptions(), so a solver.* key is unknown
+    # and the run stops at parse time with exit status 2
+    assert not [f.name for f in dataclasses.fields(RunConfig) if f.name.startswith("solver")]
+    for option in dataclasses.fields(SolverOptions):
+        key = f"solver.{option.name}"
+        path = write_config(tmp_path, f"command = eigen\n{key} = {option.default}")
+        out = tmp_path / option.name
+        assert main(["eigen", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: line 2: unknown key {key!r}\n"
+        assert not out.exists()
 
 
 def test_parse_comments_and_blank_lines():
@@ -102,8 +101,9 @@ def test_parse_value_validation():
     [("stall", "0"), ("tol", "0"), ("tol", "-1e-9"), ("max_iters", "-1")],
 )
 def test_parse_rejects_solver_values_that_never_finish(key, value):
-    # stall 0 declares every solve converged after one step
-    with pytest.raises(ConfigError, match=rf"line 2: solver\.{key}: {key} must be"):
+    # stall 0 declares every solve converged after one step; no config sets
+    # a solver option, and SolverOptions rejects such values itself
+    with pytest.raises(ConfigError, match=rf"line 2: unknown key 'solver\.{key}'"):
         parse_config(f"command = eigen\nsolver.{key} = {value}")
     with pytest.raises(ValueError, match=f"{key} must be"):
         SolverOptions(**{key: float(value) if key == "tol" else int(value)})

@@ -172,14 +172,21 @@ def _dense_reference(field, ts):
 
 def test_sweep_matches_dense_reference(ico3, rng):
     # every interior vertex value of z, the exact equator ring t = 0
-    # included, and a uniform grid on a random field
+    # included, a uniform grid on a random field, and that field quantized
+    # so that vertex values tie, cut at every value it takes: thresholds on
+    # tied edges, tied cells and cells' middle values (the branch point)
     z = coordinate_field(ico3)
     f = random_smooth_field(ico3, rng)
+    q = ScalarField(ico3, np.round(f.values / 0.25) * 0.25)
     cases = [
         (z, np.unique(z.values)[1:-1]),
         (f, np.linspace(f.values.min(), f.values.max(), 41)[1:-1]),
+        (q, np.unique(q.values)[1:-1]),
     ]
     assert 0.0 in cases[0][1]
+    srt = np.sort(q.values[ico3.cells], axis=1)
+    assert (srt[:, 0] == srt[:, 1]).any() and (srt[:, 1] == srt[:, 2]).any()
+    assert np.isin(srt[:, 1], cases[2][1]).sum() > 100
     for field, ts in cases:
         ref_len, ref_area = _dense_reference(field, ts)
         sweep = LevelSweep(field, ts)
@@ -220,6 +227,27 @@ def test_sweep_on_circle_counts_crossings_and_arc_length():
     np.testing.assert_allclose(sweep.superlevel(), lengths, rtol=1e-12)
 
 
+def test_sweep_rejects_nan_thresholds_and_keeps_infinite_ones(ico3):
+    z = coordinate_field(ico3)
+    with pytest.raises(ValueError, match="thresholds must not be NaN"):
+        LevelSweep(z, [np.nan, 0.1])
+    sweep = LevelSweep(z, [-np.inf, 0.1, np.inf])
+    total = float(ico3.cell_measure.sum())
+    lens, areas = sweep.level(), sweep.superlevel()
+    assert lens[0] == lens[2] == 0.0 and lens[1] > 0.0
+    assert areas[0] == pytest.approx(total, rel=1e-12) and areas[2] == 0.0
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_sweep_rejects_weights_not_one_per_cell(ico3, extra):
+    z = coordinate_field(ico3)
+    sweep = LevelSweep(z, [0.1])
+    for w in (np.ones(len(ico3.cells) + extra), np.ones((len(ico3.cells), 1))):
+        for name in ("level", "superlevel"):
+            with pytest.raises(ValueError, match="weights must hold one value per cell"):
+                getattr(sweep, name)(w)
+
+
 def test_sweep_default_weights_are_explicit_weights(ico3, rng):
     f = random_smooth_field(ico3, rng)
     ts = np.linspace(f.values.min() + 0.01, f.values.max() - 0.01, 33)
@@ -234,8 +262,9 @@ def test_sweep_default_weights_are_explicit_weights(ico3, rng):
 
 class _ReferenceSweep:
     """LevelSweep with whole-batch kernels: one sort per cell, two searches
-    over the cell values, and every per-pair temporary alive at once. The
-    blocked kernels must return bitwise the same arrays."""
+    over the cell values, each closed-form branch evaluated on its own
+    pairs, and every per-pair temporary alive at once. The blocked kernels
+    must return bitwise the same arrays."""
 
     def __init__(self, field, ts):
         self.mesh = field.mesh
@@ -255,25 +284,22 @@ class _ReferenceSweep:
         k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
         return cell, order[first[cell] + k], ts
 
-    def _crossings(self, cell, t):
-        cc, uc = self.mesh.cells[cell], self._uc[cell]
-        rows = np.arange(len(cell))
-        above = uc > t[:, None]
-        lone = np.where(above.sum(1) == 1, np.argmax(above, 1), np.argmax(~above, 1))
-        V = self.mesh.vertices
-        base = cc[rows, lone]
-        pts = []
-        for k in (1, 2):
-            oth = (lone + k) % 3
-            w = (t - uc[rows, lone]) / (uc[rows, oth] - uc[rows, lone])
-            pts.append(V[base] + w[:, None] * (V[cc[rows, oth]] - V[base]))
-        return np.stack(pts, 1)
-
     def level(self, weights=None):
         cell, tid, ts = self._pairs(self._ts)
         if self.mesh.dimension == 2:
-            pts = self._crossings(cell, ts[tid])
-            size = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
+            t = ts[tid]
+            srt = self._srt[cell]
+            c_, b_, a_ = srt[:, 0], srt[:, 1], srt[:, 2]
+            u, x = self._uc[cell], self.mesh.vertices[self.mesh.cells[cell]]
+            du1, du2 = u[:, 1] - u[:, 0], u[:, 2] - u[:, 0]
+            dx1, dx2 = x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]
+            k = np.linalg.norm(du2[:, None] * dx1 - du1[:, None] * dx2, axis=1)
+            rate = np.empty(len(cell))
+            m = t >= b_
+            rate[m] = (a_[m] - t[m]) / ((a_[m] - b_[m]) * (a_[m] - c_[m]))
+            m = ~m
+            rate[m] = (t[m] - c_[m]) / ((a_[m] - c_[m]) * (b_[m] - c_[m]))
+            size = rate * k
         else:
             size = np.ones(len(cell))
         if weights is not None:

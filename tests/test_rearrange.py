@@ -67,7 +67,7 @@ def test_symmetrize_constant_covers_model_sphere(ico3):
     prof = symmetrize(ScalarField(ico3, np.full(len(ico3.vertices), c)))
     # the inverse cap map is flat at the far pole, so rounding in the
     # accumulated mass costs sqrt(eps) in the radius
-    assert prof.support_radius == pytest.approx(np.pi, abs=1e-6)
+    assert prof.knots[-1] == pytest.approx(np.pi, abs=1e-6)
     r = np.linspace(0.0, np.pi, 50)
     np.testing.assert_allclose(prof.value_at(r), c, atol=1e-12)
 
@@ -182,36 +182,14 @@ def quadratic_profile(ico3):
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_lp_mass_within_batch_matches_per_radius_rule(quadratic_profile, p):
+def test_knot_lp_masses_match_per_radius_rule(quadratic_profile, p):
     prof = quadratic_profile
-    k = prof.knots
-    top = prof.support_radius
-    radii = np.concatenate(
-        [
-            [0.0, top, top * (1 + 1e-12), top + 0.5, np.pi],
-            k[1:60:7],
-            0.5 * (k[10:200:13] + k[11:201:13]),
-            np.linspace(0.0, top, 23),
-        ]
-    )
-    got = prof.lp_mass_within(p, radii)
-    ref = np.array([gauss_lp_mass_within(prof, p, r) for r in radii])
-    assert got.shape == radii.shape
+    got = prof.knot_lp_masses(p)
+    ref = np.array([gauss_lp_mass_within(prof, p, r) for r in prof.knots])
+    assert got.shape == prof.knots.shape
     assert got[0] == 0.0
     np.testing.assert_allclose(got[1:], ref[1:], rtol=1e-13, atol=0.0)
-    assert np.all(got[2:5] == got[1])
-
-
-def test_lp_mass_within_scalar_and_array(quadratic_profile):
-    prof = quadratic_profile
-    r = 0.5 * prof.support_radius
-    one = prof.lp_mass_within(2.0, r)
-    assert type(one) is float
-    many = prof.lp_mass_within(2.0, np.array([r, r]))
-    assert isinstance(many, np.ndarray) and many.shape == (2,)
-    assert np.all(many == one)
-    grid = prof.lp_mass_within(2.0, np.full((2, 3), r))
-    assert grid.shape == (2, 3)
+    assert got[-1] == pytest.approx(prof.lp_mass(p), rel=1e-13)
 
 
 def test_lp_mass_is_independent_of_call_order(ico3):
@@ -220,7 +198,7 @@ def test_lp_mass_is_independent_of_call_order(ico3):
     seen = []
     for order in orders:
         prof = symmetrize(f)
-        seen.append({p: (prof.lp_mass(p), prof.lp_mass_within(p, 1.0)) for p in order})
+        seen.append({p: (prof.lp_mass(p), prof.knot_lp_masses(p).tobytes()) for p in order})
     assert seen[0] == seen[1] == seen[2]
     for p, (mass, _) in seen[0].items():
         assert mass == gauss_lp_mass(symmetrize(f), p)
@@ -270,7 +248,7 @@ def test_profile_masses_of_one_are_shell_volumes(n):
     edges = np.linspace(0.0, np.pi, 50)
     one = RadialProfile(dimension=n, knots=edges, values=np.ones(len(edges)))
     np.testing.assert_allclose(
-        one._masses(1.0, one._gauss), np.diff(cap_volume(edges, n)), rtol=0, atol=1e-14
+        one._interval_masses(1.0), np.diff(cap_volume(edges, n)), rtol=0, atol=1e-14
     )
 
 
