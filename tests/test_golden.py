@@ -27,7 +27,7 @@ def _close(got, want):
 def _solver_path(where):
     # the residual at the stopping point is a solver-path field too
     return where[-1] in SOLVER_PATH or (
-        where[-1] == "margin" and str(where[0]).startswith("eigen_p")
+        where[-1] == "margin" and where[0].startswith("eigen_p")
     )
 
 
