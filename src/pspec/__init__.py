@@ -30,7 +30,6 @@ from .manifold import (
 from .pspectral import (
     EigenResult,
     ScalarField,
-    SolverOptions,
     closed_eigen,
     coordinate_field,
     dirichlet_eigen,

@@ -32,8 +32,9 @@ class LevelSweep:
     in blocks of at most ``_BLOCK``, so memory stays bounded however many
     thresholds a batch has, into one per-pair array that a single bincount
     reduces in cell-index order: a batch returns bitwise the same numbers
-    as one threshold at a time. A NaN threshold, or weights that are not
-    one per cell, raise ValueError; infinite thresholds cross no cell.
+    as one threshold at a time. Thresholds that are not a 1-D array, a NaN
+    threshold, or weights that are not one per cell raise ValueError;
+    infinite thresholds cross no cell.
 
     On a triangle the interpolant's area fraction above t is a closed form
     in t, and the level segment's length is |grad u| times the cell area
@@ -82,6 +83,8 @@ class LevelSweep:
         # searchsorted is monotone, so a cell's first and last crossing
         # thresholds are read off its min and max vertex
         ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1:
+            raise ValueError(f"thresholds must be a 1-D array, got shape {ts.shape}")
         if np.isnan(ts).any():
             raise ValueError("thresholds must not be NaN")
         order = np.argsort(ts, kind="stable")

@@ -61,24 +61,9 @@ def coordinate_field(mesh, axis=2):
     return ScalarField(mesh, mesh.vertices[:, axis].copy())
 
 
-@dataclass
-class SolverOptions:
-    """Tunables for the descent eigensolvers (defaults match the contracts)."""
-
-    tol: float = 1e-9           # relative Rayleigh change per iteration
-    stall: int = 10             # consecutive quiet iterations to declare done
-    max_iters: int = 50000      # total accepted descent steps per solve
-
-    def __post_init__(self):
-        # a zero stall declares every solve converged after its first step
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if not self.stall >= 1:
-            raise ValueError(f"stall must be at least 1, got {self.stall}")
-        if not self.max_iters >= 0:
-            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
-
-
+_TOL = 1e-9                 # relative Rayleigh change per iteration
+_STALL = 10                 # consecutive quiet iterations to declare done
+_MAX_ITERS = 50000          # total accepted descent steps per solve
 _MAX_BACKTRACKS = 40
 _ARMIJO = 1e-4              # sufficient decrease constant c1 of the line search
 _P2_CLUSTER = 1e-8          # relative width of the first p = 2 eigenvalue cluster
@@ -427,7 +412,7 @@ def _lp_normalize(u, mass, p):
     return u / norm, norm, total / norm**p
 
 
-def _descent_stage(ops, u, p, opts, budget, defects):
+def _descent_stage(ops, u, p, budget, defects):
     """Minimize log energy - log mass at fixed p by nonlinear CG.
 
     ``u`` holds the values of the unknowns of ``ops``: every vertex of a
@@ -444,8 +429,8 @@ def _descent_stage(ops, u, p, opts, budget, defects):
     ``ops.closed`` unknowns are re-projected onto the constraint. Accepted
     iterates have non-increasing Rayleigh quotient by construction.
 
-    A stage stops after `opts.stall` consecutive accepted steps with
-    relative change below `opts.tol`, on line-search stall, or on budget;
+    A stage stops after ``_STALL`` consecutive accepted steps with
+    relative change below ``_TOL``, on line-search stall, or on budget;
     the info's ``stop`` names the rule ("stall", "line_search", "budget")
     and ``evals`` counts the trials. Each projection appends its count of
     defect evaluations to ``defects``.
@@ -505,7 +490,7 @@ def _descent_stage(ops, u, p, opts, budget, defects):
                 break
             t *= 0.5
         else:  # line search stalled
-            converged, stop = rel <= opts.tol * 10.0, "line_search"
+            converged, stop = rel <= _TOL * 10.0, "line_search"
             break
         _, t, u, (energy, mass, g, base, q) = min(passed, key=lambda trial: trial[0])
         rq_new = energy / mass
@@ -514,8 +499,8 @@ def _descent_stage(ops, u, p, opts, budget, defects):
         rel = abs(rq - rq_new) / rq_new
         rq = rq_new
         iters += 1
-        streak = streak + 1 if rel < opts.tol else 0
-        if streak >= opts.stall:
+        streak = streak + 1 if rel < _TOL else 0
+        if streak >= _STALL:
             converged, stop = True, "stall"
             break
         grad = ops.grad_log_quotient(u, p, energy, mass, g, base, q)
@@ -523,7 +508,7 @@ def _descent_stage(ops, u, p, opts, budget, defects):
                "residual": rel, "rayleigh": rq}
 
 
-def _eigen_solve(region, p, opts):
+def _eigen_solve(region, p):
     """The one solver behind closed_eigen (a Mesh) and dirichlet_eigen (a Domain).
 
     A closed mesh frees every vertex and keeps iterates on the constraint; a
@@ -537,7 +522,6 @@ def _eigen_solve(region, p, opts):
     the p = 2 start's flag for p = 2 and the last stage's flag otherwise.
     """
     p = check_p(p)
-    opts = opts or SolverOptions()
     closed = isinstance(region, Mesh)
     mesh = region if closed else region.mesh
     if closed:
@@ -553,16 +537,16 @@ def _eigen_solve(region, p, opts):
     residual = 0.0
     defects = []                            # defect evaluations per projection
     if descend:
-        budget = opts.max_iters
+        budget = _MAX_ITERS
         for _ in range(2):                  # the second stage restarts the CG directions
-            u, info = _descent_stage(ops, u, p, opts, budget, defects)
+            u, info = _descent_stage(ops, u, p, budget, defects)
             budget -= info["iters"]
             converged = info.pop("converged") and budget > 0
             residual = info.pop("residual")
             diag["stages"].append(dict(p=p, **info))
             if not converged:
                 break
-        iterations = opts.max_iters - budget
+        iterations = _MAX_ITERS - budget
     if closed:
         u = _project(u, ops.mass, p, defects)
         if descend:
@@ -587,7 +571,7 @@ def _eigen_solve(region, p, opts):
     return EigenResult(lam, fld, residual, cres, iterations, converged, p, diag)
 
 
-def dirichlet_eigen(domain, p, opts=None):
+def dirichlet_eigen(domain, p):
     """First Dirichlet eigenvalue and eigenfunction of the p-Laplacian.
 
     The minimizer of the p-Rayleigh quotient over fields vanishing outside
@@ -606,10 +590,10 @@ def dirichlet_eigen(domain, p, opts=None):
             "domain has no boundary: every vertex is interior; use closed_eigen "
             "for the closed problem"
         )
-    return _eigen_solve(domain, p, opts)
+    return _eigen_solve(domain, p)
 
 
-def closed_eigen(mesh, p, opts=None):
+def closed_eigen(mesh, p):
     """First nonzero eigenvalue of the p-Laplacian on a closed mesh.
 
     Minimizes the Rayleigh quotient subject to the vanishing of the
@@ -618,7 +602,7 @@ def closed_eigen(mesh, p, opts=None):
     """
     if not mesh.closed:
         raise ValueError("closed_eigen requires a closed mesh")
-    return _eigen_solve(mesh, p, opts)
+    return _eigen_solve(mesh, p)
 
 
 # ---------------------------------------------------------------------------

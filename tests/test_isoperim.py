@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -24,7 +25,7 @@ from pspec.isoperim import (
     random_smooth_field,
 )
 from pspec.manifold import hemisphere_domain
-from pspec.pspectral import ScalarField, coordinate_field
+from pspec.pspectral import ScalarField, _fem, coordinate_field, dirichlet_eigen
 from pspec.rearrange import coarea_check
 
 
@@ -238,6 +239,13 @@ def test_sweep_rejects_nan_thresholds_and_keeps_infinite_ones(ico3):
     assert areas[0] == pytest.approx(total, rel=1e-12) and areas[2] == 0.0
 
 
+@pytest.mark.parametrize("ts", [0.1, [[0.1, 0.2]], [[0.1], [0.2]]], ids=["scalar", "row", "column"])
+def test_sweep_rejects_thresholds_that_are_not_1d(ico3, ts):
+    msg = f"thresholds must be a 1-D array, got shape {np.shape(ts)}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        LevelSweep(coordinate_field(ico3), ts)
+
+
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_sweep_rejects_weights_not_one_per_cell(ico3, extra):
     z = coordinate_field(ico3)
@@ -254,6 +262,33 @@ def test_sweep_default_weights_are_explicit_weights(ico3, rng):
     sweep = LevelSweep(f, ts)
     np.testing.assert_array_equal(sweep.level(np.ones(len(ico3.cells))), sweep.level())
     np.testing.assert_array_equal(sweep.superlevel(ico3.cell_measure), sweep.superlevel())
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_level_is_minus_the_t_derivative_of_superlevel(ico3, p):
+    # between vertex values a cell's area fraction above t is quadratic in
+    # t, so a central difference of superlevel(w) is exact up to rounding,
+    # and equals level(w / (cell area |grad u|)): the coarea identity
+    # -d/dt H^2{u > t} = int_{u=t} 1/|grad u| and its p-energy form hold
+    # per cell for every P1 field
+    fem = _fem(ico3)
+    battery = random_smooth_field(ico3, np.random.default_rng(5))
+    eigen = dirichlet_eigen(hemisphere_domain(ico3), p).field
+    for field in (battery, eigen):
+        u = field.values
+        g = np.linalg.norm(fem.gradients(u), axis=1)
+        h = 1e-5 * np.abs(u).max()
+        cand = np.linspace(u.min(), u.max(), 203)[1:-1]
+        gap = np.abs(cand[:, None] - u[None, :]).min(axis=1)
+        ts = cand[gap >= 10.0 * h]
+        assert len(ts) >= 150
+        up, down = LevelSweep(field, ts + h), LevelSweep(field, ts - h)
+        crossed = LevelSweep(field, ts)
+        for w in (ico3.cell_measure, fem.cellw * g**p):
+            slope = -(up.superlevel(w) - down.superlevel(w)) / (2.0 * h)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                per_length = w / (ico3.cell_measure * g)
+            np.testing.assert_allclose(crossed.level(per_length), slope, rtol=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from pspec.manifold import (
 )
 from pspec.pspectral import (
     ScalarField,
-    SolverOptions,
     check_p,
     closed_eigen,
     constraint_residual,
@@ -437,8 +436,9 @@ def test_dirichlet_eigen_rejects_a_mesh(ico2):
         dirichlet_eigen(ico2, 2.0)
 
 
-def test_non_convergence_is_flagged(ico2):
-    res = dirichlet_eigen(hemisphere_domain(ico2), 3.0, SolverOptions(max_iters=1))
+def test_non_convergence_is_flagged(ico2, monkeypatch):
+    monkeypatch.setattr(pspectral, "_MAX_ITERS", 1)
+    res = dirichlet_eigen(hemisphere_domain(ico2), 3.0)
     assert not res.converged
     assert res.lam > 0  # best iterate still reported
 
@@ -621,7 +621,7 @@ def test_hemisphere_p2_start_matches_dense_oracle(ico3):
 def test_tiny_free_sets_use_the_dense_start(mesh, region, exact):
     # fewer free vertices than ARPACK's 2k + 1 Lanczos vectors
     region = interior_domain(mesh) if region == "interior" else mesh
-    res = _eigen_solve(region, 2.0, None)
+    res = _eigen_solve(region, 2.0)
     assert res.lam == pytest.approx(exact, rel=1e-12)
     assert res.converged
     assert res.diagnostics["p2_iterations"] == 0
@@ -737,10 +737,13 @@ def test_round_level4_values():
     assert lam15 < 1.7235351340045681 and lam3 < 2.1724364994634
 
 
-def test_grad_norm_measures_the_distance_to_a_critical_point(ico3):
+def test_grad_norm_measures_the_distance_to_a_critical_point(ico3, monkeypatch):
     for p in (1.5, 3.0):
         tight = closed_eigen(ico3, p).diagnostics["grad_norm"]
-        loose = closed_eigen(ico3, p, SolverOptions(tol=1e-3, stall=1)).diagnostics["grad_norm"]
+        with monkeypatch.context() as m:
+            m.setattr(pspectral, "_TOL", 1e-3)
+            m.setattr(pspectral, "_STALL", 1)
+            loose = closed_eigen(ico3, p).diagnostics["grad_norm"]
         assert np.isfinite(tight) and 0.0 < tight < 1e-4 < loose
     hemi = dirichlet_eigen(hemisphere_domain(ico3), 3.0).diagnostics["grad_norm"]
     assert np.isfinite(hemi) and hemi > 0.0
@@ -772,7 +775,8 @@ def test_p_descends_at_the_target_from_the_p2_start(ico2, monkeypatch):
         assert stages[-1]["stop"] == "stall"
         for s in stages:
             assert s["evals"] >= s["iters"]     # at least one trial per accepted step
-    cut = closed_eigen(ico2, 3.0, SolverOptions(max_iters=1))
+    monkeypatch.setattr(pspectral, "_MAX_ITERS", 1)
+    cut = closed_eigen(ico2, 3.0)
     assert not cut.converged and cut.diagnostics["stages"][-1]["stop"] == "budget"
 
 
