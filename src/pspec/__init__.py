@@ -2,8 +2,10 @@
 
 Builds icospheres, curvature-normalized ellipsoids, intervals and circles;
 computes first Dirichlet and closed p-Laplacian eigenvalues; performs cap
-symmetrization on the model sphere; and verifies the coarea, rearrangement
-and isoperimetric inequalities that connect eigenvalues to diameters.
+symmetrization on the model sphere; and checks the rearrangement and
+isoperimetric inequalities that connect eigenvalues to diameters, with
+level sets whose lengths integrate exactly to the total variation (the
+coarea formula).
 """
 
 __version__ = "0.1.0"
@@ -40,7 +42,6 @@ from .pspectral import (
 )
 from .rearrange import (
     RadialProfile,
-    coarea_check,
     lp_equimeasurability,
     polya_szego_check,
     symmetrize,

@@ -47,12 +47,7 @@ from .pspectral import (
     solve_radial_1d,
     _TOL,
 )
-from .rearrange import (
-    coarea_check,
-    lp_equimeasurability,
-    polya_szego_check,
-    symmetrize,
-)
+from .rearrange import lp_equimeasurability, polya_szego_check, symmetrize
 
 COMMANDS = ("mesh", "eigen", "symmetrize", "verify", "sweep", "oracle")
 
@@ -223,7 +218,6 @@ def _block(name, inputs, lhs=None, rhs=None, margin=None, tolerance=None, ok=Tru
 # margin m, with sense "abs" (|m| <= tol), "max" (m <= tol) or "min"
 # (m >= tol). Block families numbered by p share the entry of their stem.
 CHECKS = {
-    "coarea_z": ("max", 0.02),
     "equimeasurability_z": ("max", 0.01),
     "equimeasurability_random": ("max", 0.01),
     "polya_szego_battery": ("min", -0.01),
@@ -233,17 +227,27 @@ CHECKS = {
     "audit_energy_comparison": ("max", 0.03),
     "equimeasurability_p": ("abs", 0.01),
     "radial_oracle_p": ("max", 1e-6),
+    "ratio_monotone_p": ("max", 0.01),
 }
 
-# relative slack allowed between consecutive eigenvalue ratios of a sweep
-_MONOTONE_SLACK = 0.01
+
+def _entry(name):
+    # a numbered block takes its stem's entry: equimeasurability_p1.5 -> equimeasurability_p
+    return CHECKS[name.rstrip("0123456789.")]
+
+
+def passes(name, margin):
+    """Whether ``margin`` passes the CHECKS entry of block ``name`` (or its stem).
+
+    A NaN margin passes no entry.
+    """
+    sense, tol = _entry(name)
+    return {"abs": abs(margin) <= tol, "max": margin <= tol, "min": margin >= tol}[sense]
 
 
 def _check(name, inputs, margin, lhs=None, rhs=None):
-    # a numbered block takes its stem's entry: equimeasurability_p1.5 -> equimeasurability_p
-    sense, tol = CHECKS[name.rstrip("0123456789.")]
-    ok = {"abs": abs(margin) <= tol, "max": margin <= tol, "min": margin >= tol}[sense]
-    return _block(name, inputs, lhs=lhs, rhs=rhs, margin=margin, tolerance=tol, ok=ok)
+    ok = passes(name, margin)
+    return _block(name, inputs, lhs=lhs, rhs=rhs, margin=margin, tolerance=_entry(name)[1], ok=ok)
 
 
 def _meta_block(cfg):
@@ -400,9 +404,6 @@ def _cmd_verify(cfg, outdir):
     z = _primary_coordinate(mesh)
     blocks = [_meta_block(cfg)]
 
-    cc = coarea_check(z)
-    blocks.append(_check("coarea_z", {}, abs(cc.rel_gap), cc.lhs, cc.rhs))
-
     worst = _worst_equimeasurability_gap(z, cfg.ps)
     fields = check_battery(mesh, rng, cfg.battery_count)
     worst_rand = 0.0
@@ -453,20 +454,15 @@ def _cmd_sweep(cfg, outdir):
 
     blocks = [_meta_block(cfg)]
     for p in cfg.ps:
-        seq = [r for r in records if r.p == p and not r.failed]
-        monotone = all(
-            seq[i + 1].ratio <= seq[i].ratio * (1.0 + _MONOTONE_SLACK)
-            for i in range(len(seq) - 1)
-        )
-        blocks.append(
-            _block(
-                f"ratio_monotone_p{p:g}",
-                {"p": p, "rows": len(seq)},
-                margin=None,
-                tolerance=_MONOTONE_SLACK,
-                ok=monotone and len(seq) == len([r for r in records if r.p == p]),
-            )
-        )
+        # the rows of one p in diameter order; the margin is the largest
+        # relative rise of ratio between neighbours (-inf for one row), NaN
+        # when a row failed
+        seq = [r for r in records if r.p == p]
+        ratios = np.array([r.ratio for r in seq])
+        rise = np.max(ratios[1:] / ratios[:-1] - 1.0, initial=-np.inf)
+        solved = sum(not r.failed for r in seq)
+        margin = float(rise) if solved == len(seq) else float("nan")
+        blocks.append(_check(f"ratio_monotone_p{p:g}", {"p": p, "rows": solved}, margin))
     _write_json(outdir / "sweep.json", blocks)
     return blocks
 

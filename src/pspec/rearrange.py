@@ -192,24 +192,3 @@ def polya_szego_check(field, p):
     _, dv, slope = cap_shells(levels, mu, field.mesh)
     rhs = beta(field.mesh) * float((slope**p) @ dv)
     return CheckResult(lhs, rhs, (lhs - rhs) / lhs)
-
-
-def coarea_check(field):
-    """Total variation two ways: cell gradients vs integrated level measure.
-
-    lhs integrates |grad u| over cells; rhs integrates the level boundary
-    measure of the interpolant over a uniform level grid (trapezoid rule,
-    with half-panel closures at both ends).
-    """
-    fem = _fem(field.mesh)
-    g = np.linalg.norm(fem.gradients(field.values), axis=1)
-    lhs = float(fem.cellw @ g)
-
-    lo, hi = float(field.values.min()), float(field.values.max())
-    if hi <= lo:
-        raise ValueError("constant field has no level structure")
-    inner = np.linspace(lo, hi, _CHECK_GRID + 2)[1:-1]
-    lens = LevelSweep(field, inner).level()
-    step = inner[1] - inner[0]
-    rhs = float(np.trapezoid(lens, inner) + 0.5 * step * (lens[0] + lens[-1]))
-    return CheckResult(lhs, rhs, (lhs - rhs) / lhs)

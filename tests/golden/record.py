@@ -64,21 +64,35 @@ def load_report(path):
     return fields
 
 
+class _Absent:
+    """The missing side of a key that only one of two reports has."""
+
+    def __repr__(self):
+        return "absent"
+
+
+ABSENT = _Absent()
+
+
 def changed_fields(new, old, same, where=()):
     """Yield (where, new, old) for every field in which two reports differ.
 
     ``new`` and ``old`` are :func:`load_report` trees; ``where`` is the
-    tuple of keys and indices down to the field. Dicts whose key sets
-    differ yield their sorted keys at ``where + ("keys",)``, lists of
-    different lengths their lengths at ``where + ("length",)``; any other
-    pair differs when ``same(where, new, old)`` is false.
+    tuple of keys and indices down to the field. A key that only one of two
+    dicts has yields its value against :data:`ABSENT`, and the walk goes on
+    through the keys both share; lists of different lengths yield their
+    lengths at ``where + ("length",)``; any other pair differs when
+    ``same(where, new, old)`` is false.
     """
     if isinstance(new, dict) and isinstance(old, dict):
-        if new.keys() != old.keys():
-            yield where + ("keys",), sorted(new), sorted(old)
-            return
         for key in old:
-            yield from changed_fields(new[key], old[key], same, where + (key,))
+            if key in new:
+                yield from changed_fields(new[key], old[key], same, where + (key,))
+            else:
+                yield where + (key,), ABSENT, old[key]
+        for key in new:
+            if key not in old:
+                yield where + (key,), new[key], ABSENT
     elif isinstance(new, list) and isinstance(old, list):
         if len(new) != len(old):
             yield where + ("length",), len(new), len(old)

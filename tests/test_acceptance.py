@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from pspec.cli import main
+from pspec.cli import main, passes
 from pspec.harness import chain_audit, pinching_sweep
 from pspec.isoperim import (
+    LevelSweep,
     battery_ratios,
     check_battery,
     domain_bump_battery,
@@ -31,18 +32,14 @@ from pspec.manifold import (
 )
 from pspec.pspectral import (
     ScalarField,
+    _fem,
     closed_eigen,
     coordinate_field,
     dirichlet_eigen,
     nodal_domains,
     solve_radial_1d,
 )
-from pspec.rearrange import (
-    coarea_check,
-    lp_equimeasurability,
-    polya_szego_check,
-    symmetrize,
-)
+from pspec.rearrange import lp_equimeasurability, polya_szego_check, symmetrize
 
 SEED = 1234
 PS = (1.5, 2.0, 3.0)
@@ -149,14 +146,17 @@ def test_criterion_04_radial_oracle_integer_eigenvalues():
 
 
 def test_criterion_05_coarea_identity_on_height(sphere5):
-    chk = coarea_check(coordinate_field(sphere5))
+    # total variation of the height two ways: cell gradients, and the level
+    # lengths integrated exactly (midpoint rule between distinct vertex values)
+    z = coordinate_field(sphere5)
+    fem = _fem(sphere5)
+    lhs = float(fem.cellw @ np.linalg.norm(fem.gradients(z.values), axis=1))
+    v = np.unique(z.values)
+    rhs = float(np.diff(v) @ LevelSweep(z, 0.5 * (v[:-1] + v[1:])).level())
+    gap = (lhs - rhs) / lhs
     ref = np.pi**2
-    ok = (
-        abs(chk.rel_gap) <= 0.01
-        and abs(chk.lhs - ref) / ref <= 0.01
-        and abs(chk.rhs - ref) / ref <= 0.01
-    )
-    report(5, ok, f"lhs={chk.lhs:.5f} rhs={chk.rhs:.5f} vs {ref:.5f}, rel_gap={chk.rel_gap:+.1e}")
+    ok = abs(gap) <= 0.01 and abs(lhs - ref) / ref <= 0.01 and abs(rhs - ref) / ref <= 0.01
+    report(5, ok, f"lhs={lhs:.5f} rhs={rhs:.5f} vs {ref:.5f}, rel_gap={gap:+.1e}")
 
 
 def test_criterion_06_equimeasurability_battery(sphere4):
@@ -172,7 +172,8 @@ def test_criterion_06_equimeasurability_battery(sphere4):
         prof = symmetrize(f)
         for p in PS:
             worst = max(worst, abs(lp_equimeasurability(f, prof, p).rel_gap))
-    report(6, worst <= 0.01, f"22 fields x 3 exponents, worst |rel_gap|={worst:.1e}")
+    ok = passes("equimeasurability_random", worst)
+    report(6, ok, f"22 fields x 3 exponents, worst |rel_gap|={worst:.1e}")
 
 
 def test_criterion_07_energy_never_grows_under_rearrangement(
@@ -184,7 +185,7 @@ def test_criterion_07_energy_never_grows_under_rearrangement(
     wmin = min(polya_szego_check(f, p).rel_gap for f in bumps for p in PS)
     chk = polya_szego_check(hemi5_p2.field, 2.0)
     near = chk.rhs / chk.lhs                # rhs already carries beta
-    ok = wmin >= -0.01 and near >= 0.97
+    ok = passes("polya_szego_battery", wmin) and near >= 0.97
     report(
         7,
         ok,
@@ -202,11 +203,11 @@ def test_criterion_08_isoperimetric_ratio_battery(sphere4, ell4):
             lo, hi = float(f.values.min()), float(f.values.max())
             t = lo + (hi - lo) * rng.uniform(0.15, 0.85)
             ratios.append(gromov_ratio(f, t))
-        ok &= min(ratios) >= 0.98
+        ok &= passes("gromov_battery", min(ratios) - 1.0)
         parts.append(f"{name} min={min(ratios):.4f}")
     z = coordinate_field(sphere4)
     caps = [gromov_ratio(z, t) for t in (-0.5, 0.0, 0.5)]
-    ok &= all(abs(r - 1.0) <= 0.01 for r in caps)
+    ok &= passes("gromov_caps", max(abs(r - 1.0) for r in caps))
     parts.append("caps " + "/".join(f"{r:.4f}" for r in caps))
     report(8, ok, "50 superlevel domains each: " + ", ".join(parts))
 
@@ -259,7 +260,7 @@ def test_criterion_11_ratio_monotone_in_diameter(sweep_records):
         )
         ok &= len(rows) == len(SWEEP_ASPECTS)
         ratios = [r.ratio for r in rows]
-        ok &= all(ratios[i + 1] <= ratios[i] * 1.01 for i in range(len(ratios) - 1))
+        ok &= passes("ratio_monotone_p", max(b / a - 1.0 for a, b in zip(ratios, ratios[1:])))
         end = next(r for r in rows if r.aspect == 1.0)
         ok &= abs(end.diameter - np.pi) / np.pi <= 0.02
         ok &= abs(end.ratio - 1.0) <= 0.02
@@ -273,7 +274,9 @@ def test_criterion_12_audit_steps_hold_and_shrink(hemi5):
     parts, ok = [], True
     for name, v5 in worst5.items():
         v6 = worst6[name]
-        ok &= abs(v5) <= 0.03
+        # mass_transport follows the table; energy_comparison keeps a two-sided
+        # bound, stricter than the table's one-sided one
+        ok &= passes("audit_mass_transport", v5) if name == "mass_transport" else abs(v5) <= 0.03
         ok &= abs(v6) < abs(v5)
         parts.append(f"{name} {abs(v5):.1e}/{abs(v6):.1e}")
     report(12, ok, "worst per step at levels 5/6: " + ", ".join(parts))

@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import json
+import math
 import os
 import re
 import shutil
@@ -260,6 +261,18 @@ def test_mesh_command_writes_off(tmp_path):
     assert names == ["meta", "mesh_summary", "mesh_measure_ratio"]
 
 
+def test_mesh_normalize_true_builds_the_normalized_ellipsoid(tmp_path):
+    text = "command = mesh\nmesh.kind = ellipsoid\nmesh.aspect = 1.5\nmesh.level = 1\n"
+    assert parse_config(text + "mesh.normalize = true").mesh_normalize is True
+    metas = {}
+    for flag in ("true", "false"):
+        out = tmp_path / flag
+        assert run(parse_config(f"{text}mesh.normalize = {flag}\nout = {out}")) == 0
+        metas[flag] = json.loads((out / "mesh.json").read_text())[1]["inputs"]["meta"]
+    assert metas["true"]["normalized"] is True and metas["true"]["min_curvature"] == 1.0
+    assert metas["false"]["normalized"] is False and metas["false"]["min_curvature"] < 1.0
+
+
 def test_eigen_command_interval(tmp_path):
     cfg = parse_config(
         "command = eigen\nmesh.kind = interval\nmesh.segments = 60\np = 2\n"
@@ -318,7 +331,6 @@ def test_symmetrize_command(tmp_path):
 
 VERIFY_BLOCKS = {
     "meta",
-    "coarea_z",
     "equimeasurability_z",
     "equimeasurability_random",
     "polya_szego_battery",
@@ -346,6 +358,7 @@ CHECK_CONFIGS = {
     "verify": "command = verify\nmesh.level = 4\np = 2\nbattery.count = 6\nseed = 7",
     "symmetrize": "command = symmetrize\nmesh.level = 3\np = 1.5,2",
     "oracle": "command = oracle\np = 2\noracle.n = 2",
+    "sweep": "command = sweep\nsweep.aspects = 1.0, 1.2\nsweep.level = 2\np = 2",
 }
 
 
@@ -388,7 +401,7 @@ def test_no_verify_check_is_a_rounding_level_identity(reports):
     # mesh or field can make fail; radial_oracle_p2 is a solver check whose
     # margin sits near 1e-12, so the rule covers verify alone
     checked = [b for b in reports["verify"] if b["tolerance"] is not None]
-    assert len(checked) == 8
+    assert len(checked) == 7
     for b in checked:
         assert abs(b["margin"]) >= 1e-9, b["name"]
 
@@ -440,6 +453,56 @@ def test_sweep_command_rows(tmp_path):
     blocks = json.loads((tmp_path / "w" / "sweep.json").read_text())
     names = {b["name"] for b in blocks}
     assert "ratio_monotone_p2" in names
+    # the margin is the relative rise of ratio from the shorter diameter on
+    ratio = [float(r.split(",")[4]) for r in rows[2:]]
+    assert blocks[1]["margin"] == pytest.approx(ratio[1] / ratio[0] - 1.0, rel=1e-9)
+    assert blocks[1]["margin"] < 0.0 and blocks[1]["pass"]
+
+
+def test_sweep_monotone_block_fails_with_a_failed_row(tmp_path, monkeypatch, capsys):
+    # the first solve (aspect 1.0, p = 2) raises: its row is failed, so the
+    # p = 2 block's margin is NaN and the block fails; p = 3 still passes
+    real, calls = harness.closed_eigen, []
+
+    def flaky(mesh, p):
+        calls.append(p)
+        if len(calls) == 1:
+            raise RuntimeError("synthetic solver blowup")
+        return real(mesh, p)
+
+    monkeypatch.setattr(harness, "closed_eigen", flaky)
+    path = write_config(
+        tmp_path, "command = sweep\nsweep.aspects = 1.0, 1.2\nsweep.level = 2\np = 2, 3"
+    )
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "w")]) == 1
+    assert capsys.readouterr().err == "FAIL ratio_monotone_p2\n"
+    blocks = {b["name"]: b for b in json.loads((tmp_path / "w" / "sweep.json").read_text())}
+    p2, p3 = blocks["ratio_monotone_p2"], blocks["ratio_monotone_p3"]
+    assert math.isnan(p2["margin"]) and not p2["pass"] and p2["inputs"]["rows"] == 1
+    assert p3["margin"] < 0.0 and p3["pass"] and p3["inputs"]["rows"] == 2
+    assert p2["tolerance"] == p3["tolerance"] == CHECKS["ratio_monotone_p"][1]
+
+
+def test_sweep_monotone_block_passes_one_row_per_p(tmp_path):
+    # one solved row has no neighbour to rise above: the margin is -inf
+    cfg = parse_config(
+        f"command = sweep\nsweep.aspects = 1.2\nsweep.level = 2\np = 2, 3\nout = {tmp_path}"
+    )
+    assert run(cfg) == 0
+    blocks = json.loads((tmp_path / "sweep.json").read_text())[1:]
+    assert [b["name"] for b in blocks] == ["ratio_monotone_p2", "ratio_monotone_p3"]
+    for b in blocks:
+        assert b["pass"] and b["margin"] == -math.inf and b["inputs"]["rows"] == 1
+
+
+def test_checks_pass_rule_is_the_table(monkeypatch):
+    # passes() decides every margin-checked block and the acceptance battery
+    monkeypatch.setitem(CHECKS, "probe_p", ("max", 0.5))
+    assert cli.passes("probe_p2", 0.5) and not cli.passes("probe_p1.5", 0.6)
+    assert not cli.passes("probe_p", math.nan)
+    assert cli.passes("gromov_battery", -0.02) and not cli.passes("gromov_battery", -0.03)
+    assert cli.passes("audit_mass_transport", -0.03)
+    assert not cli.passes("audit_mass_transport", 0.031)
 
 
 def test_sweep_draws_no_field_battery(tmp_path, monkeypatch):
@@ -526,6 +589,14 @@ def test_main_exit_2_on_runtime_error(tmp_path, capsys):
     path = write_config(tmp_path, "command = symmetrize\nmesh.kind = interval")
     assert main(["symmetrize", "--config", path, "--out", str(tmp_path / "x")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["circle", "interval"])
+def test_verify_rejects_a_curve(tmp_path, capsys, kind):
+    path = write_config(tmp_path, f"command = verify\nmesh.kind = {kind}\nmesh.segments = 20")
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "v")]) == 2
+    assert capsys.readouterr().err == "error: verify command expects a closed surface mesh\n"
+    assert not (tmp_path / "v" / "verify.json").exists()
 
 
 def test_verify_fails_when_curvature_hypothesis_broken(tmp_path, capsys):

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from golden.record import GOLDEN, changed_fields, load_report, reports, run_case
+from golden.record import ABSENT, GOLDEN, changed_fields, exactly_same, load_report, reports, run_case
 
 CASES = sorted(p.stem for p in GOLDEN.glob("*.cfg"))
 
@@ -57,3 +57,25 @@ def test_report_matches_golden(case, tmp_path):
 
 def test_golden_cases_cover_three_commands():
     assert CASES == ["eigen", "sweep", "verify"]
+
+
+def test_field_walk_reports_key_changes_and_shared_fields():
+    # a block added and a shared float changed: the key difference must not
+    # hide the changed float (or a block removed from the other side)
+    old = {"blocks": ["meta", "a"], "meta": {"seed": 7}, "a": {"margin": 0.25, "pass": True}}
+    new = {
+        "blocks": ["meta", "a", "b"],
+        "meta": {"seed": 7},
+        "a": {"margin": 0.5, "pass": True},
+        "b": {"margin": 1.0},
+    }
+    assert list(changed_fields(new, old, exactly_same)) == [
+        (("blocks", "length"), 3, 2),
+        (("a", "margin"), 0.5, 0.25),
+        (("b",), {"margin": 1.0}, ABSENT),
+    ]
+    assert list(changed_fields(old, new, exactly_same)) == [
+        (("blocks", "length"), 2, 3),
+        (("a", "margin"), 0.25, 0.5),
+        (("b",), ABSENT, {"margin": 1.0}),
+    ]

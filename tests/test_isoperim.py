@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import pspec.isoperim as isoperim
 from pspec.manifold import (
     build_circle,
+    build_ellipsoid,
     build_icosphere,
     build_interval,
     spheroid_diameter,
@@ -26,7 +27,6 @@ from pspec.isoperim import (
 )
 from pspec.manifold import hemisphere_domain
 from pspec.pspectral import ScalarField, _fem, coordinate_field, dirichlet_eigen
-from pspec.rearrange import coarea_check
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +291,38 @@ def test_level_is_minus_the_t_derivative_of_superlevel(ico3, p):
             np.testing.assert_allclose(crossed.level(per_length), slope, rtol=1e-8)
 
 
+@pytest.fixture(scope="module")
+def coarea_fields(ico3):
+    rng = np.random.default_rng(5)
+    battery = random_smooth_field(ico3, rng)
+    ell = build_ellipsoid(1.2, 3)
+    circle = build_circle(50)
+    return {
+        "battery": battery,
+        "quantized": ScalarField(ico3, 0.25 * np.round(battery.values / 0.25)),
+        "ellipsoid": random_bump_field(ell, rng),
+        "circle": random_smooth_field(circle, rng),
+    }
+
+
+@pytest.mark.parametrize("case", ["battery", "quantized", "ellipsoid", "circle"])
+def test_level_integrates_to_the_gradient_norm(coarea_fields, case):
+    # between consecutive distinct vertex values a triangle's level length is
+    # linear in t and a segment's crossing count constant, so the midpoint
+    # rule on those panels integrates level() exactly, and the coarea formula
+    # int |grad u| = int H^{n-1}{u = t} dt holds to rounding on any P1 field,
+    # ties included (the quantized copy has flat cells and tied edges)
+    field = coarea_fields[case]
+    u = field.values
+    v = np.unique(u)
+    if case == "quantized":
+        assert len(v) < 0.1 * len(u)
+    lens = LevelSweep(field, 0.5 * (v[:-1] + v[1:])).level()
+    fem = _fem(field.mesh)
+    total = fem.cellw @ np.linalg.norm(fem.gradients(u), axis=1)
+    assert np.diff(v) @ lens == pytest.approx(total, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # blocked kernels against the whole-batch reference
 
@@ -472,7 +504,7 @@ def test_superlevel_with_tied_cell_values_bitwise_equals_the_reference(ico2, rng
 
 
 def test_level_batch_memory_is_bounded(ico5):
-    # the 256-level coarea grid of z: 71,370 (cell, threshold) pairs, whose
+    # a 256-level grid of z: 71,370 (cell, threshold) pairs, whose
     # whole-batch temporaries took 18.7 MiB; blocked, the pair enumeration
     # at construction and the kernel together stay below 6 MiB
     z = coordinate_field(ico5)
@@ -504,7 +536,7 @@ def test_level_only_sweeps_never_sort_the_cells(ico3, monkeypatch):
     monkeypatch.setattr(LevelSweep, "__init__", recording_init)
     monkeypatch.setattr(np, "argsort", counting_argsort)
     z = coordinate_field(ico3)
-    coarea_check(z)
+    LevelSweep(z, np.linspace(z.values.min(), z.values.max(), 258)[1:-1]).level()
     LevelSweep(z, [0.1]).level()
     LevelSweep(z, [0.1]).level(np.ones(len(ico3.cells)))
     assert len(sweeps) == 3

@@ -90,6 +90,35 @@ def test_builder_input_validation():
         build_circle(2)
 
 
+def test_builders_reject_nonpositive_sizes(ico2):
+    with pytest.raises(ValueError, match="radius must be positive"):
+        build_circle(8, radius=0.0)
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="scale factor must be positive"):
+            ico2.scaled(c)
+
+
+TRIANGLE = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+
+
+@pytest.mark.parametrize(
+    "dimension, v, cells, match",
+    [
+        (3, TRIANGLE, [[0, 1, 2]], "dimension must be 1 or 2, got 3"),
+        (0, TRIANGLE, [[0, 1, 2]], "dimension must be 1 or 2, got 0"),
+        (2, [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], r"vertices must be \(nv, 3\)"),
+        (2, [0, 0, 0], [[0, 1, 2]], r"vertices must be \(nv, 3\)"),
+        (2, TRIANGLE, [[0, 1]], r"cells must be \(nc, 3\)"),
+        (1, TRIANGLE, [0, 1], r"cells must be \(nc, 2\)"),
+        (2, TRIANGLE, [[0, 1, 3]], "cell indices out of range"),
+        (2, TRIANGLE, [[0, 1, -1]], "cell indices out of range"),
+    ],
+)
+def test_mesh_rejects_malformed_arrays(dimension, v, cells, match):
+    with pytest.raises(ValueError, match=match):
+        Mesh(dimension, v, cells)
+
+
 def test_mesh_rejects_degenerate_and_nonmanifold():
     # zero-area triangle
     v = [[0, 0, 0], [1, 0, 0], [2, 0, 0]]
@@ -322,6 +351,11 @@ def test_interval_interior_domain():
     d = interior_domain(m)
     assert d.interior.sum() == 9
     assert d.boundary_vertices.tolist() == [0, 10]
+
+
+def test_interior_domain_rejects_a_closed_mesh(ico2):
+    with pytest.raises(ValueError, match="expects a mesh with boundary"):
+        interior_domain(ico2)
 
 
 def test_domain_rejects_empty_and_disconnected(ico3):

@@ -38,7 +38,8 @@ from pspec.pspectral import (
     _eigen_solve,
     _fem,
 )
-from pspec.rearrange import coarea_check, polya_szego_check
+from pspec.isoperim import gromov_ratio
+from pspec.rearrange import polya_szego_check
 
 
 def pi_p(p):
@@ -111,6 +112,20 @@ def test_rayleigh_rejects_zero_field_and_bad_region(ico3, ico2):
         rayleigh_quotient(z, ico2, 2.0)
     with pytest.raises(ValueError):
         rayleigh_quotient(coordinate_field(build_interval(5), 0), build_interval(5), 2.0)
+
+
+
+def test_rayleigh_region_errors_name_the_region(ico3, ico2):
+    z = coordinate_field(ico3)
+    with pytest.raises(ValueError, match="domain does not belong to the field's mesh"):
+        rayleigh_quotient(z, hemisphere_domain(ico2), 2.0)
+    with pytest.raises(ValueError, match="region mesh does not match the field's mesh"):
+        rayleigh_quotient(z, ico2, 2.0)
+    seg = build_interval(5)
+    with pytest.raises(ValueError, match="whole-mesh quotient requires a closed mesh"):
+        rayleigh_quotient(coordinate_field(seg, 0), seg, 2.0)
+    with pytest.raises(TypeError, match="region must be a Mesh or a Domain"):
+        rayleigh_quotient(z, hemisphere_domain(ico3).interior, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +549,25 @@ def test_dirichlet_field_vanishes_exactly_off_the_interior(ico2, p):
         assert res.lam == rayleigh_quotient(res.field, domain, p)
 
 
+
+def test_dirichlet_trims_sign_noise_from_the_start(ico3):
+    # an interior entry at -1e-12 of the maximum is sign noise, not a second
+    # nodal domain: the p = 2 solve, which returns its start, sets it to 0
+    hemi = hemisphere_domain(ico3)
+    dirichlet_eigen(hemi, 2.0)
+    ops = hemi._fem_ops
+    u, start = ops.p2_start
+    u = u * np.sign(u[np.argmax(np.abs(u))])
+    k = int(np.argmin(u))
+    assert u[k] > 0.0
+    u[k] = -1e-12 * u.max()
+    vars(ops)["p2_start"] = (u, start)
+    res = dirichlet_eigen(hemi, 2.0)
+    assert res.field.values[hemi.interior_indices[k]] == 0.0
+    assert (res.field.values >= 0.0).all()
+    assert res.lam == rayleigh_quotient(res.field, hemi, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # closed solver
 
@@ -707,7 +741,7 @@ def test_closed_mesh_factors_once_and_domains_once_per_solve(monkeypatch):
     monkeypatch.setattr(pspectral, "splu", counting_splu)
     mesh = build_icosphere(3)
     nv = len(mesh.vertices)
-    coarea_check(coordinate_field(mesh))  # needs G only: no K assembled
+    polya_szego_check(coordinate_field(mesh), 2.0)  # needs G only: no K assembled
     assert "stiffness" not in vars(_fem(mesh))
     warm = {p: closed_eigen(mesh, p) for p in (1.5, 2.0, 3.0)}
     assert calls == [(nv, nv)]
@@ -815,8 +849,8 @@ def test_adjoint_products_are_bitwise_the_transpose_products():
 def test_level_set_checks_build_no_adjoint():
     mesh = build_icosphere(3)
     z = coordinate_field(mesh)
-    coarea_check(z)
     polya_szego_check(z, 2.0)
+    gromov_ratio(z, np.array([-0.5, 0.0, 0.5]))
     assert "grad_op_t" not in vars(_fem(mesh))
 
 

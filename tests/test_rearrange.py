@@ -11,11 +11,10 @@ from pspec.manifold import (
     hemisphere_domain,
 )
 from pspec.isoperim import LevelSweep, domain_bump_battery, gromov_ratio
-from pspec.pspectral import ScalarField, coordinate_field, dirichlet_eigen
+from pspec.pspectral import ScalarField, _fem, coordinate_field, dirichlet_eigen
 from pspec.rearrange import (
     RadialProfile,
     cap_shells,
-    coarea_check,
     lp_equimeasurability,
     polya_szego_check,
     symmetrize,
@@ -289,23 +288,25 @@ def test_polya_szego_rejects_constant(ico2):
         polya_szego_check(ScalarField(ico2, np.full(len(ico2.vertices), 0.5)), 2.0)
 
 
+def test_polya_szego_rejects_a_field_with_no_positive_part(ico2):
+    z = coordinate_field(ico2).values
+    for u in (np.minimum(z, 0.0), z - 2.0):
+        with pytest.raises(ValueError, match="no positive part"):
+            polya_szego_check(ScalarField(ico2, u), 2.0)
+
+
 # ---------------------------------------------------------------------------
 # coarea
 
 
 def test_coarea_z_analytic(ico4):
-    chk = coarea_check(coordinate_field(ico4))
-    assert abs(chk.rel_gap) <= 0.01
-    assert chk.lhs == pytest.approx(np.pi**2, rel=0.01)
-    assert chk.rhs == pytest.approx(np.pi**2, rel=0.01)
-
-
-def test_coarea_rejects_constant(ico3):
-    with pytest.raises(ValueError, match="constant"):
-        coarea_check(ScalarField(ico3, np.ones(len(ico3.vertices))))
-
-
-def test_coarea_random_error_shrinks(ico3, ico4):
-    errs = [abs(coarea_check(quadratic_field(m)).rel_gap) for m in (ico3, ico4)]
-    assert errs[0] <= 0.02
-    assert errs[1] < errs[0]
+    # total variation of the height: cell gradients and the exact integral of
+    # the level lengths (midpoint rule between distinct vertex values) both
+    # approximate int_{S^2} |grad z| = pi^2
+    z = coordinate_field(ico4)
+    fem = _fem(ico4)
+    lhs = fem.cellw @ np.linalg.norm(fem.gradients(z.values), axis=1)
+    v = np.unique(z.values)
+    rhs = np.diff(v) @ LevelSweep(z, 0.5 * (v[:-1] + v[1:])).level()
+    assert rhs == pytest.approx(lhs, rel=1e-12)
+    assert lhs == pytest.approx(np.pi**2, rel=0.01)
