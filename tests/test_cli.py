@@ -495,16 +495,6 @@ def test_sweep_monotone_block_passes_one_row_per_p(tmp_path):
         assert b["pass"] and b["margin"] == -math.inf and b["inputs"]["rows"] == 1
 
 
-def test_checks_pass_rule_is_the_table(monkeypatch):
-    # passes() decides every margin-checked block and the acceptance battery
-    monkeypatch.setitem(CHECKS, "probe_p", ("max", 0.5))
-    assert cli.passes("probe_p2", 0.5) and not cli.passes("probe_p1.5", 0.6)
-    assert not cli.passes("probe_p", math.nan)
-    assert cli.passes("gromov_battery", -0.02) and not cli.passes("gromov_battery", -0.03)
-    assert cli.passes("audit_mass_transport", -0.03)
-    assert not cli.passes("audit_mass_transport", 0.031)
-
-
 def test_sweep_draws_no_field_battery(tmp_path, monkeypatch):
     def no_battery(*args):
         raise AssertionError("sweep drew a field battery")

@@ -105,17 +105,8 @@ def test_rayleigh_of_z_near_two(ico4):
 def test_rayleigh_rejects_zero_field_and_bad_region(ico3, ico2):
     hemi = hemisphere_domain(ico3)
     f = ScalarField(ico3, np.where(ico3.vertices[:, 2] > 0, 0.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero field"):
         rayleigh_quotient(f, hemi, 2.0)  # vanishes on the interior
-    z = coordinate_field(ico3)
-    with pytest.raises(ValueError):
-        rayleigh_quotient(z, ico2, 2.0)
-    with pytest.raises(ValueError):
-        rayleigh_quotient(coordinate_field(build_interval(5), 0), build_interval(5), 2.0)
-
-
-
-def test_rayleigh_region_errors_name_the_region(ico3, ico2):
     z = coordinate_field(ico3)
     with pytest.raises(ValueError, match="domain does not belong to the field's mesh"):
         rayleigh_quotient(z, hemisphere_domain(ico2), 2.0)
@@ -125,7 +116,7 @@ def test_rayleigh_region_errors_name_the_region(ico3, ico2):
     with pytest.raises(ValueError, match="whole-mesh quotient requires a closed mesh"):
         rayleigh_quotient(coordinate_field(seg, 0), seg, 2.0)
     with pytest.raises(TypeError, match="region must be a Mesh or a Domain"):
-        rayleigh_quotient(z, hemisphere_domain(ico3).interior, 2.0)
+        rayleigh_quotient(z, hemi.interior, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +538,6 @@ def test_dirichlet_field_vanishes_exactly_off_the_interior(ico2, p):
         u = res.field.values
         assert (u[~domain.interior] == 0.0).all() and (u[domain.interior] > 0.0).any()
         assert res.lam == rayleigh_quotient(res.field, domain, p)
-
 
 
 def test_dirichlet_trims_sign_noise_from_the_start(ico3):
