@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
@@ -66,6 +66,10 @@ _STALL = 10                 # consecutive quiet iterations to declare done
 _MAX_ITERS = 50000          # total accepted descent steps per solve
 _MAX_BACKTRACKS = 40
 _ARMIJO = 1e-4              # sufficient decrease constant c1 of the line search
+# Each trial's log E - log M carries a few eps of rounding (the two sums and
+# the two logs of O(1) values), so a predicted decrease of two such errors
+# cannot be told from noise: the line search ends there.
+_FLOOR = 8.0 * float(np.finfo(float).eps)
 _P2_CLUSTER = 1e-8          # relative width of the first p = 2 eigenvalue cluster
 _P2_RESIDUAL_TOL = 1e-8     # relative residual of a converged p = 2 start
 
@@ -75,8 +79,9 @@ class EigenResult:
     """First eigenvalue solve outcome.
 
     ``lam`` equals the Rayleigh quotient of ``field`` exactly as evaluated by
-    :func:`rayleigh_quotient`; ``residual`` is the relative Rayleigh change at
-    termination and ``constraint_residual`` the closed-manifold constraint
+    :func:`rayleigh_quotient`; ``residual`` is the relative Rayleigh change of
+    the last accepted descent step (0.0 when no stage took one, as at p = 2)
+    and ``constraint_residual`` the closed-manifold constraint
     defect (None for Dirichlet problems). ``iterations`` counts descent
     steps, or at p = 2 the LU solves of the start (shared by all exponents).
     For p != 2, ``diagnostics["grad_norm"]`` is sqrt(g^T (K + M)^-1 g), g the
@@ -429,11 +434,16 @@ def _descent_stage(ops, u, p, budget, defects):
     ``ops.closed`` unknowns are re-projected onto the constraint. Accepted
     iterates have non-increasing Rayleigh quotient by construction.
 
-    A stage stops after ``_STALL`` consecutive accepted steps with
-    relative change below ``_TOL``, on line-search stall, or on budget;
-    the info's ``stop`` names the rule ("stall", "line_search", "budget")
-    and ``evals`` counts the trials. Each projection appends its count of
-    defect evaluations to ``defects``.
+    No trial is made whose predicted decrease -t g^T d is at or below
+    ``_FLOOR``, the rounding of log energy - log mass: there a conjugate d
+    gives way to -P g, and -P g (or -g when it does not descend) ends the
+    stage as converged. A stage stops after ``_STALL`` consecutive accepted
+    steps with relative change below ``_TOL``, on that floor, on
+    line-search stall (``_MAX_BACKTRACKS`` halvings), or on budget; the
+    info's ``stop`` names the rule ("stall", "floor", "line_search",
+    "budget"), ``evals`` counts the trials and ``residual`` is the relative
+    change of the last step (inf when it took none). Each projection
+    appends its count of defect evaluations to ``defects``.
 
     G d is taken once per direction: the trial (u + t d - c) / norm has the
     cell gradients (G u + t G d) / norm, as G maps constants to zero, and the
@@ -445,12 +455,33 @@ def _descent_stage(ops, u, p, budget, defects):
             w = _project(w, ops.mass, p, defects)
         return _lp_normalize(w, ops.mass, p)
 
-    def probe(t):
+    def probe(d, gd, t):
         nonlocal trials
         trials += 1
         unew, norm, m_new = feasible(u + t * d)
         trial = ops.energy_mass(unew, p, (g + t * gd) / norm, m_new)
         return np.log(trial[0]) - np.log(trial[1]), t, unew, trial
+
+    def search(d, slope, t):
+        # the trials along d that pass Armijo, backtracking from t: None once
+        # the predicted decrease -t slope reaches _FLOOR, [] after
+        # _MAX_BACKTRACKS halvings
+        gd = ops.gradients(d)
+        for _ in range(_MAX_BACKTRACKS):
+            if -t * slope <= _FLOOR:
+                return None
+            first = probe(d, gd, t)
+            passed = [first] if first[0] <= f0 + _ARMIJO * t * slope else []
+            curvature = first[0] - f0 - t * slope   # the parabola's s^2 term at s = t
+            if curvature > 0.0:
+                tq = min(max(-0.5 * slope * t * t / curvature, 0.1 * t), 4.0 * t)
+                second = probe(d, gd, tq)
+                if second[0] <= f0 + _ARMIJO * tq * slope:
+                    passed.append(second)
+            if passed:
+                return passed
+            t *= 0.5
+        return []
 
     u = feasible(u)[0]
     energy, mass, g, base, q = ops.energy_mass(u, p)
@@ -466,30 +497,24 @@ def _descent_stage(ops, u, p, budget, defects):
         beta = 0.0
         if gpg_prev is not None:            # Gilbert-Nocedal PR/FR hybrid
             beta = max(0.0, min(gpg, gpg - float(grad @ pg_prev))) / gpg_prev
-        for d in (beta * d - pg, -pg, -grad):   # first that descends
+        pg_prev, gpg_prev = pg, gpg
+        f0 = np.log(rq)
+        t = min(2.0 * t, 4.0)
+        for k, d in enumerate((beta * d - pg, -pg, -grad)):     # first that descends
             slope = float(grad @ d)
-            if slope < 0.0:
+            if not slope < 0.0:
+                continue
+            passed = search(d, slope, t)
+            if passed is not None or k > 0 or beta == 0.0:
                 break
+            # the floor is declared along -P g only: drop the conjugate term
         else:
             stop = "line_search"
             break
-        pg_prev, gpg_prev = pg, gpg
-        gd = ops.gradients(d)
-        f0 = np.log(rq)
-        t = min(2.0 * t, 4.0)
-        for _ in range(_MAX_BACKTRACKS):
-            first = probe(t)
-            passed = [first] if first[0] <= f0 + _ARMIJO * t * slope else []
-            curvature = first[0] - f0 - t * slope   # the parabola's s^2 term at s = t
-            if curvature > 0.0:
-                tq = min(max(-0.5 * slope * t * t / curvature, 0.1 * t), 4.0 * t)
-                second = probe(tq)
-                if second[0] <= f0 + _ARMIJO * tq * slope:
-                    passed.append(second)
-            if passed:
-                break
-            t *= 0.5
-        else:  # line search stalled
+        if passed is None:
+            converged, stop = True, "floor"
+            break
+        if not passed:  # line search stalled
             converged, stop = rel <= _TOL * 10.0, "line_search"
             break
         _, t, u, (energy, mass, g, base, q) = min(passed, key=lambda trial: trial[0])
@@ -519,7 +544,8 @@ def _eigen_solve(region, p):
     solve. Every step, the sign trim, the L^p normalization and
     ``grad_norm`` run on vectors over those unknowns; a Domain's result is
     scattered into a field that vanishes off the interior. ``converged`` is
-    the p = 2 start's flag for p = 2 and the last stage's flag otherwise.
+    the p = 2 start's flag for p = 2 and the last stage's flag otherwise;
+    ``residual`` is that of the last stage that took a step.
     """
     p = check_p(p)
     closed = isinstance(region, Mesh)
@@ -542,7 +568,9 @@ def _eigen_solve(region, p):
             u, info = _descent_stage(ops, u, p, budget, defects)
             budget -= info["iters"]
             converged = info.pop("converged") and budget > 0
-            residual = info.pop("residual")
+            rel = info.pop("residual")
+            if info["iters"]:               # a stage without a step keeps the last change
+                residual = rel
             diag["stages"].append(dict(p=p, **info))
             if not converged:
                 break
@@ -608,6 +636,8 @@ def closed_eigen(mesh, p):
 # ---------------------------------------------------------------------------
 # radial 1-D reference problems
 
+_BRACKET_SLACK = 1e-9       # relative, far above the shooting's rtol of 1e-11
+
 # The DOP853 tableau of Hairer, Norsett and Wanner (Solving ODEs I, Sec. II.10)
 # as doubles, from scipy/integrate/_ivp/dop853_coefficients.py: nodes C of
 # stages 1-12, rows A of stages 1-12 (row 12 holds the weights B, so stage 12
@@ -643,6 +673,12 @@ _DOP_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957
 _DOP_E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
     -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
     0.02265179219836082)
+# the stage sums run over the nonzero entries only: (node, ((stage, A entry), ...))
+# per stage and (stage, E5 entry, E3 entry); a zero term leaves a sum bitwise as it is
+_DOP_STAGES = tuple(
+    (c, tuple((j, a) for j, a in enumerate(row) if a)) for c, row in zip(_DOP_C, _DOP_A)
+)
+_DOP_ERR = tuple((j, e5, e3) for j, (e5, e3) in enumerate(zip(_DOP_E5, _DOP_E3)) if e5 or e3)
 
 
 def _dop853(rhs, r, rend, u, q, rtol, atol):
@@ -675,16 +711,18 @@ def _dop853(rhs, r, rend, u, q, rtol, atol):
             r_new = min(r + h_abs, rend)
             h = r_new - r
             k = [(fu, fq)]                  # stage derivatives
-            for c, row in zip(_DOP_C, _DOP_A):
+            for c, row in _DOP_STAGES:
                 du = dq = 0.0
-                for a, (ku, kq) in zip(row, k):
+                for j, a in row:
+                    ku, kq = k[j]
                     du, dq = du + a * ku, dq + a * kq
                 us, qs = u + du * h, q + dq * h
                 k.append(rhs(r + c * h, us, qs))
             scale_u = atol + max(abs(u), abs(us)) * rtol
             scale_q = atol + max(abs(q), abs(qs)) * rtol
             e5u = e5q = e3u = e3q = 0.0
-            for e5, e3, (ku, kq) in zip(_DOP_E5, _DOP_E3, k):
+            for j, e5, e3 in _DOP_ERR:
+                ku, kq = k[j]
                 e5u, e5q = e5u + e5 * ku, e5q + e5 * kq
                 e3u, e3q = e3u + e3 * ku, e3q + e3 * kq
             n5 = (e5u / scale_u) ** 2 + (e5q / scale_q) ** 2
@@ -704,10 +742,10 @@ def solve_radial_1d(p, n, problem="hemisphere"):
 
     problem = "hemisphere": weight sin^{n-1}(r) on (0, pi/2), Neumann at 0,
     Dirichlet at pi/2. This equals the first nonzero closed eigenvalue of
-    the round unit n-sphere (n for p = 2). The eigenvalue is bracketed by a
-    geometric scan (ratio 1.3) of the endpoint value of the shooting
-    solution, from the closed-form n = 1 value over 1.3, and polished by
-    Brent's method.
+    the round unit n-sphere (n for p = 2). The endpoint value of the
+    shooting solution changes sign on a closed-form bracket, the n = 1
+    value over 1.3 below (the eigenvalue grows with n) and the Rayleigh
+    quotient of cos r times 1 + 1e-9 above, and Brent's method polishes it.
 
     problem = "interval": unit weight on (0, 1) with Dirichlet ends, in
     closed form (p - 1) pi_p^p, pi_p = 2 pi / (p sin(pi / p)); pi^2 for p = 2.
@@ -723,6 +761,7 @@ def solve_radial_1d(p, n, problem="hemisphere"):
     pim1 = 1.0 / (p - 1.0)
     r0, rend = 1e-6, 0.5 * np.pi
 
+    @cache                                  # Brent's first two calls repeat the guards'
     def endpoint(lam):
         def rhs(r, u, q):
             w = math.sin(r) ** (n - 1)
@@ -732,17 +771,22 @@ def solve_radial_1d(p, n, problem="hemisphere"):
 
         return _dop853(rhs, r0, rend, 1.0, -lam * r0**n / n, rtol=1e-11, atol=1e-13)[0]
 
-    # below the first eigenvalue, which grows with n: the n = 1 value (p - 1) (pi_p / pi)^p
-    lam = (p - 1.0) * (2.0 / (p * math.sin(math.pi / p))) ** p / 1.3
-    g_lo = endpoint(lam)
-    if g_lo <= 0.0:
-        raise RuntimeError("shooting bracket scan started above the eigenvalue")
-    while True:
-        lam_hi = lam * 1.3
-        g_hi = endpoint(lam_hi)
-        if g_hi < 0.0:
-            break
-        lam, g_lo = lam_hi, g_hi
-        if lam > 1e7:
-            raise RuntimeError("shooting bracket scan failed below 1e7")
-    return _brentq(endpoint, lam, lam_hi, 1e-12, 1e-13)[0]
+    # below the first eigenvalue, which grows with n: the n = 1 value (p - 1) (pi_p / pi)^p;
+    # above it: the Rayleigh quotient of the admissible cos r
+    lam_lo = (p - 1.0) * (2.0 / (p * math.sin(math.pi / p))) ** p / 1.3
+    lam_hi = _cos_quotient(p, n) * (1.0 + _BRACKET_SLACK)
+    if endpoint(lam_lo) <= 0.0:
+        raise RuntimeError("shooting bracket started above the eigenvalue")
+    if endpoint(lam_hi) >= 0.0:
+        raise RuntimeError("shooting bracket ended below the eigenvalue")
+    return _brentq(endpoint, lam_lo, lam_hi, 1e-12, 1e-13)[0]
+
+
+def _cos_quotient(p, n):
+    """The radial p-Rayleigh quotient of cos r on (0, pi/2) with weight
+    sin^{n-1} r: B((p + n)/2, 1/2) / B(n/2, (p + 1)/2), n at p = 2."""
+
+    def log_beta(a, b):
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+    return math.exp(log_beta(0.5 * (p + n), 0.5) - log_beta(0.5 * n, 0.5 * (p + 1.0)))

@@ -301,6 +301,19 @@ def test_eigen_command_reports_grad_norm_for_p_other_than_2(tmp_path):
     assert 0.0 < blocks["eigen_p3"]["inputs"]["grad_norm"] < 1e-6
 
 
+def test_eigen_report_margins_are_finite_at_a_floor_stop(tmp_path):
+    # the second stage of this solve stops on the floor before its first step
+    text = "command = eigen\nmesh.kind = ellipsoid\nmesh.level = 4\nmesh.aspect = 1.2\np = 3\n"
+    assert run(parse_config(f"{text}out = {tmp_path / 'e'}")) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-finite {constant} in eigen.json")
+
+    blocks = json.loads((tmp_path / "e" / "eigen.json").read_text(), parse_constant=reject)
+    eig = next(b for b in blocks if b["name"] == "eigen_p3")
+    assert eig["pass"] and math.isfinite(eig["margin"])
+
+
 def test_eigen_command_reports_projection_evals_of_closed_descents(tmp_path):
     text = "command = eigen\nmesh.segments = 60\np = 2, 3\n"
     assert run(parse_config(f"{text}mesh.kind = circle\nout = {tmp_path / 'c'}")) == 0

@@ -202,12 +202,13 @@ def test_pinching_sweep_iteration_budget(level4_sweep):
     # the near-round aspect 1.005 once needed 3,468 iterations at p = 1.5, and
     # steepest descent still needed 928 on the round mesh at p = 3; the six
     # p != 2 rows took 615 descent steps with the halving-only line search
-    # and 371 with continuation in p, against 342 from the p = 2 start
+    # and 371 with continuation in p, against 342 from the p = 2 start; 325 since
+    # the line search ends at the rounding floor of log R
     assert len(level4_sweep) == 9
     for r in level4_sweep:
         assert not r.failed and r.converged, (r.aspect, r.p)
         assert r.iterations <= 200, (r.aspect, r.p, r.iterations)
-    assert sum(r.iterations for r in level4_sweep if r.p != 2.0) <= 360
+    assert sum(r.iterations for r in level4_sweep if r.p != 2.0) <= 330
 
 
 def test_converged_sweep_rows_match_tight_solves(level4_sweep, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from pspec import pspectral
@@ -32,8 +32,10 @@ from pspec.pspectral import (
     project_constraint,
     rayleigh_quotient,
     solve_radial_1d,
+    _BRACKET_SLACK,
     _RTOL,
     _brentq,
+    _cos_quotient,
     _dop853,
     _eigen_solve,
     _fem,
@@ -796,12 +798,58 @@ def test_p_descends_at_the_target_from_the_p2_start(ico2, monkeypatch):
         assert np.array_equal(calls[0][1], ops.p2_start[0])
         stages = res.diagnostics["stages"]
         assert [s["p"] for s in stages] == [p, p]
-        assert stages[-1]["stop"] == "stall"
+        assert stages[-1]["stop"] in ("stall", "floor")
         for s in stages:
             assert s["evals"] >= s["iters"]     # at least one trial per accepted step
     monkeypatch.setattr(pspectral, "_MAX_ITERS", 1)
     cut = closed_eigen(ico2, 3.0)
     assert not cut.converged and cut.diagnostics["stages"][-1]["stop"] == "budget"
+
+
+@pytest.mark.parametrize(
+    "closed, p", [(True, 8.0), (False, 3.0), (False, 8.0)], ids=["closed-p8", "hemi-p3", "hemi-p8"]
+)
+def test_floor_stops_are_converged_near_a_critical_point(ico3, closed, p):
+    # measured grad_norm 5.0e-8, 1.5e-8 and 3.1e-8
+    region = ico3 if closed else hemisphere_domain(ico3)
+    res = (closed_eigen if closed else dirichlet_eigen)(region, p)
+    assert res.diagnostics["stages"][-1]["stop"] == "floor"
+    assert res.converged and math.isfinite(res.residual)
+    assert res.diagnostics["grad_norm"] <= 1e-7
+
+
+def test_floor_is_declared_along_the_preconditioned_gradient(ico3, monkeypatch):
+    # the last direction a floor stop searched is -(K + M)^-1 g, not a conjugate one
+    hemi = hemisphere_domain(ico3)
+    dirichlet_eigen(hemi, 2.0)
+    ops, searched = hemi._fem_ops, []
+    gradients = pspectral._Operators.gradients
+    monkeypatch.setattr(
+        pspectral._Operators, "gradients", lambda self, x: searched.append(x) or gradients(self, x)
+    )
+    u, info = pspectral._descent_stage(ops, ops.p2_start[0], 3.0, 1000, [])
+    assert info["stop"] == "floor" and info["converged"]
+    d = searched[-1]
+    pg = ops.lu.solve(ops.grad_log_quotient(u, 3.0, *ops.energy_mass(u, 3.0)))
+    assert -(d @ pg) >= (1.0 - 1e-6) * np.linalg.norm(d) * np.linalg.norm(pg)
+
+
+def test_stage_without_a_step_keeps_the_last_residual(ico2, monkeypatch):
+    # a restarted stage that stops before its first step has no Rayleigh change of its own
+    stage = pspectral._descent_stage
+    rels = []
+
+    def second_takes_no_step(ops, u, p, budget, defects):
+        u, info = stage(ops, u, p, budget if not rels else 0, defects)
+        rels.append(info["residual"])
+        return u, info
+
+    monkeypatch.setattr(pspectral, "_descent_stage", second_takes_no_step)
+    res = closed_eigen(ico2, 3.0)
+    assert [s["iters"] for s in res.diagnostics["stages"]][1] == 0 and rels[1] == np.inf
+    assert res.residual == rels[0] and math.isfinite(res.residual)
+    monkeypatch.setattr(pspectral, "_MAX_ITERS", 0)     # no stage steps at all
+    assert closed_eigen(ico2, 3.0).residual == 0.0
 
 
 @pytest.mark.parametrize(
@@ -939,10 +987,9 @@ def scipy_radial(p, n):
         assert sol.success
         return float(sol.y[0, -1])
 
-    lam = (p - 1.0) * (pi_p(p) / np.pi) ** p / 1.3     # solve_radial_1d's bracket start
-    while endpoint(lam * 1.3) >= 0.0:
-        lam *= 1.3
-    return brentq(endpoint, lam, lam * 1.3, xtol=1e-12, rtol=1e-13)
+    lo = (p - 1.0) * (pi_p(p) / np.pi) ** p / 1.3      # solve_radial_1d's bracket
+    hi = _cos_quotient(p, n) * (1.0 + _BRACKET_SLACK)
+    return brentq(endpoint, lo, hi, xtol=1e-12, rtol=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -955,7 +1002,8 @@ def test_radial_solver_matches_the_scipy_integrator(p, n, problem):
 
 
 def test_radial_bracket_starts_at_the_closed_form_n1_value(monkeypatch):
-    # from lambda = 0.05 the scan took 23, 23 and 24 shootings at p = 1.5, 2, 3
+    # from lambda = 0.05 the scan took 23, 23 and 24 shootings at p = 1.5, 2, 3, and
+    # the x1.3 scan from the n = 1 value 13, 13 and 14; the closed-form bracket 7, 5 and 8
     shootings = []
     monkeypatch.setattr(
         pspectral, "_dop853", lambda *a, **k: shootings.append(1) or _dop853(*a, **k)
@@ -963,10 +1011,33 @@ def test_radial_bracket_starts_at_the_closed_form_n1_value(monkeypatch):
     for p in (1.5, 2.0, 3.0):
         shootings.clear()
         solve_radial_1d(p, 2)
-        assert len(shootings) <= 14, (p, len(shootings))
+        assert len(shootings) <= 8, (p, len(shootings))
     for n in (1, 8):
         for p in (1.1, 10.0):
-            assert solve_radial_1d(p, n) > (p - 1.0) * (pi_p(p) / np.pi) ** p / 1.3
+            lam = solve_radial_1d(p, n)
+            assert (p - 1.0) * (pi_p(p) / np.pi) ** p / 1.3 < lam
+            assert lam < _cos_quotient(p, n) * (1.0 + _BRACKET_SLACK)
+    for n in range(1, 9):   # cos r is the p = 2 eigenfunction: measured at most 1.3e-15
+        assert abs(_cos_quotient(2.0, n) - n) <= 4e-15 * n
+
+
+def test_radial_bracket_guards_both_ends(monkeypatch):
+    monkeypatch.setattr(pspectral, "_BRACKET_SLACK", -0.5)
+    with pytest.raises(RuntimeError, match="ended below the eigenvalue"):
+        solve_radial_1d(3.0, 2)
+    monkeypatch.setattr(pspectral, "_dop853", lambda *a, **k: (-1.0, 0.0))
+    with pytest.raises(RuntimeError, match="started above the eigenvalue"):
+        solve_radial_1d(3.0, 2)
+
+
+@pytest.mark.parametrize("p, n", [(1.1, 1), (1.5, 2), (3.0, 3), (10.0, 8)])
+def test_cos_quotient_matches_quadrature(p, n):
+    def integral(f):
+        return quad(lambda r: f(r) * math.sin(r) ** (n - 1), 0.0, 0.5 * np.pi,
+                    epsabs=0.0, epsrel=1e-13)[0]
+
+    ratio = integral(lambda r: math.sin(r) ** p) / integral(lambda r: math.cos(r) ** p)
+    assert _cos_quotient(p, n) == pytest.approx(ratio, rel=1e-12)
 
 
 def test_dop853_fails_on_a_nan_right_hand_side():
