@@ -846,7 +846,7 @@ def test_stage_without_a_step_keeps_the_last_residual(ico2, monkeypatch):
 
     monkeypatch.setattr(pspectral, "_descent_stage", second_takes_no_step)
     res = closed_eigen(ico2, 3.0)
-    assert [s["iters"] for s in res.diagnostics["stages"]][1] == 0 and rels[1] == np.inf
+    assert res.diagnostics["stages"][1]["iters"] == 0 and rels[1] == np.inf
     assert res.residual == rels[0] and math.isfinite(res.residual)
     monkeypatch.setattr(pspectral, "_MAX_ITERS", 0)     # no stage steps at all
     assert closed_eigen(ico2, 3.0).residual == 0.0
