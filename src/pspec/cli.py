@@ -28,6 +28,7 @@ from .isoperim import (
 from .manifold import (
     MAX_ASPECT,
     MAX_LEVEL,
+    MAX_SEGMENTS,
     beta as measure_ratio,
     build_circle,
     build_ellipsoid,
@@ -188,6 +189,11 @@ def parse_config(text, command=None):
         if command is None:
             raise ConfigError("missing required key 'command'")
         cfg.command = command
+    # a curve builder's bounds, which depend on mesh.kind, before any output
+    least = {"interval": 1, "circle": 3}.get(cfg.mesh_kind)
+    if least and not least <= cfg.mesh_segments <= MAX_SEGMENTS:
+        raise ConfigError(f"line {seen['mesh.segments']}: mesh.segments: {cfg.mesh_kind} segments "
+                          f"must be in [{least}, {MAX_SEGMENTS}], got {cfg.mesh_segments}")
     # only verify draws a battery, and an empty one would fail after the
     # mesh is built and checks have run
     if cfg.command == "verify":

@@ -22,6 +22,7 @@ SPHERE_MEASURE = {1: 2.0 * np.pi, 2: 4.0 * np.pi}
 
 MAX_LEVEL = 8
 MAX_ASPECT = 2.0
+MAX_SEGMENTS = 10 * 4**MAX_LEVEL     # no more curve vertices than the finest icosphere's
 
 # AGM steps of spheroid_diameter; the AGM converges quadratically
 _AGM_STEPS = 8
@@ -394,8 +395,8 @@ def build_ellipsoid(aspect, level, normalize=True):
 
 def build_interval(segments, a=0.0, b=1.0):
     """Uniform 1-D mesh of the interval [a, b] along the x axis."""
-    if segments < 1:
-        raise ValueError("need at least one segment")
+    if not 1 <= segments <= MAX_SEGMENTS:
+        raise ValueError(f"interval segments must be in [1, {MAX_SEGMENTS}]")
     if not b > a:
         raise ValueError("empty interval")
     x = np.linspace(a, b, segments + 1)
@@ -406,8 +407,8 @@ def build_interval(segments, a=0.0, b=1.0):
 
 def build_circle(segments, radius=1.0):
     """Closed regular polygon inscribed in the circle of the given radius."""
-    if segments < 3:
-        raise ValueError("need at least three segments")
+    if not 3 <= segments <= MAX_SEGMENTS:
+        raise ValueError(f"circle segments must be in [3, {MAX_SEGMENTS}]")
     if radius <= 0:
         raise ValueError("radius must be positive")
     t = 2.0 * np.pi * np.arange(segments) / segments

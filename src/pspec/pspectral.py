@@ -80,8 +80,8 @@ class EigenResult:
 
     ``lam`` equals the Rayleigh quotient of ``field`` exactly as evaluated by
     :func:`rayleigh_quotient`; ``residual`` is the relative Rayleigh change of
-    the last accepted descent step (0.0 when no stage took one, as at p = 2)
-    and ``constraint_residual`` the closed-manifold constraint
+    the last accepted descent step (0.0 when the descent took none, as at
+    p = 2) and ``constraint_residual`` the closed-manifold constraint
     defect (None for Dirichlet problems). ``iterations`` counts descent
     steps, or at p = 2 the LU solves of the start (shared by all exponents).
     For p != 2, ``diagnostics["grad_norm"]`` is sqrt(g^T (K + M)^-1 g), g the
@@ -417,37 +417,40 @@ def _lp_normalize(u, mass, p):
     return u / norm, norm, total / norm**p
 
 
-def _descent_stage(ops, u, p, budget, defects):
-    """Minimize log energy - log mass at fixed p by nonlinear CG.
+def _descend(ops, u, p, defects):
+    """Minimize log energy - log mass at fixed p by restarted nonlinear CG.
 
     ``u`` holds the values of the unknowns of ``ops``: every vertex of a
     closed mesh, or the free vertices of a Domain, whose ``ops`` carry only
     the domain's cells. d = -P g + beta d_prev, P = ``ops.lu`` = (K + M)^-1,
     with Gilbert and Nocedal's beta = max(0, min(beta_PR, beta_FR)) in the P
-    inner product; -P g, then -g, replace a d that does not descend.
+    inner product, is searched when beta > 0 and d descends; else -P g is,
+    unchecked: P is SPD, so it descends wherever g != 0.
 
     The line search first tries t = min(2 t_prev, 4). When the parabola
     through f(0), the slope f'(0) and f(t) curves upward, its minimizer,
     clipped to [0.1 t, 4 t], is tried too; the lower of the trials that
     pass Armijo (c1 = 1e-4) is taken, and t is halved until one does. That
     step nears the line minimum that the PR/FR beta assumes. Iterates of
-    ``ops.closed`` unknowns are re-projected onto the constraint. Accepted
-    iterates have non-increasing Rayleigh quotient by construction.
+    ``ops.closed`` unknowns are re-projected onto the constraint.
 
     No trial is made whose predicted decrease -t g^T d is at or below
     ``_FLOOR``, the rounding of log energy - log mass: there a conjugate d
-    gives way to -P g, and -P g (or -g when it does not descend) ends the
-    stage as converged. A stage stops after ``_STALL`` consecutive accepted
-    steps with relative change below ``_TOL``, on that floor, on
-    line-search stall (``_MAX_BACKTRACKS`` halvings), or on budget; the
-    info's ``stop`` names the rule ("stall", "floor", "line_search",
-    "budget"), ``evals`` counts the trials and ``residual`` is the relative
-    change of the last step (inf when it took none). Each projection
-    appends its count of defect evaluations to ``defects``.
+    gives way to -P g, and -P g stops on the ``"floor"``. The other
+    converged stop, ``"stall"``, is ``_STALL`` consecutive steps with
+    relative change below ``_TOL``. The first converged stop restarts the
+    CG in place (u re-projected, G u afresh, beta = 0, t = 1); the second
+    ends the descent, as do a line-search stall (``_MAX_BACKTRACKS``
+    halvings, ``"line_search"``, converged if the last change is at most
+    10 ``_TOL``) and ``_MAX_ITERS`` steps in all (``"budget"``). The info
+    holds ``iters``, the trials ``evals``, ``stop``, ``converged``, the
+    final ``rayleigh``, ``first_stop``, ``first_iters`` and ``residual``,
+    the last step's relative change (0.0 without steps). Projections append
+    their defect evaluation counts to ``defects``.
 
     G d is taken once per direction: the trial (u + t d - c) / norm has the
     cell gradients (G u + t G d) / norm, as G maps constants to zero, and the
-    normalization's own p-mass. Each stage takes G u afresh at its start.
+    normalization's own p-mass.
     """
 
     def feasible(w):
@@ -485,52 +488,51 @@ def _descent_stage(ops, u, p, budget, defects):
 
     u = feasible(u)[0]
     energy, mass, g, base, q = ops.energy_mass(u, p)
-    rq = energy / mass
-    grad = ops.grad_log_quotient(u, p, energy, mass, g, base, q)
-    t, streak, iters, trials, rel, converged = 1.0, 0, 0, 0, np.inf, False
-    stop = "budget"
-    d = np.zeros_like(u)
-    gpg_prev = None                         # no previous direction: beta = 0
-    while iters < budget:
+    t, streak, gpg_prev = 1.0, 0, None     # no previous direction: beta = 0
+    iters, trials, rel, stop, first_stop, first_iters = 0, 0, np.inf, "budget", None, None
+    while iters < _MAX_ITERS:
+        rq = energy / mass
+        grad = ops.grad_log_quotient(u, p, energy, mass, g, base, q)
         pg = ops.lu.solve(grad)
         gpg = float(grad @ pg)
-        beta = 0.0
-        if gpg_prev is not None:            # Gilbert-Nocedal PR/FR hybrid
-            beta = max(0.0, min(gpg, gpg - float(grad @ pg_prev))) / gpg_prev
-        pg_prev, gpg_prev = pg, gpg
         f0 = np.log(rq)
         t = min(2.0 * t, 4.0)
-        for k, d in enumerate((beta * d - pg, -pg, -grad)):     # first that descends
-            slope = float(grad @ d)
-            if not slope < 0.0:
-                continue
-            passed = search(d, slope, t)
-            if passed is not None or k > 0 or beta == 0.0:
-                break
-            # the floor is declared along -P g only: drop the conjugate term
-        else:
+        passed = None
+        if gpg_prev is not None:            # Gilbert-Nocedal PR/FR hybrid
+            beta = max(0.0, min(gpg, gpg - float(grad @ pg_prev))) / gpg_prev
+            if beta > 0.0:
+                d = beta * d - pg
+                slope = float(grad @ d)
+                if slope < 0.0:
+                    passed = search(d, slope, t)
+        pg_prev, gpg_prev = pg, gpg
+        if passed is None:                  # the floor is declared along -P g only
+            d = -pg
+            passed = search(d, -gpg, t)
+        if passed == []:                    # line search stalled
             stop = "line_search"
             break
-        if passed is None:
-            converged, stop = True, "floor"
+        if passed:
+            _, t, u, (energy, mass, g, base, q) = min(passed, key=lambda trial: trial[0])
+            rq_new = energy / mass
+            if rq_new > rq * (1.0 + 1e-12):
+                raise AssertionError("descent accepted an increasing Rayleigh step")
+            rel = abs(rq - rq_new) / rq_new
+            iters += 1
+            streak = streak + 1 if rel < _TOL else 0
+            if streak < _STALL:
+                continue
+        stop = "stall" if passed else "floor"
+        if first_stop:                      # the second converged stop ends the descent
             break
-        if not passed:  # line search stalled
-            converged, stop = rel <= _TOL * 10.0, "line_search"
-            break
-        _, t, u, (energy, mass, g, base, q) = min(passed, key=lambda trial: trial[0])
-        rq_new = energy / mass
-        if rq_new > rq * (1.0 + 1e-12):
-            raise AssertionError("descent accepted an increasing Rayleigh step")
-        rel = abs(rq - rq_new) / rq_new
-        rq = rq_new
-        iters += 1
-        streak = streak + 1 if rel < _TOL else 0
-        if streak >= _STALL:
-            converged, stop = True, "stall"
-            break
-        grad = ops.grad_log_quotient(u, p, energy, mass, g, base, q)
+        first_stop, first_iters, stop = stop, iters, "budget"   # the first restarts in place
+        u = feasible(u)[0]
+        energy, mass, g, base, q = ops.energy_mass(u, p)
+        t, streak, gpg_prev = 1.0, 0, None
+    converged = stop in ("stall", "floor") or stop == "line_search" and rel <= _TOL * 10.0
     return u, {"iters": iters, "evals": trials, "stop": stop, "converged": converged,
-               "residual": rel, "rayleigh": rq}
+               "residual": rel if iters else 0.0, "rayleigh": energy / mass,
+               "first_stop": first_stop, "first_iters": first_iters}
 
 
 def _eigen_solve(region, p):
@@ -544,8 +546,8 @@ def _eigen_solve(region, p):
     solve. Every step, the sign trim, the L^p normalization and
     ``grad_norm`` run on vectors over those unknowns; a Domain's result is
     scattered into a field that vanishes off the interior. ``converged`` is
-    the p = 2 start's flag for p = 2 and the last stage's flag otherwise;
-    ``residual`` is that of the last stage that took a step.
+    the p = 2 start's flag for p = 2 and otherwise the descent's, whose info
+    besides ``iters`` and ``residual`` joins the diagnostics.
     """
     p = check_p(p)
     closed = isinstance(region, Mesh)
@@ -558,23 +560,13 @@ def _eigen_solve(region, p):
         ops = region._fem_ops = _fem(mesh).restricted(region.cells, region.interior_indices)
     descend = abs(p - 2.0) > 1e-12
     u, start = ops.p2_start
-    diag = dict(start, stages=[])
-    converged, iterations = start["p2_converged"], start["p2_iterations"]
-    residual = 0.0
+    diag = dict(start)
+    converged, iterations, residual = start["p2_converged"], start["p2_iterations"], 0.0
     defects = []                            # defect evaluations per projection
     if descend:
-        budget = _MAX_ITERS
-        for _ in range(2):                  # the second stage restarts the CG directions
-            u, info = _descent_stage(ops, u, p, budget, defects)
-            budget -= info["iters"]
-            converged = info.pop("converged") and budget > 0
-            rel = info.pop("residual")
-            if info["iters"]:               # a stage without a step keeps the last change
-                residual = rel
-            diag["stages"].append(dict(p=p, **info))
-            if not converged:
-                break
-        iterations = _MAX_ITERS - budget
+        u, info = _descend(ops, u, p, defects)
+        iterations, converged, residual = (info.pop(k) for k in ("iters", "converged", "residual"))
+        diag.update(info)
     if closed:
         u = _project(u, ops.mass, p, defects)
         if descend:

@@ -15,7 +15,7 @@ import pytest
 import pspec
 from pspec import cli, harness, isoperim, pspectral, rearrange
 from pspec.cli import CHECKS, ConfigError, RunConfig, main, parse_config, run
-from pspec.manifold import MAX_ASPECT, MAX_LEVEL, read_off
+from pspec.manifold import MAX_ASPECT, MAX_LEVEL, MAX_SEGMENTS, read_off
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -176,6 +176,42 @@ def test_main_exit_2_on_out_of_range_level_or_aspect_before_any_solve(
     bounds = parse_config(f"command = sweep\nmesh.level = 0\nsweep.level = {MAX_LEVEL}\n"
                           f"mesh.aspect = {MAX_ASPECT}")
     assert (bounds.mesh_level, bounds.sweep_level, bounds.mesh_aspect) == (0, MAX_LEVEL, MAX_ASPECT)
+
+
+@pytest.mark.parametrize(
+    "kind, value, least",
+    [("circle", "2", 3), ("interval", "-5", 1), ("interval", "0", 1),
+     ("circle", str(MAX_SEGMENTS + 1), 3), ("interval", str(MAX_SEGMENTS + 1), 1)],
+)
+def test_main_exit_2_on_out_of_range_segments_before_any_mesh(
+    tmp_path, capsys, monkeypatch, kind, value, least
+):
+    # circle segments = 2 once failed in the builder, after the output
+    # directory was made; an over-bound value must not reach a builder at all
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    for name in ("_build_mesh", "build_interval", "build_circle"):
+        monkeypatch.setattr(cli, name, no_mesh)
+    text = f"mesh.kind = {kind}\nmesh.segments = {value}\ncommand = eigen"
+    bound = f"line 2: mesh.segments: {kind} segments must be in [{least}, {MAX_SEGMENTS}], got {value}"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == bound
+    path = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["eigen", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bound}\n"
+    assert not out.exists()
+
+
+def test_segments_bounds_depend_on_the_curve_kind():
+    for kind, least in (("interval", 1), ("circle", 3)):
+        for value in (least, MAX_SEGMENTS):
+            cfg = parse_config(f"command = mesh\nmesh.kind = {kind}\nmesh.segments = {value}")
+            assert cfg.mesh_segments == value
+    # surfaces never read mesh.segments
+    assert parse_config("command = mesh\nmesh.kind = icosphere\nmesh.segments = 0").mesh_segments == 0
 
 
 @pytest.mark.parametrize(

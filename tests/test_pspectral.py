@@ -780,30 +780,30 @@ def test_grad_norm_measures_the_distance_to_a_critical_point(ico3, monkeypatch):
 
 def test_p_descends_at_the_target_from_the_p2_start(ico2, monkeypatch):
     calls = []
-    stage = pspectral._descent_stage
+    descend = pspectral._descend
 
     def recorded(ops, u, p, *args):
         calls.append((ops, u.copy(), p))
-        return stage(ops, u, p, *args)
+        return descend(ops, u, p, *args)
 
-    monkeypatch.setattr(pspectral, "_descent_stage", recorded)
+    monkeypatch.setattr(pspectral, "_descend", recorded)
     for region, p, solve in (
         (ico2, 3.0, closed_eigen),
         (hemisphere_domain(ico2), 1.5, dirichlet_eigen),
     ):
         calls.clear()
         res = solve(region, p)
-        assert [c[2] for c in calls] == [p, p]
+        assert [c[2] for c in calls] == [p]     # one descent call per solve
         ops = calls[0][0]
         assert np.array_equal(calls[0][1], ops.p2_start[0])
-        stages = res.diagnostics["stages"]
-        assert [s["p"] for s in stages] == [p, p]
-        assert stages[-1]["stop"] in ("stall", "floor")
-        for s in stages:
-            assert s["evals"] >= s["iters"]     # at least one trial per accepted step
+        diag = res.diagnostics
+        assert diag["stop"] in ("stall", "floor") and diag["first_stop"] in ("stall", "floor")
+        assert 0 < diag["first_iters"] <= res.iterations
+        assert diag["evals"] >= res.iterations  # at least one trial per accepted step
     monkeypatch.setattr(pspectral, "_MAX_ITERS", 1)
     cut = closed_eigen(ico2, 3.0)
-    assert not cut.converged and cut.diagnostics["stages"][-1]["stop"] == "budget"
+    assert not cut.converged and cut.diagnostics["stop"] == "budget"
+    assert cut.iterations == 1 and cut.diagnostics["first_stop"] is None
 
 
 @pytest.mark.parametrize(
@@ -813,7 +813,7 @@ def test_floor_stops_are_converged_near_a_critical_point(ico3, closed, p):
     # measured grad_norm 5.0e-8, 1.5e-8 and 3.1e-8
     region = ico3 if closed else hemisphere_domain(ico3)
     res = (closed_eigen if closed else dirichlet_eigen)(region, p)
-    assert res.diagnostics["stages"][-1]["stop"] == "floor"
+    assert res.diagnostics["stop"] == "floor"
     assert res.converged and math.isfinite(res.residual)
     assert res.diagnostics["grad_norm"] <= 1e-7
 
@@ -827,29 +827,65 @@ def test_floor_is_declared_along_the_preconditioned_gradient(ico3, monkeypatch):
     monkeypatch.setattr(
         pspectral._Operators, "gradients", lambda self, x: searched.append(x) or gradients(self, x)
     )
-    u, info = pspectral._descent_stage(ops, ops.p2_start[0], 3.0, 1000, [])
+    u, info = pspectral._descend(ops, ops.p2_start[0], 3.0, [])
     assert info["stop"] == "floor" and info["converged"]
     d = searched[-1]
     pg = ops.lu.solve(ops.grad_log_quotient(u, 3.0, *ops.energy_mass(u, 3.0)))
     assert -(d @ pg) >= (1.0 - 1e-6) * np.linalg.norm(d) * np.linalg.norm(pg)
 
 
-def test_stage_without_a_step_keeps_the_last_residual(ico2, monkeypatch):
-    # a restarted stage that stops before its first step has no Rayleigh change of its own
-    stage = pspectral._descent_stage
-    rels = []
+def test_restart_without_a_step_keeps_the_last_residual(monkeypatch):
+    # the level-4 aspect-1.2 p = 3 row restarts on the floor and the restarted
+    # pass takes no step; the residual is the first pass's last change
+    # (2.313013370109962e-15), not the 0.0 of a descent without steps
+    mesh = build_ellipsoid(1.2, 4)
+    res = closed_eigen(mesh, 3.0)
+    diag = res.diagnostics
+    assert (diag["first_stop"], diag["stop"]) == ("floor", "floor")
+    assert diag["first_iters"] == res.iterations > 0 and res.converged
+    assert 0.0 < res.residual < 1e-12
+    monkeypatch.setattr(pspectral, "_MAX_ITERS", res.iterations)   # cut before the floor stop
+    cut = closed_eigen(mesh, 3.0)
+    assert cut.diagnostics["stop"] == "budget" and not cut.converged
+    assert cut.residual == res.residual
+    monkeypatch.setattr(pspectral, "_MAX_ITERS", 0)     # no step at all
+    none = closed_eigen(mesh, 3.0)
+    assert none.residual == 0.0 and not none.converged
 
-    def second_takes_no_step(ops, u, p, budget, defects):
-        u, info = stage(ops, u, p, budget if not rels else 0, defects)
-        rels.append(info["residual"])
-        return u, info
 
-    monkeypatch.setattr(pspectral, "_descent_stage", second_takes_no_step)
+def test_line_search_stall_before_any_step_is_unconverged(ico2, monkeypatch):
+    monkeypatch.setattr(pspectral, "_MAX_BACKTRACKS", 0)    # every search stalls at once
     res = closed_eigen(ico2, 3.0)
-    assert res.diagnostics["stages"][1]["iters"] == 0 and rels[1] == np.inf
-    assert res.residual == rels[0] and math.isfinite(res.residual)
-    monkeypatch.setattr(pspectral, "_MAX_ITERS", 0)     # no stage steps at all
-    assert closed_eigen(ico2, 3.0).residual == 0.0
+    assert res.diagnostics["stop"] == "line_search" and res.diagnostics["evals"] == 0
+    assert res.iterations == 0 and not res.converged and res.residual == 0.0
+
+
+def test_line_search_stall_is_converged_exactly_on_a_small_last_change(ico2, monkeypatch):
+    # Armijo at c1 = 0.5 with a single trial length stalls the p = 3 descent
+    # after a few steps; _TOL moves only the verdict, not the path
+    ops = _fem(ico2)
+    u0 = ops.p2_start[0]
+    monkeypatch.setattr(pspectral, "_ARMIJO", 0.5)
+    monkeypatch.setattr(pspectral, "_MAX_BACKTRACKS", 1)
+    info = pspectral._descend(ops, u0, 3.0, [])[1]
+    rel = info["residual"]
+    assert info["stop"] == "line_search" and 0 < info["iters"] < pspectral._STALL
+    assert rel > 10 * pspectral._TOL and not info["converged"]
+    for tol, converged in ((rel / 5.0, True), (rel / 20.0, False)):
+        monkeypatch.setattr(pspectral, "_TOL", tol)
+        again = pspectral._descend(ops, u0, 3.0, [])[1]
+        assert (again["stop"], again["iters"], again["residual"]) == ("line_search", info["iters"], rel)
+        assert again["converged"] is converged
+
+
+def test_zero_gradient_ends_on_the_floor_without_a_trial(ico2, monkeypatch):
+    monkeypatch.setattr(
+        pspectral._Operators, "grad_log_quotient", lambda self, u, *args: np.zeros_like(u)
+    )
+    res = closed_eigen(ico2, 3.0)
+    diag = res.diagnostics
+    assert (diag["first_stop"], diag["stop"], diag["evals"]) == ("floor", "floor", 0)
+    assert res.converged and res.iterations == 0 and res.residual == 0.0
 
 
 @pytest.mark.parametrize(
@@ -908,7 +944,7 @@ def test_gradients_of_constants_vanish_on_closed_meshes(mesh):
 def test_carried_cell_gradients_do_not_drift(p):
     mesh = build_icosphere(3)
     for res in (closed_eigen(mesh, p), dirichlet_eigen(hemisphere_domain(mesh), p)):
-        assert res.diagnostics["stages"][-1]["rayleigh"] == pytest.approx(res.lam, rel=1e-12)
+        assert res.diagnostics["rayleigh"] == pytest.approx(res.lam, rel=1e-12)
 
 
 def test_round_level4_start_asks_for_the_first_cluster_only():
