@@ -36,6 +36,7 @@ class SweepRecord:
     equality_case: bool
     iterations: int
     converged: bool
+    grad_norm: float = float("nan")
     failed: bool = False
     error: str = ""
 
@@ -79,6 +80,7 @@ def _sweep_record(mesh, p, lam_model):
         equality_case=_is_round_unit(mesh),
         iterations=res.iterations,
         converged=res.converged,
+        grad_norm=res.diagnostics["grad_norm"],
     )
 
 

@@ -507,8 +507,8 @@ def write_off(mesh, path):
 
 
 def read_off(path):
-    """Read a mesh written by write_off; a file with fewer vertex or cell rows
-    than its header declares raises ValueError."""
+    """Read a mesh written by write_off; a negative header count, a vertex row
+    not of 3 coordinates (2 under DIM 1) or missing rows raise ValueError."""
     with open(path) as f:
         tokens_by_line = [ln.split("#", 1)[0].split() for ln in f]
     rows = [t for t in tokens_by_line if t]
@@ -520,10 +520,15 @@ def read_off(path):
         dimension = int(rows[0][1])
         rows = rows[1:]
     nv, nc = int(rows[0][0]), int(rows[0][1])
+    if nv < 0 or nc < 0:
+        raise ValueError(f"{path}: header declares {nv} vertices and {nc} cells")
     rows = rows[1:]
     if len(rows) < nv + nc:
         raise ValueError(f"{path}: header declares {nv} vertices and {nc} cells, found "
                          f"{min(nv, len(rows))} vertex and {max(len(rows) - nv, 0)} cell rows")
+    width = 2 if dimension == 1 else 3
+    if any(len(r) != width for r in rows[:nv]):
+        raise ValueError(f"{path}: a vertex row does not hold {width} coordinates")
     coords = np.array([[float(v) for v in r] for r in rows[:nv]])
     if dimension == 1:
         coords = np.column_stack([coords, np.zeros(nv)])

@@ -4,12 +4,12 @@ Fields are piecewise linear over mesh cells; the p-Dirichlet energy uses the
 constant per-cell gradient (one sparse operator G) and masses are vertex
 lumped, so the Rayleigh quotient is a ratio of plain weighted sums.
 Shift-invert Lanczos on the linear p = 2 pencil gives, once per closed mesh
-or Domain, a start pinned inside the first eigenvalue cluster; every other
-exponent descends from it at the target p, running (K + M)^-1-preconditioned
-nonlinear conjugate gradients on log(energy) - log(mass) with an
-interpolating Armijo line search. The closed-manifold problem projects onto
-the zero mean constraint of the p-Laplacian (integral of |u|^{p-2} u
-vanishes) by safeguarded Newton after every step.
+or Domain, a start pinned inside the first eigenvalue cluster; every
+exponent, p = 2 included, descends from it at the target p, running
+(K + M)^-1-preconditioned nonlinear conjugate gradients on log(energy) -
+log(mass) with an interpolating Armijo line search. The closed-manifold
+problem projects onto the zero mean constraint of the p-Laplacian
+(integral of |u|^{p-2} u vanishes) by safeguarded Newton after every step.
 
 solve_radial_1d provides the independent 1-D reference values: the
 interval's in closed form, the hemisphere's by shooting. Its integrator and
@@ -80,15 +80,15 @@ class EigenResult:
 
     ``lam`` equals the Rayleigh quotient of ``field`` exactly as evaluated by
     :func:`rayleigh_quotient`; ``residual`` is the relative Rayleigh change of
-    the last accepted descent step (0.0 when the descent took none, as at
-    p = 2) and ``constraint_residual`` the closed-manifold constraint
-    defect (None for Dirichlet problems). ``iterations`` counts descent
-    steps, or at p = 2 the LU solves of the start (shared by all exponents).
-    For p != 2, ``diagnostics["grad_norm"]`` is sqrt(g^T (K + M)^-1 g), g the
-    gradient of log energy - log mass at ``field`` over the free vertices: it
-    vanishes at a critical point, which a zero ``residual`` does not show.
-    Closed p != 2 solves also record ``diagnostics["projection_evals"]``, the
-    defect evaluations (each D and D') of all their Newton projections.
+    the last accepted descent step (0.0 when the descent took none) and
+    ``constraint_residual`` the closed-manifold constraint defect (None for
+    Dirichlet problems). ``iterations`` counts descent steps; the LU solves
+    of the p = 2 start, shared by all exponents, are ``p2_iterations``.
+    ``diagnostics["grad_norm"]`` is sqrt(g^T (K + M)^-1 g), g the gradient of
+    log energy - log mass at ``field`` over the free vertices: it vanishes
+    at a critical point, which a zero ``residual`` does not show. Closed
+    solves also record ``diagnostics["projection_evals"]``, the defect
+    evaluations (each D and D') of all their Newton projections.
     """
 
     lam: float
@@ -545,9 +545,9 @@ def _eigen_solve(region, p):
     and interior vertices) on the Domain, which drops its LU after every
     solve. Every step, the sign trim, the L^p normalization and
     ``grad_norm`` run on vectors over those unknowns; a Domain's result is
-    scattered into a field that vanishes off the interior. ``converged`` is
-    the p = 2 start's flag for p = 2 and otherwise the descent's, whose info
-    besides ``iters`` and ``residual`` joins the diagnostics.
+    scattered into a field that vanishes off the interior. ``converged``,
+    ``iterations`` and ``residual`` are those of the descent from the p = 2
+    start, and the rest of its info joins the start's diagnostics.
     """
     p = check_p(p)
     closed = isinstance(region, Mesh)
@@ -558,28 +558,21 @@ def _eigen_solve(region, p):
         ops = region._fem_ops
     else:
         ops = region._fem_ops = _fem(mesh).restricted(region.cells, region.interior_indices)
-    descend = abs(p - 2.0) > 1e-12
-    u, start = ops.p2_start
-    diag = dict(start)
-    converged, iterations, residual = start["p2_converged"], start["p2_iterations"], 0.0
     defects = []                            # defect evaluations per projection
-    if descend:
-        u, info = _descend(ops, u, p, defects)
-        iterations, converged, residual = (info.pop(k) for k in ("iters", "converged", "residual"))
-        diag.update(info)
+    u, info = _descend(ops, ops.p2_start[0], p, defects)
+    iterations, converged, residual = (info.pop(k) for k in ("iters", "converged", "residual"))
+    diag = {**ops.p2_start[1], **info}
     if closed:
         u = _project(u, ops.mass, p, defects)
-        if descend:
-            diag["projection_evals"] = sum(defects)
+        diag["projection_evals"] = sum(defects)
     if u[np.argmax(np.abs(u))] < 0.0:
         u = -u
     neg = u < 0.0
     if not closed and neg.any() and abs(u[neg].min()) <= 1e-8 * u.max():
         u = np.where(neg, 0.0, u)  # trim sign noise from the constrained ring
     u = _lp_normalize(u, ops.mass, p)[0]
-    if descend:
-        grad = ops.grad_log_quotient(u, p, *ops.energy_mass(u, p))
-        diag["grad_norm"] = math.sqrt(float(grad @ ops.lu.solve(grad)))
+    grad = ops.grad_log_quotient(u, p, *ops.energy_mass(u, p))
+    diag["grad_norm"] = math.sqrt(float(grad @ ops.lu.solve(grad)))
     if not closed:
         vars(ops).pop("lu", None)           # a Domain keeps its start, not its LU
         full = np.zeros(len(mesh.vertices))

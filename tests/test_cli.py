@@ -326,14 +326,16 @@ def test_eigen_command_interval(tmp_path):
     assert len(field_csv) == 2 + 61
 
 
-def test_eigen_command_reports_grad_norm_for_p_other_than_2(tmp_path):
+def test_eigen_command_reports_grad_norm_for_every_p(tmp_path):
     cfg = parse_config(
         "command = eigen\nmesh.kind = interval\nmesh.segments = 60\np = 2, 3\n"
         f"out = {tmp_path / 'e'}"
     )
     assert run(cfg) == 0
     blocks = {b["name"]: b for b in json.loads((tmp_path / "e" / "eigen.json").read_text())}
-    assert "grad_norm" not in blocks["eigen_p2"]["inputs"]
+    # p = 2 descends from its Lanczos start, which already sits at the floor
+    assert blocks["eigen_p2"]["inputs"]["iterations"] == 0
+    assert 0.0 < blocks["eigen_p2"]["inputs"]["grad_norm"] < 1e-12
     assert 0.0 < blocks["eigen_p3"]["inputs"]["grad_norm"] < 1e-6
 
 
@@ -354,10 +356,10 @@ def test_eigen_command_reports_projection_evals_of_closed_descents(tmp_path):
     text = "command = eigen\nmesh.segments = 60\np = 2, 3\n"
     assert run(parse_config(f"{text}mesh.kind = circle\nout = {tmp_path / 'c'}")) == 0
     blocks = {b["name"]: b for b in json.loads((tmp_path / "c" / "eigen.json").read_text())}
-    assert "projection_evals" not in blocks["eigen_p2"]["inputs"]
-    ref = pspectral.closed_eigen(cli._build_mesh(parse_config(f"{text}mesh.kind = circle")), 3.0)
-    assert blocks["eigen_p3"]["inputs"]["projection_evals"] == ref.diagnostics["projection_evals"]
-    assert ref.diagnostics["projection_evals"] > 0
+    mesh = cli._build_mesh(parse_config(f"{text}mesh.kind = circle"))
+    for p in (2, 3):
+        ref = pspectral.closed_eigen(mesh, p).diagnostics["projection_evals"]
+        assert blocks[f"eigen_p{p}"]["inputs"]["projection_evals"] == ref > 0
     # a Dirichlet solve projects nothing
     assert run(parse_config(f"{text}mesh.kind = interval\nout = {tmp_path / 'i'}")) == 0
     blocks = json.loads((tmp_path / "i" / "eigen.json").read_text())
@@ -594,6 +596,10 @@ def test_cli_never_loads_scipy_optimize_integrate_or_special(tmp_path):
     configs = {
         "verify": "mesh.level = 2\np = 1.5, 2\nbattery.count = 4\n",
         "sweep": "sweep.aspects = 1.0, 1.2\nsweep.level = 2\np = 1.5, 2\nbattery.count = 4\n",
+        "eigen": "mesh.kind = ellipsoid\nmesh.level = 2\neigen.domain = hemisphere\np = 2, 3\n",
+        "oracle": "p = 1.5, 2, 3\noracle.n = 2\n",
+        "symmetrize": "mesh.level = 2\np = 1.5, 2\n",
+        "mesh": "mesh.kind = icosphere\nmesh.level = 2\n",
     }
     args = []
     for command, text in configs.items():
@@ -609,8 +615,8 @@ def test_cli_never_loads_scipy_optimize_integrate_or_special(tmp_path):
         capture_output=True, text=True, env=env, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "verify" / "verify.json").exists()
-    assert (tmp_path / "sweep" / "sweep.csv").exists()
+    for command in configs:
+        assert (tmp_path / command / f"{command}.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -243,6 +244,19 @@ def test_spheroid_diameter_is_the_exact_half_meridian(aspect):
         assert abs(manifold.spheroid_diameter(m.meta["semi_axes"]) - exact) <= 1e-15 * exact
 
 
+@pytest.mark.parametrize("ratio", [10.0, 1e3, 1e6])
+def test_spheroid_diameter_reaches_rounding_on_long_spheroids(ratio):
+    # the fixed AGM steps are documented to reach rounding up to c / a = 10^6;
+    # measured within 5.1 eps of scipy.special.ellipe
+    from scipy.special import ellipe
+
+    eps = np.finfo(float).eps
+    for a in (0.3, 1.0, 2.5):
+        c = a * ratio
+        exact = 2.0 * c * ellipe(1.0 - a**2 / c**2)
+        assert abs(manifold.spheroid_diameter((a, a, c)) - exact) <= 8.0 * eps * exact
+
+
 def test_spheroid_diameter_of_the_round_sphere_and_bad_axes():
     assert manifold.spheroid_diameter((1.0, 1.0, 1.0)) == np.pi
     assert manifold.spheroid_diameter((2.0, 2.0, 2.0)) == 2.0 * np.pi
@@ -406,6 +420,21 @@ def test_off_rejects_garbage(tmp_path):
     arity.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n2 0 1\n")
     with pytest.raises(ValueError):
         read_off(arity)
+    for name, text, message in (
+        ("negative", "OFF\n-1 1 0\n3 0 1 2\n", "header declares -1 vertices and 1 cells"),
+        ("wide", "OFF\n3 1 0\n0 0 0\n1 0 0 5\n0 1 0\n3 0 1 2\n",
+         "a vertex row does not hold 3 coordinates"),
+        ("curve", "OFF\nDIM 1\n2 1 0\n0 0\n1 0 0\n2 0 1\n",
+         "a vertex row does not hold 2 coordinates"),
+    ):
+        path = tmp_path / f"{name}.off"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_off(path)
+    # face rows may carry colours after their indices
+    colour = tmp_path / "colour.off"
+    colour.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 255 0 0\n")
+    assert read_off(colour).cells.tolist() == [[0, 1, 2]]
 
 
 def test_off_rejects_short_files(tmp_path):

@@ -312,13 +312,21 @@ def test_projection_evals_counts_every_defect_evaluation(ico2, monkeypatch):
         return real_copysign(*args, **kwargs)
 
     monkeypatch.setattr(np, "copysign", counting_copysign)
-    for p in (1.5, 3.0):
+    for p in (1.5, 2.0, 3.0):
         evaluated.clear()
         diagnostics = closed_eigen(build_icosphere(2), p).diagnostics
         assert diagnostics["projection_evals"] == len(evaluated) > 0
     monkeypatch.undo()
-    assert "projection_evals" not in closed_eigen(ico2, 2.0).diagnostics
-    assert "projection_evals" not in dirichlet_eigen(hemisphere_domain(ico2), 3.0).diagnostics
+    for p in (2.0, 3.0):                # a Dirichlet solve projects nothing
+        assert "projection_evals" not in dirichlet_eigen(hemisphere_domain(ico2), p).diagnostics
+
+
+def test_projection_raises_after_its_evaluation_budget(rng, monkeypatch):
+    u = rng.standard_normal(50)
+    assert u.min() < 0.0 < u.max()
+    monkeypatch.setattr(pspectral, "_MAX_PROJECTION_EVALS", 1)
+    with pytest.raises(RuntimeError, match="constraint projection failed to converge"):
+        pspectral._project(u, rng.uniform(0.5, 1.5, 50), 3.0)
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -542,20 +550,27 @@ def test_dirichlet_field_vanishes_exactly_off_the_interior(ico2, p):
         assert res.lam == rayleigh_quotient(res.field, domain, p)
 
 
-def test_dirichlet_trims_sign_noise_from_the_start(ico3):
-    # an interior entry at -1e-12 of the maximum is sign noise, not a second
-    # nodal domain: the p = 2 solve, which returns its start, sets it to 0
+def test_dirichlet_trims_sign_noise_from_the_start(ico3, monkeypatch):
+    # an entry of the ring next to the boundary at -1e-12 of the maximum is
+    # sign noise, not a second nodal domain: a descent that takes no step
+    # leaves it in place, and the solve sets it to 0
     hemi = hemisphere_domain(ico3)
-    dirichlet_eigen(hemi, 2.0)
-    ops = hemi._fem_ops
-    u, start = ops.p2_start
-    u = u * np.sign(u[np.argmax(np.abs(u))])
-    k = int(np.argmin(u))
-    assert u[k] > 0.0
-    u[k] = -1e-12 * u.max()
-    vars(ops)["p2_start"] = (u, start)
+    adj = ico3.adjacency_matrix()
+    ring = np.flatnonzero(adj[hemi.interior_indices][:, ~hemi.interior].sum(axis=1))
+    noisy = []
+
+    def no_step(ops, u, p, defects):
+        u = u * np.sign(u[np.argmax(np.abs(u))])
+        k = ring[np.argmin(u[ring])]
+        assert u[k] > 0.0
+        u[k] = -1e-12 * u.max()
+        noisy.append(k)
+        return u, {"iters": 0, "converged": True, "residual": 0.0}
+
+    monkeypatch.setattr(pspectral, "_descend", no_step)
     res = dirichlet_eigen(hemi, 2.0)
-    assert res.field.values[hemi.interior_indices[k]] == 0.0
+    assert res.iterations == 0 and res.converged
+    assert res.field.values[hemi.interior_indices[noisy[0]]] == 0.0
     assert (res.field.values >= 0.0).all()
     assert res.lam == rayleigh_quotient(res.field, hemi, 2.0)
 
@@ -629,6 +644,25 @@ def test_hemisphere_p2_start_matches_dense_oracle(ico3):
     dense = dense_p2_eigenvalue(ico3, free=hemi.interior_indices)
     assert res.lam == pytest.approx(dense, rel=1e-10)
     assert res.converged and res.diagnostics["p2_converged"]
+
+
+def test_p2_descent_polishes_a_perturbed_start(rng):
+    # the cached Lanczos start with 10% relative noise: p = 2 descends from
+    # it like every other exponent, back to the dense eigenvalue
+    mesh = build_icosphere(3)
+    hemi = hemisphere_domain(mesh)
+    dirichlet_eigen(hemi, 2.0)          # builds the Domain's operators and start
+    cases = ((mesh, _fem(mesh), None), (hemi, hemi._fem_ops, hemi.interior_indices))
+    for region, ops, free in cases:
+        u, info = ops.p2_start
+        noisy = u * (1.0 + 0.1 * rng.standard_normal(len(u)))
+        noisy.flags.writeable = False
+        vars(ops)["p2_start"] = (noisy, info)
+        res = _eigen_solve(region, 2.0)
+        dense = dense_p2_eigenvalue(mesh, free=free)
+        assert abs(res.lam - dense) <= 1e-12 * dense
+        assert res.converged and res.iterations > 0
+        assert res.diagnostics["grad_norm"] <= 1e-7
 
 
 @pytest.mark.parametrize(
@@ -750,7 +784,7 @@ def test_closed_mesh_factors_once_and_domains_once_per_solve(monkeypatch):
     for p in (1.5, 2.0, 3.0):
         dirichlet_eigen(hemi, p)
         assert "lu" not in vars(hemi._fem_ops)  # dropped after every solve
-    assert calls == [(ni, ni)] * 2      # p = 2 reuses the cached start
+    assert calls == [(ni, ni)] * 3      # p = 2 descends from the cached start too
 
 
 def test_round_level4_values():
@@ -773,7 +807,9 @@ def test_grad_norm_measures_the_distance_to_a_critical_point(ico3, monkeypatch):
         assert np.isfinite(tight) and 0.0 < tight < 1e-4 < loose
     hemi = dirichlet_eigen(hemisphere_domain(ico3), 3.0).diagnostics["grad_norm"]
     assert np.isfinite(hemi) and hemi > 0.0
-    assert "grad_norm" not in closed_eigen(ico3, 2.0).diagnostics
+    # the p = 2 start is the minimizer to rounding: the descent leaves it there
+    for res in (closed_eigen(ico3, 2.0), dirichlet_eigen(hemisphere_domain(ico3), 2.0)):
+        assert 0.0 < res.diagnostics["grad_norm"] < 1e-12
     # measured 2.2e-7 on the round level-4 mesh at p = 3
     assert 0.0 < closed_eigen(build_icosphere(4), 3.0).diagnostics["grad_norm"] < 1e-6
 
