@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, astuple, dataclass, field as dc_field, replace
 
@@ -46,7 +47,6 @@ from .pspectral import (
     coordinate_field,
     dirichlet_eigen,
     solve_radial_1d,
-    _TOL,
 )
 from .rearrange import lp_equimeasurability, polya_szego_check, symmetrize
 
@@ -268,13 +268,21 @@ def _meta_block(cfg):
     )
 
 
-def _numpy_value(v):
-    # numpy scalars and arrays; json writes float64 through float.__repr__
-    return v.tolist() if isinstance(v, np.ndarray) else v.item()
+def _json_value(v):
+    # strict JSON: numpy values as Python ones (float64 through float.__repr__)
+    # and a non-finite float as null; pass flags are decided on the value first
+    if isinstance(v, (np.ndarray, np.generic)):
+        v = v.tolist()
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def _write_json(path, blocks):
-    path.write_text(json.dumps(blocks, indent=2, sort_keys=True, default=_numpy_value) + "\n")
+    text = json.dumps(_json_value(blocks), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _write_csv(path, header, rows, seed):
@@ -315,26 +323,10 @@ def _cmd_mesh(cfg, outdir):
     inputs = {"kind": cfg.mesh_kind, "meta": mesh.meta}
     blocks = [
         _meta_block(cfg),
-        _block(
-            "mesh_summary",
-            inputs,
-            lhs=total_measure(mesh),
-            rhs=len(mesh.vertices),
-            margin=None,
-            tolerance=None,
-            ok=True,
-        ),
+        _block("mesh_summary", inputs, lhs=total_measure(mesh), rhs=len(mesh.vertices)),
     ]
     if mesh.closed:
-        blocks.append(
-            _block(
-                "mesh_measure_ratio",
-                inputs,
-                lhs=measure_ratio(mesh),
-                rhs=None,
-                ok=True,
-            )
-        )
+        blocks.append(_block("mesh_measure_ratio", inputs, lhs=measure_ratio(mesh)))
     _write_json(outdir / "mesh.json", blocks)
     return blocks
 
@@ -358,17 +350,9 @@ def _cmd_eigen(cfg, outdir):
         for key in ("grad_norm", "projection_evals"):
             if key in res.diagnostics:
                 inputs[key] = res.diagnostics[key]
-        blocks.append(
-            _block(
-                f"eigen_p{p:g}",
-                inputs,
-                lhs=res.lam,
-                margin=res.residual,
-                tolerance=_TOL,
-                ok=res.converged,
-            )
-        )
+        blocks.append(_block(f"eigen_p{p:g}", inputs, lhs=res.lam, ok=res.converged))
         rows.extend((float(p), i, float(v)) for i, v in enumerate(res.field.values))
+    del region                              # a Domain's K + M factorization goes with it
     write_off(mesh, outdir / "mesh.off")
     _write_csv(outdir / "eigen_field.csv", ["p", "vertex", "value"], rows, cfg.seed)
     _write_json(outdir / "eigen.json", blocks)
@@ -461,8 +445,8 @@ def _cmd_sweep(cfg, outdir):
     blocks = [_meta_block(cfg)]
     for p in cfg.ps:
         # the rows of one p in diameter order; the margin is the largest
-        # relative rise of ratio between neighbours (-inf for one row), NaN
-        # when a row failed
+        # relative rise of ratio between neighbours (-inf for one row, which
+        # passes), NaN when a row failed (which fails); both are written null
         seq = [r for r in records if r.p == p]
         ratios = np.array([r.ratio for r in seq])
         rise = np.max(ratios[1:] / ratios[:-1] - 1.0, initial=-np.inf)

@@ -507,19 +507,32 @@ def write_off(mesh, path):
 
 
 def read_off(path):
-    """Read a mesh written by write_off; a negative header count, a vertex row
-    not of 3 coordinates (2 under DIM 1) or missing rows raise ValueError."""
+    """Read a mesh written by write_off. A file that is not one raises
+    ValueError naming it: no OFF header or counts, a DIM other than 1 or 2, a
+    negative or non-numeric entry, a vertex row not of 3 coordinates (2 under
+    DIM 1), a face row not of arity DIM + 1 or short of it, missing rows or
+    cells that Mesh rejects."""
     with open(path) as f:
-        tokens_by_line = [ln.split("#", 1)[0].split() for ln in f]
-    rows = [t for t in tokens_by_line if t]
+        rows = [t for t in (ln.split("#", 1)[0].split() for ln in f) if t]
+
+    def numbers(kind, row, what, part=slice(None)):
+        try:
+            return [kind(v) for v in row[part]]
+        except ValueError:
+            raise ValueError(f"{path}: {what} row {' '.join(row)!r} is not numeric") from None
+
     if not rows or rows[0][0] != "OFF":
         raise ValueError(f"{path}: missing OFF header")
     rows = rows[1:]
     dimension = 2
     if rows and rows[0][0] == "DIM":
+        if rows[0][1:] not in (["1"], ["2"]):
+            raise ValueError(f"{path}: DIM must be 1 or 2, got {' '.join(rows[0][1:])!r}")
         dimension = int(rows[0][1])
         rows = rows[1:]
-    nv, nc = int(rows[0][0]), int(rows[0][1])
+    if not rows or len(rows[0]) < 2:
+        raise ValueError(f"{path}: missing vertex and cell counts")
+    nv, nc = numbers(int, rows[0], "count", slice(2))
     if nv < 0 or nc < 0:
         raise ValueError(f"{path}: header declares {nv} vertices and {nc} cells")
     rows = rows[1:]
@@ -529,13 +542,18 @@ def read_off(path):
     width = 2 if dimension == 1 else 3
     if any(len(r) != width for r in rows[:nv]):
         raise ValueError(f"{path}: a vertex row does not hold {width} coordinates")
-    coords = np.array([[float(v) for v in r] for r in rows[:nv]])
+    coords = np.array([numbers(float, r, "vertex") for r in rows[:nv]])
     if dimension == 1:
         coords = np.column_stack([coords, np.zeros(nv)])
     cells = []
     for r in rows[nv : nv + nc]:
-        k = int(r[0])
+        k = numbers(int, r, "face", slice(1))[0]
         if k != dimension + 1:
             raise ValueError(f"{path}: cell arity {k} does not match dimension")
-        cells.append([int(v) for v in r[1 : 1 + k]])
-    return Mesh(dimension, coords, np.array(cells, dtype=np.int64))
+        if len(r) < 1 + k:
+            raise ValueError(f"{path}: a face row holds fewer than {k} vertex indices")
+        cells.append(numbers(int, r, "face", slice(1, 1 + k)))
+    try:
+        return Mesh(dimension, coords, np.array(cells, dtype=np.int64))
+    except ValueError as exc:               # out-of-range indices, degenerate cells, ...
+        raise ValueError(f"{path}: {exc}") from None

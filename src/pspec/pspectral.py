@@ -79,21 +79,18 @@ class EigenResult:
     """First eigenvalue solve outcome.
 
     ``lam`` equals the Rayleigh quotient of ``field`` exactly as evaluated by
-    :func:`rayleigh_quotient`; ``residual`` is the relative Rayleigh change of
-    the last accepted descent step (0.0 when the descent took none) and
-    ``constraint_residual`` the closed-manifold constraint defect (None for
-    Dirichlet problems). ``iterations`` counts descent steps; the LU solves
-    of the p = 2 start, shared by all exponents, are ``p2_iterations``.
-    ``diagnostics["grad_norm"]`` is sqrt(g^T (K + M)^-1 g), g the gradient of
-    log energy - log mass at ``field`` over the free vertices: it vanishes
-    at a critical point, which a zero ``residual`` does not show. Closed
+    :func:`rayleigh_quotient`; ``constraint_residual`` is the closed-manifold
+    constraint defect (None for Dirichlet problems). ``iterations`` counts
+    descent steps; the LU solves of the p = 2 start, shared by all
+    exponents, are ``p2_iterations``. ``diagnostics["grad_norm"]`` is
+    sqrt(g^T (K + M)^-1 g), g the gradient of log energy - log mass at
+    ``field`` over the free vertices: it vanishes at a critical point. Closed
     solves also record ``diagnostics["projection_evals"]``, the defect
     evaluations (each D and D') of all their Newton projections.
     """
 
     lam: float
     field: ScalarField
-    residual: float
     constraint_residual: float | None
     iterations: int
     converged: bool
@@ -398,13 +395,13 @@ def _p2_init(ops):
     v /= np.sqrt(m @ v**2)
     Kv = K @ v
     lam2 = float(v @ Kv)
-    residual = float(np.linalg.norm(Kv - lam2 * m * v) / (lam2 * np.linalg.norm(m * v)))
+    p2_residual = float(np.linalg.norm(Kv - lam2 * m * v) / (lam2 * np.linalg.norm(m * v)))
     v.flags.writeable = False
     info = {
         "p2_lambda": lam2,
         "p2_iterations": solves,
-        "p2_converged": residual <= _P2_RESIDUAL_TOL,
-        "p2_residual": residual,
+        "p2_converged": p2_residual <= _P2_RESIDUAL_TOL,
+        "p2_residual": p2_residual,
         "p2_cluster": basis.shape[1],
     }
     return v, info
@@ -438,15 +435,16 @@ def _descend(ops, u, p, defects):
     ``_FLOOR``, the rounding of log energy - log mass: there a conjugate d
     gives way to -P g, and -P g stops on the ``"floor"``. The other
     converged stop, ``"stall"``, is ``_STALL`` consecutive steps with
-    relative change below ``_TOL``. The first converged stop restarts the
-    CG in place (u re-projected, G u afresh, beta = 0, t = 1); the second
-    ends the descent, as do a line-search stall (``_MAX_BACKTRACKS``
-    halvings, ``"line_search"``, converged if the last change is at most
-    10 ``_TOL``) and ``_MAX_ITERS`` steps in all (``"budget"``). The info
-    holds ``iters``, the trials ``evals``, ``stop``, ``converged``, the
-    final ``rayleigh``, ``first_stop``, ``first_iters`` and ``residual``,
-    the last step's relative change (0.0 without steps). Projections append
-    their defect evaluation counts to ``defects``.
+    relative change below ``_TOL``. A first converged stop after at least
+    one step restarts the CG in place (u re-projected, G u afresh, beta = 0,
+    t = 1); a second one, or a first one before any step, ends the descent,
+    as do a line-search stall (``_MAX_BACKTRACKS`` halvings,
+    ``"line_search"``, converged if the last change is at most 10 ``_TOL``)
+    and ``_MAX_ITERS`` steps in all (``"budget"``). The info holds
+    ``iters``, the trials ``evals``, ``stop``, ``converged``, the final
+    ``rayleigh`` and the ``first_stop`` and ``first_iters`` that the restart
+    followed (None without a restart). Projections append their defect
+    evaluation counts to ``defects``.
 
     G d is taken once per direction: the trial (u + t d - c) / norm has the
     cell gradients (G u + t G d) / norm, as G maps constants to zero, and the
@@ -523,7 +521,7 @@ def _descend(ops, u, p, defects):
             if streak < _STALL:
                 continue
         stop = "stall" if passed else "floor"
-        if first_stop:                      # the second converged stop ends the descent
+        if first_stop or not iters:         # a second stop, or one before any step, ends it
             break
         first_stop, first_iters, stop = stop, iters, "budget"   # the first restarts in place
         u = feasible(u)[0]
@@ -531,8 +529,7 @@ def _descend(ops, u, p, defects):
         t, streak, gpg_prev = 1.0, 0, None
     converged = stop in ("stall", "floor") or stop == "line_search" and rel <= _TOL * 10.0
     return u, {"iters": iters, "evals": trials, "stop": stop, "converged": converged,
-               "residual": rel if iters else 0.0, "rayleigh": energy / mass,
-               "first_stop": first_stop, "first_iters": first_iters}
+               "rayleigh": energy / mass, "first_stop": first_stop, "first_iters": first_iters}
 
 
 def _eigen_solve(region, p):
@@ -541,13 +538,13 @@ def _eigen_solve(region, p):
     A closed mesh frees every vertex and keeps iterates on the constraint; a
     Domain frees its interior and holds the rest at zero. Each region has
     one ``_Operators`` over its unknowns, which owns the K + M LU and the
-    p = 2 start: a mesh's are kept on the mesh, a Domain's (its own cells
-    and interior vertices) on the Domain, which drops its LU after every
-    solve. Every step, the sign trim, the L^p normalization and
-    ``grad_norm`` run on vectors over those unknowns; a Domain's result is
-    scattered into a field that vanishes off the interior. ``converged``,
-    ``iterations`` and ``residual`` are those of the descent from the p = 2
-    start, and the rest of its info joins the start's diagnostics.
+    p = 2 start for every exponent: a mesh's are kept on the mesh, a
+    Domain's (its own cells and interior vertices) on the Domain. Every
+    step, the sign trim, the L^p normalization and ``grad_norm`` run on
+    vectors over those unknowns; a Domain's result is scattered into a
+    field that vanishes off the interior. ``converged`` and ``iterations``
+    are those of the descent from the p = 2 start, and the rest of its info
+    joins the start's diagnostics.
     """
     p = check_p(p)
     closed = isinstance(region, Mesh)
@@ -560,7 +557,7 @@ def _eigen_solve(region, p):
         ops = region._fem_ops = _fem(mesh).restricted(region.cells, region.interior_indices)
     defects = []                            # defect evaluations per projection
     u, info = _descend(ops, ops.p2_start[0], p, defects)
-    iterations, converged, residual = (info.pop(k) for k in ("iters", "converged", "residual"))
+    iterations, converged = info.pop("iters"), info.pop("converged")
     diag = {**ops.p2_start[1], **info}
     if closed:
         u = _project(u, ops.mass, p, defects)
@@ -574,14 +571,13 @@ def _eigen_solve(region, p):
     grad = ops.grad_log_quotient(u, p, *ops.energy_mass(u, p))
     diag["grad_norm"] = math.sqrt(float(grad @ ops.lu.solve(grad)))
     if not closed:
-        vars(ops).pop("lu", None)           # a Domain keeps its start, not its LU
         full = np.zeros(len(mesh.vertices))
         full[region.interior_indices] = u
         u = full
     fld = ScalarField(mesh, u)
     lam = rayleigh_quotient(fld, region, p)
     cres = constraint_residual(fld, p) if closed else None
-    return EigenResult(lam, fld, residual, cres, iterations, converged, p, diag)
+    return EigenResult(lam, fld, cres, iterations, converged, p, diag)
 
 
 def dirichlet_eigen(domain, p):

@@ -18,6 +18,24 @@ from pspec.cli import CHECKS, ConfigError, RunConfig, main, parse_config, run
 from pspec.manifold import MAX_ASPECT, MAX_LEVEL, MAX_SEGMENTS, read_off
 
 
+def read_report(path):
+    # a report is strict JSON: NaN, Infinity and -Infinity raise
+    def reject(constant):
+        raise ValueError(f"non-finite {constant} in {path.name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def package_env():
+    # the environment of a subprocess that imports the package under test
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    package_root = str(Path(pspec.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -278,7 +296,7 @@ def test_oracle_command(tmp_path, capsys):
     assert run(cfg) == 0
     out = capsys.readouterr().out
     assert "radial eigenvalue p=2 n=2 hemisphere: 2" in out
-    blocks = json.loads((tmp_path / "o" / "oracle.json").read_text())
+    blocks = read_report(tmp_path / "o" / "oracle.json")
     byname = {b["name"]: b for b in blocks}
     assert byname["radial_oracle_p2"]["pass"]
     assert byname["meta"]["inputs"]["seed"] == 0
@@ -292,7 +310,7 @@ def test_mesh_command_writes_off(tmp_path):
     assert run(cfg) == 0
     mesh = read_off(tmp_path / "m" / "mesh.off")
     assert len(mesh.vertices) == 162
-    blocks = json.loads((tmp_path / "m" / "mesh.json").read_text())
+    blocks = read_report(tmp_path / "m" / "mesh.json")
     names = [b["name"] for b in blocks]
     assert names == ["meta", "mesh_summary", "mesh_measure_ratio"]
 
@@ -304,7 +322,7 @@ def test_mesh_normalize_true_builds_the_normalized_ellipsoid(tmp_path):
     for flag in ("true", "false"):
         out = tmp_path / flag
         assert run(parse_config(f"{text}mesh.normalize = {flag}\nout = {out}")) == 0
-        metas[flag] = json.loads((out / "mesh.json").read_text())[1]["inputs"]["meta"]
+        metas[flag] = read_report(out / "mesh.json")[1]["inputs"]["meta"]
     assert metas["true"]["normalized"] is True and metas["true"]["min_curvature"] == 1.0
     assert metas["false"]["normalized"] is False and metas["false"]["min_curvature"] < 1.0
 
@@ -315,7 +333,7 @@ def test_eigen_command_interval(tmp_path):
         f"out = {tmp_path / 'e'}"
     )
     assert run(cfg) == 0
-    blocks = json.loads((tmp_path / "e" / "eigen.json").read_text())
+    blocks = read_report(tmp_path / "e" / "eigen.json")
     eig = next(b for b in blocks if b["name"] == "eigen_p2")
     assert eig["pass"]
     assert eig["inputs"]["p2_converged"] is True
@@ -332,7 +350,7 @@ def test_eigen_command_reports_grad_norm_for_every_p(tmp_path):
         f"out = {tmp_path / 'e'}"
     )
     assert run(cfg) == 0
-    blocks = {b["name"]: b for b in json.loads((tmp_path / "e" / "eigen.json").read_text())}
+    blocks = {b["name"]: b for b in read_report(tmp_path / "e" / "eigen.json")}
     # p = 2 descends from its Lanczos start, which already sits at the floor
     assert blocks["eigen_p2"]["inputs"]["iterations"] == 0
     assert 0.0 < blocks["eigen_p2"]["inputs"]["grad_norm"] < 1e-12
@@ -340,29 +358,29 @@ def test_eigen_command_reports_grad_norm_for_every_p(tmp_path):
 
 
 def test_eigen_report_margins_are_finite_at_a_floor_stop(tmp_path):
-    # the second stage of this solve stops on the floor before its first step
-    text = "command = eigen\nmesh.kind = ellipsoid\nmesh.level = 4\nmesh.aspect = 1.2\np = 3\n"
+    # the restarted pass of the p = 3 solve stops on the floor before its
+    # first step, and p = 2 stops there in one pass: an eigen block has no
+    # margin and no tolerance, and passes on convergence
+    text = "command = eigen\nmesh.kind = ellipsoid\nmesh.level = 4\nmesh.aspect = 1.2\np = 2, 3\n"
     assert run(parse_config(f"{text}out = {tmp_path / 'e'}")) == 0
-
-    def reject(constant):
-        raise ValueError(f"non-finite {constant} in eigen.json")
-
-    blocks = json.loads((tmp_path / "e" / "eigen.json").read_text(), parse_constant=reject)
-    eig = next(b for b in blocks if b["name"] == "eigen_p3")
-    assert eig["pass"] and math.isfinite(eig["margin"])
+    blocks = read_report(tmp_path / "e" / "eigen.json")[1:]
+    assert [b["name"] for b in blocks] == ["eigen_p2", "eigen_p3"]
+    for b in blocks:
+        assert b["pass"] and b["margin"] is None and b["tolerance"] is None
+        assert math.isfinite(b["inputs"]["grad_norm"])
 
 
 def test_eigen_command_reports_projection_evals_of_closed_descents(tmp_path):
     text = "command = eigen\nmesh.segments = 60\np = 2, 3\n"
     assert run(parse_config(f"{text}mesh.kind = circle\nout = {tmp_path / 'c'}")) == 0
-    blocks = {b["name"]: b for b in json.loads((tmp_path / "c" / "eigen.json").read_text())}
+    blocks = {b["name"]: b for b in read_report(tmp_path / "c" / "eigen.json")}
     mesh = cli._build_mesh(parse_config(f"{text}mesh.kind = circle"))
     for p in (2, 3):
         ref = pspectral.closed_eigen(mesh, p).diagnostics["projection_evals"]
         assert blocks[f"eigen_p{p}"]["inputs"]["projection_evals"] == ref > 0
     # a Dirichlet solve projects nothing
     assert run(parse_config(f"{text}mesh.kind = interval\nout = {tmp_path / 'i'}")) == 0
-    blocks = json.loads((tmp_path / "i" / "eigen.json").read_text())
+    blocks = read_report(tmp_path / "i" / "eigen.json")
     assert not any("projection_evals" in b["inputs"] for b in blocks if b["name"] != "meta")
 
 
@@ -374,7 +392,7 @@ def test_symmetrize_command(tmp_path):
     assert run(cfg) == 0
     prof = (tmp_path / "s" / "profile.csv").read_text().splitlines()
     assert prof[1] == "colatitude,value"
-    blocks = json.loads((tmp_path / "s" / "symmetrize.json").read_text())
+    blocks = read_report(tmp_path / "s" / "symmetrize.json")
     names = {b["name"] for b in blocks}
     assert {"equimeasurability_p1.5", "equimeasurability_p2"} <= names
     assert all(b["pass"] for b in blocks)
@@ -398,7 +416,7 @@ def test_verify_command_schema_and_pass(tmp_path):
         f"seed = 7\nout = {tmp_path / 'v'}"
     )
     assert run(cfg) == 0
-    blocks = json.loads((tmp_path / "v" / "verify.json").read_text())
+    blocks = read_report(tmp_path / "v" / "verify.json")
     assert {b["name"] for b in blocks} == VERIFY_BLOCKS
     for b in blocks:
         assert b["pass"], b["name"]
@@ -419,7 +437,7 @@ def reports(tmp_path_factory):
     for command, text in CHECK_CONFIGS.items():
         out = tmp_path_factory.mktemp(command)
         assert run(parse_config(f"{text}\nout = {out}")) == 0
-        blocks[command] = json.loads((out / f"{command}.json").read_text())
+        blocks[command] = read_report(out / f"{command}.json")
     return blocks
 
 
@@ -501,7 +519,7 @@ def test_sweep_command_rows(tmp_path):
     assert rows[1] == ",".join(f.name for f in dataclasses.fields(harness.SweepRecord))
     assert rows[1].startswith("aspect,p,lam_mesh,lam_model,ratio,diameter,beta,")
     assert len(rows) == 2 + 2  # one data row per (aspect, p)
-    blocks = json.loads((tmp_path / "w" / "sweep.json").read_text())
+    blocks = read_report(tmp_path / "w" / "sweep.json")
     names = {b["name"] for b in blocks}
     assert "ratio_monotone_p2" in names
     # the margin is the relative rise of ratio from the shorter diameter on
@@ -527,23 +545,25 @@ def test_sweep_monotone_block_fails_with_a_failed_row(tmp_path, monkeypatch, cap
     )
     assert main(["sweep", "--config", path, "--out", str(tmp_path / "w")]) == 1
     assert capsys.readouterr().err == "FAIL ratio_monotone_p2\n"
-    blocks = {b["name"]: b for b in json.loads((tmp_path / "w" / "sweep.json").read_text())}
+    blocks = {b["name"]: b for b in read_report(tmp_path / "w" / "sweep.json")}
     p2, p3 = blocks["ratio_monotone_p2"], blocks["ratio_monotone_p3"]
-    assert math.isnan(p2["margin"]) and not p2["pass"] and p2["inputs"]["rows"] == 1
+    # NaN fails the block and is written null
+    assert p2["margin"] is None and not p2["pass"] and p2["inputs"]["rows"] == 1
     assert p3["margin"] < 0.0 and p3["pass"] and p3["inputs"]["rows"] == 2
     assert p2["tolerance"] == p3["tolerance"] == CHECKS["ratio_monotone_p"][1]
 
 
 def test_sweep_monotone_block_passes_one_row_per_p(tmp_path):
-    # one solved row has no neighbour to rise above: the margin is -inf
+    # one solved row has no neighbour to rise above: the margin is -inf,
+    # which passes the block and is written null
     cfg = parse_config(
         f"command = sweep\nsweep.aspects = 1.2\nsweep.level = 2\np = 2, 3\nout = {tmp_path}"
     )
     assert run(cfg) == 0
-    blocks = json.loads((tmp_path / "sweep.json").read_text())[1:]
+    blocks = read_report(tmp_path / "sweep.json")[1:]
     assert [b["name"] for b in blocks] == ["ratio_monotone_p2", "ratio_monotone_p3"]
     for b in blocks:
-        assert b["pass"] and b["margin"] == -math.inf and b["inputs"]["rows"] == 1
+        assert b["pass"] and b["margin"] is None and b["inputs"]["rows"] == 1
 
 
 def test_sweep_draws_no_field_battery(tmp_path, monkeypatch):
@@ -558,7 +578,7 @@ def test_sweep_draws_no_field_battery(tmp_path, monkeypatch):
         f"out = {tmp_path / 'w'}"
     )
     assert run(cfg) == 0
-    blocks = json.loads((tmp_path / "w" / "sweep.json").read_text())
+    blocks = read_report(tmp_path / "w" / "sweep.json")
     assert [b["name"] for b in blocks] == ["meta", "ratio_monotone_p2", "ratio_monotone_p3"]
 
 
@@ -569,7 +589,7 @@ def test_main_sweep_runs_on_empty_battery(tmp_path, capsys):
     path = write_config(tmp_path, text)
     assert main(["sweep", "--config", path, "--out", str(tmp_path / "w")]) == 0
     assert "battery" not in capsys.readouterr().err
-    blocks = json.loads((tmp_path / "w" / "sweep.json").read_text())
+    blocks = read_report(tmp_path / "w" / "sweep.json")
     assert [b["name"] for b in blocks] == ["meta", "ratio_monotone_p2"]
 
 
@@ -605,11 +625,7 @@ def test_cli_never_loads_scipy_optimize_integrate_or_special(tmp_path):
     for command, text in configs.items():
         text = f"command = {command}\n{text}out = {tmp_path / command}"
         args += [command, write_config(tmp_path, text, f"{command}.cfg")]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    package_root = str(Path(pspec.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+    env = package_env()
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_FOOTPRINT, *args],
         capture_output=True, text=True, env=env, check=False,
@@ -669,7 +685,7 @@ def test_main_overrides_and_determinism(tmp_path):
     assert main(["oracle", "--config", path, "--out", str(a), "--seed", "9"]) == 0
     assert main(["oracle", "--config", path, "--out", str(b), "--seed", "9"]) == 0
     assert filecmp.cmp(a / "oracle.json", b / "oracle.json", shallow=False)
-    blocks = json.loads((a / "oracle.json").read_text())
+    blocks = read_report(a / "oracle.json")
     meta = next(b for b in blocks if b["name"] == "meta")
     assert meta["inputs"]["seed"] == 9
 
@@ -731,13 +747,8 @@ def test_console_script_entry_point(tmp_path):
     # one runs: a wrapper found on PATH, importing the package under test
     bin_dir = tmp_path / "bin"
     write_console_script(bin_dir, "pspec", declared_console_script("pspec"))
-    env = dict(os.environ)
+    env = package_env()
     env["PATH"] = os.pathsep.join([str(bin_dir), env.get("PATH", "")])
-    package_root = str(Path(pspec.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
     proc = run_oracle_via_script(tmp_path, "pspec", env=env)
     assert proc.returncode == 0, proc.stderr
     assert "radial eigenvalue" in proc.stdout
@@ -753,21 +764,19 @@ def test_installed_console_script(tmp_path):
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    package_root = str(Path(pspec.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+    env = package_env()
     proc = run_oracle_via_script(tmp_path, sys.executable, env=env, prefix=["-m", "pspec"])
     assert proc.returncode == 0, proc.stderr
     assert "radial eigenvalue" in proc.stdout
 
 
 def test_python_entrypoint_module():
+    env = package_env()
     proc = subprocess.run(
         [sys.executable, "-c", "import pspec; print(pspec.__version__)"],
         capture_output=True,
         text=True,
+        env=env,
         check=False,
     )
     assert proc.returncode == 0

@@ -24,15 +24,8 @@ def _close(got, want):
     return abs(got - want) <= max(REL_TOL * abs(want), ABS_FLOOR)
 
 
-def _solver_path(where):
-    # the residual at the stopping point is a solver-path field too
-    return where[-1] in SOLVER_PATH or (
-        where[-1] == "margin" and where[0].startswith("eigen_p")
-    )
-
-
 def _same(where, got, want):
-    if _solver_path(where):
+    if where[-1] in SOLVER_PATH:
         return got != ""  # present and, in a CSV, not empty
     if isinstance(want, bool) or isinstance(got, bool):
         return got is want

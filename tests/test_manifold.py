@@ -426,6 +426,21 @@ def test_off_rejects_garbage(tmp_path):
          "a vertex row does not hold 3 coordinates"),
         ("curve", "OFF\nDIM 1\n2 1 0\n0 0\n1 0 0\n2 0 1\n",
          "a vertex row does not hold 2 coordinates"),
+        ("header", "OFF\n", "missing vertex and cell counts"),
+        ("one_count", "OFF\n3\n0 0 0\n", "missing vertex and cell counts"),
+        ("dim_alone", "OFF\nDIM\n2 1 0\n0 0\n1 0\n2 0 1\n", "DIM must be 1 or 2, got ''"),
+        ("dim3", "OFF\nDIM 3\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+         "DIM must be 1 or 2, got '3'"),
+        ("count_text", "OFF\n3 one 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+         "count row '3 one 0' is not numeric"),
+        ("vertex_text", "OFF\n3 1 0\n0 0 0\n1 0 z\n0 1 0\n3 0 1 2\n",
+         "vertex row '1 0 z' is not numeric"),
+        ("face_text", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 q\n",
+         "face row '3 0 1 q' is not numeric"),
+        ("short_face", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n",
+         "a face row holds fewer than 3 vertex indices"),
+        ("out_of_range", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n",
+         "cell indices out of range"),
     ):
         path = tmp_path / f"{name}.off"
         path.write_text(text)

@@ -565,7 +565,7 @@ def test_dirichlet_trims_sign_noise_from_the_start(ico3, monkeypatch):
         assert u[k] > 0.0
         u[k] = -1e-12 * u.max()
         noisy.append(k)
-        return u, {"iters": 0, "converged": True, "residual": 0.0}
+        return u, {"iters": 0, "converged": True}
 
     monkeypatch.setattr(pspectral, "_descend", no_step)
     res = dirichlet_eigen(hemi, 2.0)
@@ -757,7 +757,7 @@ def test_cached_p2_start_skips_the_factorization(monkeypatch):
     assert warm.field.values.tobytes() == cold.field.values.tobytes()
 
 
-def test_closed_mesh_factors_once_and_domains_once_per_solve(monkeypatch):
+def test_closed_meshes_and_domains_factor_once(monkeypatch):
     real_splu, calls = pspectral.splu, []
 
     def counting_splu(A):
@@ -781,10 +781,14 @@ def test_closed_mesh_factors_once_and_domains_once_per_solve(monkeypatch):
     calls.clear()
     hemi = hemisphere_domain(mesh)
     ni = len(hemi.interior_indices)
-    for p in (1.5, 2.0, 3.0):
-        dirichlet_eigen(hemi, p)
-        assert "lu" not in vars(hemi._fem_ops)  # dropped after every solve
-    assert calls == [(ni, ni)] * 3      # p = 2 descends from the cached start too
+    warm = {p: dirichlet_eigen(hemi, p) for p in (1.5, 2.0, 3.0)}
+    assert calls == [(ni, ni)]          # kept on the Domain with its start
+    assert "lu" in vars(hemi._fem_ops)
+    for p, res in warm.items():
+        cold = dirichlet_eigen(hemisphere_domain(build_icosphere(3)), p)
+        assert res.lam == cold.lam and res.iterations == cold.iterations
+        assert res.field.values.tobytes() == cold.field.values.tobytes()
+        assert res.diagnostics == cold.diagnostics
 
 
 def test_round_level4_values():
@@ -850,7 +854,7 @@ def test_floor_stops_are_converged_near_a_critical_point(ico3, closed, p):
     region = ico3 if closed else hemisphere_domain(ico3)
     res = (closed_eigen if closed else dirichlet_eigen)(region, p)
     assert res.diagnostics["stop"] == "floor"
-    assert res.converged and math.isfinite(res.residual)
+    assert res.converged
     assert res.diagnostics["grad_norm"] <= 1e-7
 
 
@@ -870,30 +874,28 @@ def test_floor_is_declared_along_the_preconditioned_gradient(ico3, monkeypatch):
     assert -(d @ pg) >= (1.0 - 1e-6) * np.linalg.norm(d) * np.linalg.norm(pg)
 
 
-def test_restart_without_a_step_keeps_the_last_residual(monkeypatch):
+def test_only_a_stop_after_a_step_restarts_the_descent():
     # the level-4 aspect-1.2 p = 3 row restarts on the floor and the restarted
-    # pass takes no step; the residual is the first pass's last change
-    # (2.313013370109962e-15), not the 0.0 of a descent without steps
+    # pass takes no step; at p = 2 the start is already on the floor, and a
+    # restart from where the descent stands would repeat the same pass
     mesh = build_ellipsoid(1.2, 4)
     res = closed_eigen(mesh, 3.0)
     diag = res.diagnostics
     assert (diag["first_stop"], diag["stop"]) == ("floor", "floor")
     assert diag["first_iters"] == res.iterations > 0 and res.converged
-    assert 0.0 < res.residual < 1e-12
-    monkeypatch.setattr(pspectral, "_MAX_ITERS", res.iterations)   # cut before the floor stop
-    cut = closed_eigen(mesh, 3.0)
-    assert cut.diagnostics["stop"] == "budget" and not cut.converged
-    assert cut.residual == res.residual
-    monkeypatch.setattr(pspectral, "_MAX_ITERS", 0)     # no step at all
-    none = closed_eigen(mesh, 3.0)
-    assert none.residual == 0.0 and not none.converged
+    res = closed_eigen(mesh, 2.0)
+    diag = res.diagnostics
+    assert (diag["first_stop"], diag["first_iters"], diag["stop"]) == (None, None, "floor")
+    assert res.iterations == 0 and res.converged
+    # one projection onto the constraint before the descent, one after it
+    assert diag["projection_evals"] == 2
 
 
 def test_line_search_stall_before_any_step_is_unconverged(ico2, monkeypatch):
     monkeypatch.setattr(pspectral, "_MAX_BACKTRACKS", 0)    # every search stalls at once
     res = closed_eigen(ico2, 3.0)
     assert res.diagnostics["stop"] == "line_search" and res.diagnostics["evals"] == 0
-    assert res.iterations == 0 and not res.converged and res.residual == 0.0
+    assert res.iterations == 0 and not res.converged
 
 
 def test_line_search_stall_is_converged_exactly_on_a_small_last_change(ico2, monkeypatch):
@@ -904,13 +906,17 @@ def test_line_search_stall_is_converged_exactly_on_a_small_last_change(ico2, mon
     monkeypatch.setattr(pspectral, "_ARMIJO", 0.5)
     monkeypatch.setattr(pspectral, "_MAX_BACKTRACKS", 1)
     info = pspectral._descend(ops, u0, 3.0, [])[1]
-    rel = info["residual"]
     assert info["stop"] == "line_search" and 0 < info["iters"] < pspectral._STALL
+    with monkeypatch.context() as m:    # the same path, cut before its last step
+        m.setattr(pspectral, "_MAX_ITERS", info["iters"] - 1)
+        before = pspectral._descend(ops, u0, 3.0, [])[1]["rayleigh"]
+    rel = abs(before - info["rayleigh"]) / info["rayleigh"]    # the last step's change
     assert rel > 10 * pspectral._TOL and not info["converged"]
     for tol, converged in ((rel / 5.0, True), (rel / 20.0, False)):
         monkeypatch.setattr(pspectral, "_TOL", tol)
         again = pspectral._descend(ops, u0, 3.0, [])[1]
-        assert (again["stop"], again["iters"], again["residual"]) == ("line_search", info["iters"], rel)
+        assert (again["stop"], again["iters"]) == ("line_search", info["iters"])
+        assert again["rayleigh"] == info["rayleigh"]
         assert again["converged"] is converged
 
 
@@ -920,8 +926,8 @@ def test_zero_gradient_ends_on_the_floor_without_a_trial(ico2, monkeypatch):
     )
     res = closed_eigen(ico2, 3.0)
     diag = res.diagnostics
-    assert (diag["first_stop"], diag["stop"], diag["evals"]) == ("floor", "floor", 0)
-    assert res.converged and res.iterations == 0 and res.residual == 0.0
+    assert (diag["first_stop"], diag["stop"], diag["evals"]) == (None, "floor", 0)
+    assert res.converged and res.iterations == 0
 
 
 @pytest.mark.parametrize(
