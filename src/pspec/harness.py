@@ -98,8 +98,9 @@ def chain_audit(domain, p):
 
     1. mass_transport: the p-mass above level t equals beta times the
        p-mass of the rearranged profile over the volume-matched cap.
-    2. energy_comparison: superlevel p-energy dominates beta times the
-       rearranged profile's cap p-energy at every grid level.
+    2. energy_comparison: superlevel p-energy, summed from the solver's
+       cell energies (``_Operators.energy_mass``), dominates beta times
+       the rearranged profile's cap p-energy at every grid level.
 
     Step 1 is an identity (worst = largest signed relative deviation),
     step 2 an inequality (positive worst = violation). Returns {step name:
@@ -127,12 +128,12 @@ def chain_audit(domain, p):
     ext = np.concatenate([levels, tail, [umax]])
 
     fem = _fem(mesh)
-    g = np.linalg.norm(fem.gradients(u), axis=1)
+    q = fem.energy_mass(u, p)[4]
 
     # one cut of the field at every level; the grid is ext[:_AUDIT_GRID]
     sweep = LevelSweep(field, ext[:-1])
     mu = sweep.superlevel()
-    energy = sweep.superlevel(fem.cellw * g**p)[:_AUDIT_GRID]
+    energy = sweep.superlevel(fem.cellw * q)[:_AUDIT_GRID]
 
     _, dvol, slope = cap_shells(ext, mu, mesh)
 

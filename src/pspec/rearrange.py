@@ -19,20 +19,8 @@ from .manifold import beta, cap_boundary, cap_radius, cap_volume
 from .isoperim import LevelSweep
 from .pspectral import _fem
 
-_TIE_SCALE = 1e-13
 _CHECK_GRID = 256
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def _tie_broken_keys(values):
-    # Strictly ordered stand-in values: nudge by index so equal entries
-    # become distinct. The nudged values are canonical for thresholds and
-    # profile values, since near-equal pairs may swap order under the nudge
-    # and only the nudged sequence stays monotone. Scale guards constant
-    # and large-offset fields.
-    span = float(values.max() - values.min())
-    scale = max(span, float(np.abs(values).max()), 1.0)
-    return values + np.arange(len(values)) * (_TIE_SCALE * scale)
 
 
 def cap_shells(levels, measures, mesh):
@@ -72,7 +60,6 @@ class RadialProfile:
     values: np.ndarray
 
     def value_at(self, r):
-        r = np.minimum(r, self.knots[-1])
         return np.interp(r, self.knots, self.values)
 
     @cached_property
@@ -112,9 +99,12 @@ class RadialProfile:
 def symmetrize(field):
     """Decreasing cap rearrangement of the positive part of a field.
 
-    Vertex masses are divided by beta of the field's mesh before matching
-    cap volumes on the model sphere; the field must have a positive part. A
-    mesh with beta above 1 draws a warning.
+    The profile values are the positive vertex values in exact descending
+    order, the higher vertex index first among equal values (the order of
+    :func:`~pspec.harness.chain_audit`). Vertex masses are divided by beta
+    of the field's mesh before matching cap volumes on the model sphere;
+    the field must have a positive part. A mesh with beta above 1 draws a
+    warning.
     """
     u = field.values
     m = field.mesh.vertex_measure
@@ -129,12 +119,9 @@ def symmetrize(field):
             "comparisons need not hold",
             stacklevel=2,
         )
-    keys = _tie_broken_keys(u)
-    order = np.argsort(-keys)
+    order = np.argsort(u, kind="stable")[::-1]
     keep = u[order] > 0
-    # profile values stay exact: the nudge only fixes the order, and any
-    # near-tie inversions it introduces are clamped monotone here
-    vals = np.minimum.accumulate(u[order][keep])
+    vals = u[order][keep]
     radii = cap_radius(np.cumsum(m[order][keep]) / bet, n)
     prof = RadialProfile(
         dimension=n,
@@ -169,23 +156,21 @@ def polya_szego_check(field, p):
     """Energy comparison: p-Dirichlet energy of the positive part vs beta
     of its mesh times the energy of its cap rearrangement.
 
-    The rearranged energy integrates |slope|^p over the cap shells of a
-    uniform level grid. The shells match interpolated superlevel measures,
-    not lumped ones: their t-derivative is the coarea integrand of the
-    interpolant, so the slopes stay free of vertex-mass granularity noise.
-    The rhs is beta times that energy, so rel_gap must be nonnegative up
-    to mesh error; it divides by lhs, so a constant field, whose lhs is
-    rounding noise, is rejected.
+    The lhs is the solver's cell energy of the positive part
+    (``_Operators.energy_mass``). The rearranged energy integrates
+    |slope|^p over the cap shells of a uniform level grid. The shells match
+    interpolated superlevel measures, not lumped ones: their t-derivative
+    is the coarea integrand of the interpolant, so the slopes stay free of
+    vertex-mass granularity noise. The rhs is beta times that energy, so
+    rel_gap must be nonnegative up to mesh error; it divides by lhs, so a
+    constant field, whose lhs is rounding noise, is rejected.
     """
     u = field.values
     if not (u > 0).any():
         raise ValueError("field has no positive part to compare")
     if u.max() <= u.min():
         raise ValueError("constant field has no level structure")
-    fem = _fem(field.mesh)
-    pos = np.where(u > 0, u, 0.0)
-    g2 = (fem.gradients(pos) ** 2).sum(axis=1)
-    lhs = float(fem.cellw @ g2 ** (p / 2.0))
+    lhs = _fem(field.mesh).energy_mass(np.where(u > 0, u, 0.0), p)[0]
 
     levels = np.linspace(0.0, float(u.max()), _CHECK_GRID + 1)
     mu = LevelSweep(field, levels[:-1]).superlevel()

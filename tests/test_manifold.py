@@ -151,6 +151,13 @@ def test_mesh_rejects_nonfinite_vertices_and_null_cells(dimension, v, cells, mat
         Mesh(dimension, v, cells)
 
 
+def test_mesh_repr_names_kind_counts_and_closed(ico2):
+    assert repr(ico2) == "<Mesh icosphere dim=2 nv=162 nc=320 closed=True>"
+    assert repr(build_interval(8)) == "<Mesh interval dim=1 nv=9 nc=8 closed=False>"
+    bare = Mesh(2, ico2.vertices, ico2.cells)
+    assert repr(bare) == "<Mesh mesh dim=2 nv=162 nc=320 closed=True>"
+
+
 def test_lumped_vertex_measure_sums_to_total(ico3):
     assert ico3.vertex_measure.sum() == pytest.approx(
         ico3.cell_measure.sum(), rel=1e-13
@@ -380,6 +387,14 @@ def test_domain_rejects_empty_and_disconnected(ico3):
         Domain(ico3, np.abs(z) > 0.9)  # two antipodal caps
     with pytest.raises(ValueError):
         Domain(ico3, np.ones(3, dtype=bool))
+
+
+def test_domain_repr_counts_interior_and_boundary_vertices(ico2):
+    d = hemisphere_domain(ico2)
+    assert repr(d) == "<Domain 71 interior / 162 vertices, 20 on the boundary>"
+    assert (d.interior.sum(), len(d.boundary_vertices)) == (71, 20)
+    ends = interior_domain(build_interval(10))
+    assert repr(ends) == "<Domain 9 interior / 11 vertices, 2 on the boundary>"
 
 
 def test_superlevel_domain_mask(ico3):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pspec.manifold import (
+    Mesh,
     beta,
     build_ellipsoid,
     build_icosphere,
@@ -59,6 +60,23 @@ def test_symmetrize_distinct_values_against_reference(ico2, rng):
     np.testing.assert_allclose(prof.knots[1:], radii, atol=1e-12)
     np.testing.assert_allclose(prof.values[1:], u[order], atol=0)
     assert prof.values[0] == u.max()
+
+
+def test_symmetrize_sorts_near_equal_values_exactly(ico3):
+    # distinct values 1e-14 apart: the profile is their exact descending
+    # sort, and relabelling the vertices leaves the profile bitwise unchanged
+    rng = np.random.default_rng(0)
+    n = len(ico3.vertices)
+    u = 1.0 + 1e-14 * rng.permutation(n)
+    prof = symmetrize(ScalarField(ico3, u))
+    np.testing.assert_array_equal(prof.values[1:], np.sort(u)[::-1])
+
+    perm = rng.permutation(n)
+    inv = np.argsort(perm)
+    relabelled = Mesh(2, ico3.vertices[perm], inv[ico3.cells], ico3.meta)
+    other = symmetrize(ScalarField(relabelled, u[perm]))
+    np.testing.assert_array_equal(other.knots, prof.knots)
+    np.testing.assert_array_equal(other.values, prof.values)
 
 
 def test_symmetrize_constant_covers_model_sphere(ico3):
