@@ -36,7 +36,6 @@ from .pspectral import (
     coordinate_field,
     dirichlet_eigen,
     nodal_domains,
-    project_constraint,
     rayleigh_quotient,
     solve_radial_1d,
 )

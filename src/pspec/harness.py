@@ -65,7 +65,7 @@ def _sweep_record(mesh, p, lam_model):
         beta=measure_ratio(mesh),
         level=meta["level"],
         min_curvature=meta["min_curvature"],
-        equality_case=False,
+        equality_case=_is_round_unit(mesh),
         iterations=0,
         converged=False,
     )
@@ -77,7 +77,6 @@ def _sweep_record(mesh, p, lam_model):
         row,
         lam_mesh=res.lam,
         ratio=res.lam / lam_model,
-        equality_case=_is_round_unit(mesh),
         iterations=res.iterations,
         converged=res.converged,
         grad_norm=res.diagnostics["grad_norm"],

@@ -82,7 +82,8 @@ class EigenResult:
     :func:`rayleigh_quotient`; ``constraint_residual`` is the closed-manifold
     constraint defect (None for Dirichlet problems). ``iterations`` counts
     descent steps; the LU solves of the p = 2 start, shared by all
-    exponents, are ``p2_iterations``. ``diagnostics["grad_norm"]`` is
+    exponents, are ``diagnostics["p2_iterations"]``, a diagnostics key and
+    not a field. ``diagnostics["grad_norm"]`` is
     sqrt(g^T (K + M)^-1 g), g the gradient of log energy - log mass at
     ``field`` over the free vertices: it vanishes at a critical point. Closed
     solves also record ``diagnostics["projection_evals"]``, the defect
@@ -187,30 +188,38 @@ def _fem(mesh):
 def rayleigh_quotient(field, region, p):
     """p-Rayleigh quotient: cellwise gradient p-energy over lumped p-mass.
 
-    ``region`` is a closed Mesh or a Domain of the field's mesh; for a
-    Domain the field is masked to zero outside the interior, which realizes
-    the homogeneous Dirichlet condition. Zero fields are rejected.
+    ``region`` is a closed Mesh or a Domain of the field's mesh. A Domain
+    sums its own cells over its interior vertices, the operators its solve
+    runs on, so the field's values off the interior drop out: the
+    homogeneous Dirichlet condition. Zero fields are rejected.
     """
     p = check_p(p)
-    u, fem = _region_values(field, region)
-    energy, mass = fem.energy_mass(u, p)[:2]
+    _, ops, free = _region_ops(region, field.mesh)
+    energy, mass = ops.energy_mass(field.values[free], p)[:2]
     if mass == 0.0:
         raise ValueError("Rayleigh quotient of the zero field")
     return energy / mass
 
 
-def _region_values(field, region):
+def _region_ops(region, mesh=None):
+    """(mesh, operators, free vertices) of a closed Mesh or a Domain.
+
+    A mesh's operators are ``_fem(mesh)`` over every vertex; a Domain's are
+    restricted to its cells and interior vertices, built on first use and
+    kept on the Domain. ``mesh``, when given, must be the region's mesh.
+    """
     if isinstance(region, Domain):
-        if region.mesh is not field.mesh:
+        if mesh is not None and region.mesh is not mesh:
             raise ValueError("domain does not belong to the field's mesh")
-        u = np.where(region.interior, field.values, 0.0)
-        return u, _fem(region.mesh)
+        if not hasattr(region, "_fem_ops"):
+            region._fem_ops = _fem(region.mesh).restricted(region.cells, region.interior_indices)
+        return region.mesh, region._fem_ops, region.interior_indices
     if isinstance(region, Mesh):
-        if region is not field.mesh:
+        if mesh is not None and region is not mesh:
             raise ValueError("region mesh does not match the field's mesh")
         if not region.closed:
             raise ValueError("whole-mesh quotient requires a closed mesh")
-        return field.values, _fem(region)
+        return region, _fem(region), slice(None)
     raise TypeError("region must be a Mesh or a Domain")
 
 
@@ -276,28 +285,21 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100):
     raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-def project_constraint(field, p, evals=None):
-    """Subtract the scalar c with integral of |u-c|^{p-2}(u-c) equal zero.
-
-    The defect D is strictly decreasing in c and changes sign over [min u,
-    max u]. Newton on D, D'(c) = -(p-1) integral of |u-c|^{p-2}, starts at
-    c = 0 when u changes sign (a field a small move from a feasible one) and
-    mid-range otherwise; a step that leaves the sign bracket, fails to halve
-    the step before last or meets an infinite D' (p < 2, a vertex at c) is
-    a bisection instead. It stops on a step below 4 eps times the range, the
-    field's own precision, and raises RuntimeError after 100 evaluations.
-    Constant fields are rejected. A list ``evals``, if given, receives the
-    number of defect evaluations.
-    """
-    p = check_p(p)
-    return ScalarField(field.mesh, _project(field.values, field.mesh.vertex_measure, p, evals))
-
-
 def _project(u, m, p, evals=None):
-    # project_constraint on arrays: u - c for vertex values u and measures m.
-    # One evaluation gives D(c) = m @ copysign(|u-c|^(p-1), u-c) and the
-    # slope -D'(c) / (p-1) = m @ (|u-c|^(p-1) / |u-c|), which is NaN when a
-    # vertex sits on c; a NaN Newton step fails the bracket test and bisects
+    """u - c, with c the shift that zeroes the integral of |u-c|^{p-2}(u-c).
+
+    ``u`` holds vertex values and ``m`` their measures. The defect
+    D(c) = m @ copysign(|u-c|^(p-1), u-c) is strictly decreasing in c and
+    changes sign over [min u, max u]. Newton on D, D'(c) = -(p-1) m @
+    |u-c|^{p-2}, starts at c = 0 when u changes sign (a field a small move
+    from a feasible one) and mid-range otherwise; a step that leaves the
+    sign bracket, fails to halve the step before last or meets an infinite
+    D' (p < 2, a vertex at c, where the slope m @ (|u-c|^(p-1) / |u-c|) is
+    NaN) is a bisection instead. It stops on a step below 4 eps times the
+    range, the field's own precision, and raises RuntimeError after 100
+    evaluations. Constant fields are rejected. A list ``evals``, if given,
+    receives the number of defect evaluations.
+    """
     lo, hi = float(u.min()), float(u.max())
     if hi <= lo:
         raise ValueError("constraint projection of a constant field")
@@ -440,7 +442,9 @@ def _descend(ops, u, p, defects):
     t = 1); a second one, or a first one before any step, ends the descent,
     as do a line-search stall (``_MAX_BACKTRACKS`` halvings,
     ``"line_search"``, converged if the last change is at most 10 ``_TOL``)
-    and ``_MAX_ITERS`` steps in all (``"budget"``). The info holds
+    and ``_MAX_ITERS`` steps in all (``"budget"``). Every exit returns the
+    start, a trial or a restart point, each on the constraint and
+    L^p-normalized. The info holds
     ``iters``, the trials ``evals``, ``stop``, ``converged``, the final
     ``rayleigh`` and the ``first_stop`` and ``first_iters`` that the restart
     followed (None without a restart). Projections append their defect
@@ -536,48 +540,38 @@ def _eigen_solve(region, p):
     """The one solver behind closed_eigen (a Mesh) and dirichlet_eigen (a Domain).
 
     A closed mesh frees every vertex and keeps iterates on the constraint; a
-    Domain frees its interior and holds the rest at zero. Each region has
-    one ``_Operators`` over its unknowns, which owns the K + M LU and the
-    p = 2 start for every exponent: a mesh's are kept on the mesh, a
-    Domain's (its own cells and interior vertices) on the Domain. Every
-    step, the sign trim, the L^p normalization and ``grad_norm`` run on
-    vectors over those unknowns; a Domain's result is scattered into a
-    field that vanishes off the interior. ``converged`` and ``iterations``
-    are those of the descent from the p = 2 start, and the rest of its info
-    joins the start's diagnostics.
+    Domain frees its interior and holds the rest at zero. ``_region_ops``
+    gives each region one ``_Operators`` over its unknowns, kept on the mesh
+    or the Domain, which owns the K + M LU and the p = 2 start for every
+    exponent. The descent returns a point on the constraint and
+    L^p-normalized; after the sign fix (and a Dirichlet sign trim, which
+    renormalizes) one ``energy_mass`` call there gives ``lam`` and
+    ``grad_norm``, so ``lam`` is bitwise the :func:`rayleigh_quotient` of the
+    returned field. A Domain's result is scattered into a field that
+    vanishes off the interior. ``converged`` and ``iterations`` are those of
+    the descent, and the rest of its info joins the start's diagnostics.
     """
     p = check_p(p)
-    closed = isinstance(region, Mesh)
-    mesh = region if closed else region.mesh
-    if closed:
-        ops = _fem(mesh)
-    elif hasattr(region, "_fem_ops"):
-        ops = region._fem_ops
-    else:
-        ops = region._fem_ops = _fem(mesh).restricted(region.cells, region.interior_indices)
+    mesh, ops, free = _region_ops(region)
     defects = []                            # defect evaluations per projection
     u, info = _descend(ops, ops.p2_start[0], p, defects)
     iterations, converged = info.pop("iters"), info.pop("converged")
     diag = {**ops.p2_start[1], **info}
-    if closed:
-        u = _project(u, ops.mass, p, defects)
+    if ops.closed:
         diag["projection_evals"] = sum(defects)
     if u[np.argmax(np.abs(u))] < 0.0:
         u = -u
     neg = u < 0.0
-    if not closed and neg.any() and abs(u[neg].min()) <= 1e-8 * u.max():
-        u = np.where(neg, 0.0, u)  # trim sign noise from the constrained ring
-    u = _lp_normalize(u, ops.mass, p)[0]
-    grad = ops.grad_log_quotient(u, p, *ops.energy_mass(u, p))
+    if not ops.closed and neg.any() and abs(u[neg].min()) <= 1e-8 * u.max():
+        u = _lp_normalize(np.where(neg, 0.0, u), ops.mass, p)[0]  # trim ring sign noise
+    energy, mass, *cells = ops.energy_mass(u, p)
+    grad = ops.grad_log_quotient(u, p, energy, mass, *cells)
     diag["grad_norm"] = math.sqrt(float(grad @ ops.lu.solve(grad)))
-    if not closed:
-        full = np.zeros(len(mesh.vertices))
-        full[region.interior_indices] = u
-        u = full
-    fld = ScalarField(mesh, u)
-    lam = rayleigh_quotient(fld, region, p)
-    cres = constraint_residual(fld, p) if closed else None
-    return EigenResult(lam, fld, cres, iterations, converged, p, diag)
+    values = np.zeros(len(mesh.vertices))
+    values[free] = u
+    fld = ScalarField(mesh, values)
+    cres = constraint_residual(fld, p) if ops.closed else None
+    return EigenResult(energy / mass, fld, cres, iterations, converged, p, diag)
 
 
 def dirichlet_eigen(domain, p):
@@ -609,6 +603,8 @@ def closed_eigen(mesh, p):
     integral of |u|^{p-2} u, re-projected after every descent step. The
     field is sign fixed to be positive at its vertex of maximum modulus.
     """
+    if not isinstance(mesh, Mesh):
+        raise TypeError("closed_eigen requires a Mesh")
     if not mesh.closed:
         raise ValueError("closed_eigen requires a closed mesh")
     return _eigen_solve(mesh, p)

@@ -1,4 +1,4 @@
-"""Golden reports: tiny verify, sweep and eigen runs compared field by field.
+"""Golden reports: a tiny run of every command compared field by field.
 
 The goldens in tests/golden/ are rewritten on purpose by
 ``tests/golden/record.py``, whose field walk this test shares. Names, pass
@@ -12,6 +12,7 @@ import math
 import pytest
 
 from golden.record import ABSENT, GOLDEN, changed_fields, exactly_same, load_report, reports, run_case
+from pspec.cli import COMMANDS
 
 CASES = sorted(p.stem for p in GOLDEN.glob("*.cfg"))
 
@@ -48,8 +49,8 @@ def test_report_matches_golden(case, tmp_path):
     assert not mismatches, "\n".join(mismatches[:20])
 
 
-def test_golden_cases_cover_three_commands():
-    assert CASES == ["eigen", "sweep", "verify"]
+def test_golden_cases_cover_every_command():
+    assert CASES == sorted(COMMANDS) == ["eigen", "mesh", "oracle", "sweep", "symmetrize", "verify"]
 
 
 def test_field_walk_reports_key_changes_and_shared_fields():

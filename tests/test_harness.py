@@ -190,6 +190,7 @@ def test_pinching_sweep_records_failures(monkeypatch):
     assert "blowup" in failed[0].error
     assert failed[0].error == "RuntimeError: synthetic solver blowup"
     assert np.isnan(failed[0].lam_mesh) and np.isnan(failed[0].grad_norm)
+    assert failed[0].aspect == 1.0 and failed[0].equality_case     # the round unit sphere
     ok = [r for r in recs if not r.failed]
     assert len(ok) == 1 and ok[0].converged and 0.0 < ok[0].grad_norm < 1e-7
 

@@ -29,7 +29,6 @@ from pspec.pspectral import (
     coordinate_field,
     dirichlet_eigen,
     nodal_domains,
-    project_constraint,
     rayleigh_quotient,
     solve_radial_1d,
     _BRACKET_SLACK,
@@ -39,6 +38,7 @@ from pspec.pspectral import (
     _dop853,
     _eigen_solve,
     _fem,
+    _project,
 )
 from pspec.isoperim import gromov_ratio
 from pspec.rearrange import polya_szego_check
@@ -189,15 +189,20 @@ def test_stiffness_matches_cotangent_assembly(mesh):
 # constraint projection and nodal domains
 
 
+def projected(field, p, evals=None):
+    # the constraint projection of a field over its mesh's vertex measures
+    return ScalarField(field.mesh, _project(field.values, field.mesh.vertex_measure, p, evals))
+
+
 def test_project_constraint_odd_field_unchanged(ico3):
     z = coordinate_field(ico3)
-    proj = project_constraint(z, 2.0)
+    proj = projected(z, 2.0)
     assert np.abs(proj.values - z.values).max() <= 1e-10
 
 
 def test_project_constraint_p2_is_weighted_mean(ico3, rng):
     f = ScalarField(ico3, rng.normal(size=len(ico3.vertices)))
-    proj = project_constraint(f, 2.0)
+    proj = projected(f, 2.0)
     m = ico3.vertex_measure
     mean = float(m @ f.values / m.sum())
     shift = float((f.values - proj.values)[0])
@@ -206,7 +211,7 @@ def test_project_constraint_p2_is_weighted_mean(ico3, rng):
 
 def test_project_constraint_residual_random_p3(ico3, rng):
     f = ScalarField(ico3, rng.normal(size=len(ico3.vertices)))
-    proj = project_constraint(f, 3.0)
+    proj = projected(f, 3.0)
     assert constraint_residual(proj, 3.0) <= 1e-10
 
 
@@ -228,7 +233,7 @@ def bisection_shift(field, p, steps=200):
 def test_project_constraint_matches_bisection_reference(ico3, p):
     f = ScalarField(ico3, np.random.default_rng(11).uniform(-1.0, 1.0, len(ico3.vertices)))
     span = float(f.values.max() - f.values.min())
-    proj = project_constraint(f, p)
+    proj = projected(f, p)
     shift = f.values - proj.values
     assert np.abs(shift - bisection_shift(f, p)).max() <= 1e-14 * span
     assert constraint_residual(proj, p) <= 1e-12 * ico3.vertex_measure.sum()
@@ -236,7 +241,7 @@ def test_project_constraint_matches_bisection_reference(ico3, p):
 
 def test_project_constraint_rejects_constant(ico3):
     with pytest.raises(ValueError):
-        project_constraint(ScalarField(ico3, np.ones(len(ico3.vertices))), 2.0)
+        projected(ScalarField(ico3, np.ones(len(ico3.vertices))), 2.0)
 
 
 def scipy_projection_shift(field, p):
@@ -260,7 +265,7 @@ def test_project_constraint_is_bitwise_the_scipy_projection(ico2, p, seed):
     rng = np.random.default_rng(seed)
     f = ScalarField(ico2, rng.normal(size=len(ico2.vertices)) * 10.0 ** rng.uniform(-3, 3))
     span = float(f.values.max() - f.values.min())
-    proj = project_constraint(f, p)
+    proj = projected(f, p)
     shift = f.values - proj.values
     assert np.abs(shift - scipy_projection_shift(f, p)).max() <= 4.0 * np.finfo(float).eps * span
     assert np.abs(shift - bisection_shift(f, p)).max() <= 1e-14 * span
@@ -284,7 +289,7 @@ def test_project_constraint_matches_bisection_on_hard_fields(ico2, p, kind):
     f = ScalarField(ico2, values)
     span = float(values.max() - values.min())
     evals = []
-    proj = project_constraint(f, p, evals)
+    proj = projected(f, p, evals)
     shift = f.values - proj.values
     assert np.abs(shift - bisection_shift(f, p)).max() <= 1e-14 * span
     assert len(evals) == 1 and 1 <= evals[0] <= 100
@@ -448,8 +453,13 @@ def test_domain_monotonicity(ico3):
 
 
 def test_dirichlet_eigen_rejects_a_mesh(ico2):
-    with pytest.raises(TypeError, match="Domain"):
+    with pytest.raises(TypeError, match="dirichlet_eigen requires a Domain"):
         dirichlet_eigen(ico2, 2.0)
+
+
+def test_closed_eigen_rejects_a_domain(ico2):
+    with pytest.raises(TypeError, match="closed_eigen requires a Mesh"):
+        closed_eigen(hemisphere_domain(ico2), 2.0)
 
 
 def test_non_convergence_is_flagged(ico2, monkeypatch):
@@ -534,11 +544,12 @@ def test_dirichlet_descent_sees_only_the_domain_cells(ico3, monkeypatch):
 
     monkeypatch.setattr(pspectral._Operators, "energy_mass", counting)
     res = dirichlet_eigen(domain, 1.5)
-    descent = [c for c in calls if c[1] != nv]
-    assert len(descent) > res.iterations
-    assert set(descent) == {(len(domain.cells), ni)}
-    # the one full-mesh evaluation is rayleigh_quotient of the returned field
-    assert calls.count((len(ico3.cells), nv)) == 1 == len(calls) - len(descent)
+    assert len(calls) > res.iterations
+    # lam and grad_norm are read at the final point on the Domain's operators too
+    assert set(calls) == {(len(domain.cells), ni)} and ni < nv
+    calls.clear()
+    assert rayleigh_quotient(res.field, domain, 1.5) == res.lam
+    assert calls == [(len(domain.cells), ni)]   # so is the quotient of the returned field
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -887,8 +898,21 @@ def test_only_a_stop_after_a_step_restarts_the_descent():
     diag = res.diagnostics
     assert (diag["first_stop"], diag["first_iters"], diag["stop"]) == (None, None, "floor")
     assert res.iterations == 0 and res.converged
-    # one projection onto the constraint before the descent, one after it
-    assert diag["projection_evals"] == 2
+    # one projection onto the constraint, of the start; the solve adds none
+    assert diag["projection_evals"] == 1
+
+
+def test_the_restarted_pass_is_not_idle(ico3, monkeypatch):
+    # round level 3 at p = 3: the first pass stalls after 96 steps at
+    # grad_norm 1.9e-5, and the restarted pass ends at 5.5e-8, 2.3e-9 lower
+    full = closed_eigen(ico3, 3.0)
+    first = full.diagnostics["first_iters"]
+    assert full.diagnostics["first_stop"] == "stall" and 0 < first < full.iterations
+    monkeypatch.setattr(pspectral, "_MAX_ITERS", first)     # the same solve without the restart
+    cut = closed_eigen(ico3, 3.0)
+    assert cut.iterations == first
+    assert full.diagnostics["grad_norm"] <= 0.1 * cut.diagnostics["grad_norm"]
+    assert full.lam <= cut.lam
 
 
 def test_line_search_stall_before_any_step_is_unconverged(ico2, monkeypatch):
