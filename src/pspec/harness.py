@@ -15,7 +15,7 @@ import numpy as np
 from .isoperim import LevelSweep
 from .manifold import beta as measure_ratio, build_ellipsoid, spheroid_diameter
 from .pspectral import check_p, closed_eigen, dirichlet_eigen, solve_radial_1d, _fem
-from .rearrange import cap_shells, symmetrize
+from .rearrange import cap_profile, symmetrize
 
 _AUDIT_GRID = 64
 
@@ -96,10 +96,13 @@ def chain_audit(domain, p):
     maximum:
 
     1. mass_transport: the p-mass above level t equals beta times the
-       p-mass of the rearranged profile over the volume-matched cap.
+       p-mass of the field's :func:`~pspec.rearrange.symmetrize` profile
+       over the volume-matched cap.
     2. energy_comparison: superlevel p-energy, summed from the solver's
        cell energies (``_Operators.energy_mass``), dominates beta times
-       the rearranged profile's cap p-energy at every grid level.
+       the cap p-energy of the rearranged profile at every grid level: the
+       :func:`~pspec.rearrange.cap_profile` of the grid and tail from the
+       maximum down, read off its ``knot_energies``.
 
     Step 1 is an identity (worst = largest signed relative deviation),
     step 2 an inequality (positive worst = violation). Returns {step name:
@@ -130,11 +133,9 @@ def chain_audit(domain, p):
     q = fem.energy_mass(u, p)[4]
 
     # one cut of the field at every level; the grid is ext[:_AUDIT_GRID]
-    sweep = LevelSweep(field, ext[:-1])
-    mu = sweep.superlevel()
+    sweep = LevelSweep(field, ext)
+    star = cap_profile(ext[::-1], sweep.superlevel()[::-1], mesh)
     energy = sweep.superlevel(fem.cellw * q)[:_AUDIT_GRID]
-
-    _, dvol, slope = cap_shells(ext, mu, mesh)
 
     # lumped masses above each level from one ascending sort: idx vertices
     # lie at or below the level. The rearranged profile puts the len(u) - idx
@@ -149,7 +150,7 @@ def chain_audit(domain, p):
     rhs_mass = bet * symmetrize(field).knot_lp_masses(p)[len(u) - idx]
     rel_mass = (lhs_mass - rhs_mass) / lhs_mass
 
-    star_energy = np.concatenate([np.cumsum((slope**p * dvol)[::-1])[::-1], [0.0]])
+    star_energy = star.knot_energies(p)[::-1]
     rel_e = (bet * star_energy[:_AUDIT_GRID] - energy) / energy
     return {"mass_transport": _signed_worst(rel_mass), "energy_comparison": float(rel_e.max())}
 

@@ -23,27 +23,6 @@ _CHECK_GRID = 256
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def cap_shells(levels, measures, mesh):
-    """Cap rearrangement of a field on a level grid.
-
-    ``measures`` are the superlevel measures at ``levels[:-1]`` (ascending;
-    the last level is the field maximum, where the measure vanishes) of a
-    field on ``mesh``. Divided by the mesh's beta, each is matched to a cap
-    of the model S^n. Returns the cap radii, one per level and decreasing
-    to 0, the volumes of the shells between successive caps, and the
-    rearranged profile's slope on each shell (level step over radius step;
-    0 on a shell of zero width).
-    """
-    n = mesh.dimension
-    radii = np.append(cap_radius(measures / beta(mesh), n), 0.0)
-    vol = cap_volume(radii, n)
-    dr = radii[:-1] - radii[1:]
-    ok = dr > 0
-    slope = np.zeros(len(dr))
-    slope[ok] = np.diff(levels)[ok] / dr[ok]
-    return radii, vol[:-1] - vol[1:], slope
-
-
 @dataclass
 class RadialProfile:
     """Non-increasing radial function on model-sphere caps.
@@ -52,7 +31,8 @@ class RadialProfile:
     never increase. value_at is the monotone interpolant; the p-mass helpers
     integrate value^p weighted by the cap boundary measure, i.e. over the
     model sphere in polar coordinates, by one 8-point Gauss rule on every
-    knot interval.
+    knot interval. The p-energy on a knot interval is exact: |slope|^p
+    times the volume of its shell.
     """
 
     dimension: int
@@ -91,9 +71,31 @@ class RadialProfile:
         """
         return np.concatenate([[0.0], np.cumsum(self._interval_masses(p))])
 
+    def knot_energies(self, p):
+        """p-Dirichlet energy over the cap of radius ``knots[k]``, for every k.
+
+        Cumulative sums, from 0 at the first knot, of |slope|^p times the
+        volume of each knot interval's shell; a shell of zero width adds 0.
+        """
+        dr = np.diff(self.knots)
+        slope = np.divide(np.diff(self.values), dr, out=np.zeros(len(dr)), where=dr > 0)
+        shells = np.diff(cap_volume(self.knots, self.dimension))
+        return np.concatenate([[0.0], np.cumsum(np.abs(slope) ** p * shells)])
+
     def rows(self):
         """(radius, value) pairs for tabular output."""
         return np.column_stack([self.knots, self.values])
+
+
+def cap_profile(values, measures, mesh):
+    """Cap rearrangement of a field on ``mesh`` at the given values.
+
+    ``values`` never increase and ``measures``, the superlevel measures at
+    them, never decrease from 0. Divided by the mesh's beta, each measure
+    is matched to a cap of the model S^n, whose radius is the value's knot.
+    """
+    knots = cap_radius(np.asarray(measures) / beta(mesh), mesh.dimension)
+    return RadialProfile(dimension=mesh.dimension, knots=knots, values=np.asarray(values))
 
 
 def symmetrize(field):
@@ -108,7 +110,6 @@ def symmetrize(field):
     """
     u = field.values
     m = field.mesh.vertex_measure
-    n = field.mesh.dimension
     if not (u > 0).any():
         raise ValueError("field has no positive part to rearrange")
     bet = beta(field.mesh)
@@ -122,12 +123,8 @@ def symmetrize(field):
     order = np.argsort(u, kind="stable")[::-1]
     keep = u[order] > 0
     vals = u[order][keep]
-    radii = cap_radius(np.cumsum(m[order][keep]) / bet, n)
-    prof = RadialProfile(
-        dimension=n,
-        knots=np.concatenate([[0.0], radii]),
-        values=np.concatenate([[vals[0]], vals]),
-    )
+    mass = np.concatenate([[0.0], np.cumsum(m[order][keep])])
+    prof = cap_profile(np.concatenate([[vals[0]], vals]), mass, field.mesh)
     assert (np.diff(prof.knots) >= 0).all()
     return prof
 
@@ -157,8 +154,9 @@ def polya_szego_check(field, p):
     of its mesh times the energy of its cap rearrangement.
 
     The lhs is the solver's cell energy of the positive part
-    (``_Operators.energy_mass``). The rearranged energy integrates
-    |slope|^p over the cap shells of a uniform level grid. The shells match
+    (``_Operators.energy_mass``). The rearranged energy is the whole-sphere
+    :meth:`RadialProfile.knot_energies` of the :func:`cap_profile` of a
+    uniform level grid, from the maximum down to 0. Its caps match
     interpolated superlevel measures, not lumped ones: their t-derivative
     is the coarea integrand of the interpolant, so the slopes stay free of
     vertex-mass granularity noise. The rhs is beta times that energy, so
@@ -172,8 +170,7 @@ def polya_szego_check(field, p):
         raise ValueError("constant field has no level structure")
     lhs = _fem(field.mesh).energy_mass(np.where(u > 0, u, 0.0), p)[0]
 
-    levels = np.linspace(0.0, float(u.max()), _CHECK_GRID + 1)
-    mu = LevelSweep(field, levels[:-1]).superlevel()
-    _, dv, slope = cap_shells(levels, mu, field.mesh)
-    rhs = beta(field.mesh) * float((slope**p) @ dv)
+    levels = np.linspace(0.0, float(u.max()), _CHECK_GRID + 1)[::-1]
+    prof = cap_profile(levels, LevelSweep(field, levels).superlevel(), field.mesh)
+    rhs = beta(field.mesh) * float(prof.knot_energies(p)[-1])
     return CheckResult(lhs, rhs, (lhs - rhs) / lhs)

@@ -75,15 +75,16 @@ def test_audit_rejects_bad_inputs(ico2, monkeypatch):
 
 
 def test_audit_grid_sums_from_the_shared_sweep_are_the_grid_alone(ico3, rng):
-    # chain_audit cuts its eigenfunction once, at the grid and the tail up
-    # to the maximum, and reads the grid's sums off the front of that batch
+    # chain_audit cuts its eigenfunction once, at the grid, the tail and the
+    # maximum, and reads the grid's sums off the front of that batch
     field = dirichlet_eigen(hemisphere_domain(ico3), 2.0).field
     umax = float(field.values.max())
     levels = np.linspace(0.05 * umax, 0.90 * umax, harness._AUDIT_GRID)
     tail = np.linspace(levels[-1], umax, 17)[1:-1]
     ext = np.concatenate([levels, tail, [umax]])
     assert len(levels) == 64
-    shared, alone = LevelSweep(field, ext[:-1]), LevelSweep(field, levels)
+    shared, alone = LevelSweep(field, ext), LevelSweep(field, levels)
+    assert shared.superlevel()[-1] == 0.0  # no cell lies above the maximum
     weights = rng.uniform(0.5, 2.0, len(ico3.cells))
     for name in ("level", "superlevel"):
         for w in (None, weights):

@@ -15,7 +15,7 @@ from pspec.isoperim import LevelSweep, domain_bump_battery, gromov_ratio
 from pspec.pspectral import ScalarField, _fem, coordinate_field, dirichlet_eigen
 from pspec.rearrange import (
     RadialProfile,
-    cap_shells,
+    cap_profile,
     lp_equimeasurability,
     polya_szego_check,
     symmetrize,
@@ -228,35 +228,52 @@ def test_lp_mass_is_independent_of_call_order(ico3):
 
 
 # ---------------------------------------------------------------------------
-# cap shells
+# cap profiles
 
 
-def test_cap_shells_of_z_are_the_caps_of_z(ico4):
-    # {z > t} is the cap of radius arccos t and the rearranged z is z itself,
-    # so the radii track arccos(levels) and the slopes dt/dr track sin r.
-    # Measured on this mesh with 64 levels: radius error 2.81e-3, slope
-    # error 3.17e-3 against sin at the exact mid-radius of each shell; both
-    # shrink about fourfold per refinement level (1.07e-2 at level 3,
-    # 6.8e-4 at level 5 for the radii).
+@pytest.fixture(scope="module")
+def z_level_profile(ico4):
+    # {z > t} is the cap of radius arccos t, so the level-grid profile of z
+    # is z itself: cos r on knots at arccos of the levels
     z = coordinate_field(ico4)
-    levels = np.linspace(-1.0, 1.0, 65)
-    mu = LevelSweep(z, levels[:-1]).superlevel()
-    radii, dv, slope = cap_shells(levels, mu, ico4)
-    exact = np.arccos(levels)
-    assert radii[-1] == 0.0
-    assert np.abs(radii - exact).max() <= 3e-3
-    assert np.abs(slope - np.sin(0.5 * (exact[:-1] + exact[1:]))).max() <= 3.5e-3
-    assert dv.sum() == pytest.approx(4.0 * np.pi, rel=1e-13)
+    levels = np.linspace(-1.0, 1.0, 65)[::-1]
+    return levels, cap_profile(levels, LevelSweep(z, levels).superlevel(), ico4)
 
 
-def test_cap_shells_zero_width_shell_has_zero_slope(ico2):
-    # no mass between levels 1 and 2: the shell collapses to one radius
-    radii, dv, slope = cap_shells(
-        np.array([0.0, 1.0, 2.0, 3.0]), np.array([2.0, 1.0, 1.0]), ico2
-    )
-    assert radii[1] == radii[2] and radii[3] == 0.0
-    assert dv[1] == 0.0 and slope[1] == 0.0
-    assert (slope[[0, 2]] > 0).all()
+def test_cap_profile_of_z_is_the_caps_of_z(z_level_profile):
+    # measured on this mesh with 64 levels: radius error 2.81e-3; it shrinks
+    # about fourfold per refinement level (1.07e-2 at level 3, 6.8e-4 at
+    # level 5). The cut at the maximum has measure 0 and radius 0
+    levels, prof = z_level_profile
+    assert prof.knots[0] == 0.0
+    assert np.abs(prof.knots - np.arccos(levels)).max() <= 3e-3
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_knot_energies_of_z_track_the_smooth_cap_energy(z_level_profile, p):
+    # the energy of cos r over the cap of radius r is 2 pi int_0^r
+    # sin^{p+1} s ds, here by an 8-point Gauss rule on every knot interval.
+    # Measured on this mesh with 64 levels, the largest deviation over the
+    # knots relative to the whole-sphere energy: 2.49e-3 (p = 1.5), 2.51e-3
+    # (p = 2) and 2.82e-3 (p = 3)
+    _, prof = z_level_profile
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    a, b = prof.knots[:-1], prof.knots[1:]
+    half = 0.5 * (b - a)
+    s = 0.5 * (a + b)[:, None] + half[:, None] * nodes
+    smooth = np.cumsum(half * ((2.0 * np.pi * np.sin(s) ** (p + 1)) @ weights))
+    got = prof.knot_energies(p)
+    assert got.shape == prof.knots.shape and got[0] == 0.0
+    assert np.abs(got[1:] - smooth).max() <= 3e-3 * smooth[-1]
+
+
+def test_knot_energies_zero_width_shell_adds_zero(ico2):
+    # no mass between values 2 and 1: the shell collapses to one radius
+    prof = cap_profile(np.array([3.0, 2.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0, 2.0]), ico2)
+    assert prof.knots[0] == 0.0 and prof.knots[1] == prof.knots[2]
+    e = prof.knot_energies(2.0)
+    assert e[0] == 0.0 and e[2] == e[1]
+    assert (np.diff(e)[[0, 2]] > 0).all()
 
 
 @pytest.mark.parametrize("n", [1, 2])
