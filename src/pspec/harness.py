@@ -100,9 +100,8 @@ def chain_audit(domain, p):
        over the volume-matched cap.
     2. energy_comparison: superlevel p-energy, summed from the solver's
        cell energies (``_Operators.energy_mass``), dominates beta times
-       the cap p-energy of the rearranged profile at every grid level: the
-       :func:`~pspec.rearrange.cap_profile` of the grid and tail from the
-       maximum down, read off its ``knot_energies``.
+       the cap p-energy (``knot_energies``) of the grid's
+       :func:`~pspec.rearrange.cap_profile` at every grid level.
 
     Step 1 is an identity (worst = largest signed relative deviation),
     step 2 an inequality (positive worst = violation). Returns {step name:

@@ -31,8 +31,7 @@ class RadialProfile:
     never increase. value_at is the monotone interpolant; the p-mass helpers
     integrate value^p weighted by the cap boundary measure, i.e. over the
     model sphere in polar coordinates, by one 8-point Gauss rule on every
-    knot interval. The p-energy on a knot interval is exact: |slope|^p
-    times the volume of its shell.
+    knot interval.
     """
 
     dimension: int
@@ -101,12 +100,13 @@ def cap_profile(values, measures, mesh):
 def symmetrize(field):
     """Decreasing cap rearrangement of the positive part of a field.
 
-    The profile values are the positive vertex values in exact descending
-    order, the higher vertex index first among equal values (the order of
-    :func:`~pspec.harness.chain_audit`). Vertex masses are divided by beta
-    of the field's mesh before matching cap volumes on the model sphere;
-    the field must have a positive part. A mesh with beta above 1 draws a
-    warning.
+    The lumped masses of the positive vertex values, in exact descending
+    order with the higher vertex index first among equal values (the order
+    of :func:`~pspec.harness.chain_audit`), fill caps out from knot 0. Knot
+    0 holds the maximum and each later knot the mean of the two values
+    whose shells meet there; the last shell's outer value is 0, or the
+    last value on a positive field. The field must have a positive part.
+    A mesh with beta above 1 draws a warning.
     """
     u = field.values
     m = field.mesh.vertex_measure
@@ -123,8 +123,9 @@ def symmetrize(field):
     order = np.argsort(u, kind="stable")[::-1]
     keep = u[order] > 0
     vals = u[order][keep]
-    mass = np.concatenate([[0.0], np.cumsum(m[order][keep])])
-    prof = cap_profile(np.concatenate([[vals[0]], vals]), mass, field.mesh)
+    outer = np.append(vals, vals[-1] if keep.all() else 0.0)
+    mass = np.append(0.0, np.cumsum(m[order][keep]))
+    prof = cap_profile(np.append(vals[0], 0.5 * (outer[:-1] + outer[1:])), mass, field.mesh)
     assert (np.diff(prof.knots) >= 0).all()
     return prof
 

@@ -398,6 +398,19 @@ def test_symmetrize_command(tmp_path):
     assert all(b["pass"] for b in blocks)
 
 
+def test_symmetrize_passes_on_a_level_2_icosphere(tmp_path):
+    # with each value at the outer radius of its own mass shell the margins
+    # read -0.0148, -0.0176 and -0.0230 against 0.01
+    cfg = parse_config(
+        f"command = symmetrize\nmesh.level = 2\np = 1.5, 2, 3\nout = {tmp_path / 's'}"
+    )
+    assert run(cfg) == 0
+    blocks = read_report(tmp_path / "s" / "symmetrize.json")
+    checked = [b for b in blocks if b["name"].startswith("equimeasurability_p")]
+    assert len(checked) == 3
+    assert all(b["pass"] for b in checked)
+
+
 VERIFY_BLOCKS = {
     "meta",
     "equimeasurability_z",

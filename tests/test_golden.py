@@ -49,6 +49,11 @@ def test_report_matches_golden(case, tmp_path):
     assert not mismatches, "\n".join(mismatches[:20])
 
 
+def test_golden_verify_passes_every_check(tmp_path):
+    # a level-3 mesh: the coarse end of what the fixed tolerances must pass
+    assert run_case(GOLDEN / "verify.cfg", tmp_path) == 0
+
+
 def test_golden_cases_cover_every_command():
     assert CASES == sorted(COMMANDS) == ["eigen", "mesh", "oracle", "sweep", "symmetrize", "verify"]
 
