@@ -137,7 +137,7 @@ def chain_audit(domain, p):
     energy = sweep.superlevel(fem.cellw * q)[:_AUDIT_GRID]
 
     # lumped masses above each level from one ascending sort: idx vertices
-    # lie at or below the level. The rearranged profile puts the len(u) - idx
+    # lie at or below the level. The symmetrized profile puts the len(u) - idx
     # vertices above it on the cap out to its knot of that index
     m = mesh.vertex_measure
     asc = np.argsort(u, kind="stable")
